@@ -52,8 +52,6 @@ from .mappings import (
     PlaneRotation,
     RotationProduct,
     WMapping,
-    apply_map,
-    apply_w,
     common_fixed_basis,
     fixed_set_basis,
     nearest_fixed_point,
@@ -84,9 +82,8 @@ __all__ = [
     "TraceRecord", "cq_step", "fejer_audit", "initial_state", "run",
     "shrink_step",
     "GeodesicContraction", "Identity", "MappingFamily", "PlaneRotation",
-    "RotationProduct", "WMapping", "apply_map", "apply_w",
-    "common_fixed_basis", "fixed_set_basis", "nearest_fixed_point",
-    "residuals",
+    "RotationProduct", "WMapping", "common_fixed_basis", "fixed_set_basis",
+    "nearest_fixed_point", "residuals",
     "Halfspace", "Region", "SolveStats", "contains", "intersect", "make_cn",
     "make_qn", "project",
     "__version__",

@@ -282,52 +282,44 @@ def _execute(problem: Problem, stop: StopRule, method: str, prefix: str):
 
 
 def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -> int:
-    cfg = parse_config(config_path)
-    if seed is not None:
-        cfg.seed = seed
-    if out is not None:
-        cfg.out = out
-    problem, stop = build_problem(cfg)
-    _ensure_outdir(cfg.out)
-
-    methods = ["cq", "shrinking"] if cfg.method == "both" else [cfg.method]
-    reasons = []
-    for method in methods:
-        final, trace, reason = _execute(problem, stop, method, cfg.out)
-        summary = _summarize(problem, method, final, trace, reason)
-        _write_json(f"{cfg.out}_{method}_summary.json", summary)
-        print(f"[{method}] {reason.value} after {len(trace)} iterations")
-        reasons.append(reason)
-    return 0 if all(r is StopReason.CONVERGED for r in reasons) else 2
+    return _run_config(config_path, seed, out, compare=False)
 
 
 def cmd_compare(config_path: str, seed: int | None = None, out: str | None = None) -> int:
+    return _run_config(config_path, seed, out, compare=True)
+
+
+def _run_config(config_path: str, seed: int | None, out: str | None, compare: bool) -> int:
+    """Run the configured method(s).  `run` writes one summary per method;
+    `compare` requires method = both and writes one side-by-side summary
+    with each method's total solver sweeps."""
     cfg = parse_config(config_path)
     if seed is not None:
         cfg.seed = seed
     if out is not None:
         cfg.out = out
-    if cfg.method != "both":
+    if compare and cfg.method != "both":
         raise ConfigError("method: compare requires method = both")
     problem, stop = build_problem(cfg)
     _ensure_outdir(cfg.out)
 
-    results = {}
-    for method in ("cq", "shrinking"):
+    methods = ["cq", "shrinking"] if cfg.method == "both" else [cfg.method]
+    payload, finals, reasons = {}, [], []
+    for method in methods:
         final, trace, reason = _execute(problem, stop, method, cfg.out)
         summary = _summarize(problem, method, final, trace, reason)
-        summary["total_solver_sweeps"] = sum(rec.solver_sweeps for rec in trace)
-        results[method] = (final, summary, reason)
+        if compare:
+            summary["total_solver_sweeps"] = sum(rec.solver_sweeps for rec in trace)
+        else:
+            _write_json(f"{cfg.out}_{method}_summary.json", summary)
         print(f"[{method}] {reason.value} after {len(trace)} iterations")
-
-    payload = {
-        "cq": results["cq"][1],
-        "shrinking": results["shrinking"][1],
-        "final_point_distance": distance(results["cq"][0], results["shrinking"][0]),
-    }
-    _write_json(f"{cfg.out}_compare.json", payload)
-    ok = all(r is StopReason.CONVERGED for _, _, r in results.values())
-    return 0 if ok else 2
+        payload[method] = summary
+        finals.append(final)
+        reasons.append(reason)
+    if compare:
+        payload["final_point_distance"] = distance(*finals)
+        _write_json(f"{cfg.out}_compare.json", payload)
+    return 0 if all(r is StopReason.CONVERGED for r in reasons) else 2
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import FeasibilityViolated, MonotonicityViolated, SphereProjError, WitnessInfeasible
 from .geometry import SpherePoint, distance, geodesic_combine
 from .mappings import MappingFamily, WMapping, common_fixed_basis, nearest_fixed_point, residuals
-from .regions import Halfspace, Region, SolveStats, contains, intersect, make_cn, make_qn, project
+from .regions import (WITNESS_TOL, Halfspace, Region, contains, intersect, make_cn,
+                      make_qn, project)
 
 # Tolerances for the per-step invariant checks.
 FEJER_TOL = 1e-10
@@ -123,17 +124,24 @@ class Problem:
 
 class IterationState:
     """Immutable snapshot after n-1 steps: the current iterate, the last
-    staged average, the region used for the last projection, and the trace."""
+    staged average, the region used for the last projection, the trace,
+    and the two per-iterate quantities every step reads: d(x1, x_n) and the
+    mapping residuals at x_n.  `initial_state` and the step functions fill
+    them; a state built without them gets them computed by its next step.
+    """
 
-    __slots__ = ("n", "x_n", "y_n", "region", "trace")
+    __slots__ = ("n", "x_n", "y_n", "region", "trace", "dist_x1_xn", "residuals")
 
     def __init__(self, n: int, x_n: SpherePoint, y_n: SpherePoint | None,
-                 region: Region, trace: Trace):
+                 region: Region, trace: Trace, dist_x1_xn: float | None = None,
+                 residuals: np.ndarray | None = None):
         self.n = n
         self.x_n = x_n
         self.y_n = y_n
         self.region = region
         self.trace = trace
+        self.dist_x1_xn = dist_x1_xn
+        self.residuals = residuals
 
     def __repr__(self) -> str:
         return f"IterationState(n={self.n})"
@@ -143,29 +151,33 @@ def initial_state(problem: Problem) -> IterationState:
     """State at n = 1: the iterate is the anchor, the region is the bare cap."""
     witness = problem.fixed_rep if problem.fixed_rep is not None else problem.x1
     region = Region(problem.cap, (), witness)
-    return IterationState(1, problem.x1, None, region, ())
+    return IterationState(1, problem.x1, None, region, (),
+                          distance(problem.x1, problem.x1),
+                          residuals(problem.family, problem.x1))
 
 
 def _choose_witness(problem: Problem, state: IterationState, y: SpherePoint,
                     cuts: tuple[Halfspace, ...],
-                    inherited: tuple[Halfspace, ...] = ()) -> SpherePoint:
+                    inherited: np.ndarray | None = None) -> SpherePoint:
     """Feasibility witness for the next region.
 
     A known common fixed point always works (the convergence arguments put
     the fixed set inside every cut).  Without one, try points that satisfy
     the fresh cut by construction: the previous witness, the staged average
     y (slack 1 - cos d(x,y) >= 0), and the cut boundary midpoint, each
-    checked against the inherited constraints as well.  If none satisfies
-    everything the run aborts rather than continue unsoundly.
+    checked with one product against the stacked normals of the fresh cuts
+    and the inherited ones.  If none satisfies everything the run aborts
+    rather than continue unsoundly.
     """
     if problem.fixed_rep is not None:
         return problem.fixed_rep
+    normals = np.array([h.normal for h in cuts]).reshape(len(cuts), problem.dim)
+    if inherited is not None:
+        normals = np.vstack((inherited, normals))
     midpoint = geodesic_combine(0.5, state.x_n, y)
     for cand in (state.region.witness, y, midpoint):
-        ok = problem.cap.slack(cand) >= -1e-10 and all(
-            h.slack(cand) >= -1e-10 for h in (*cuts, *inherited)
-        )
-        if ok:
+        if (problem.cap.slack(cand) >= -WITNESS_TOL
+                and (normals @ cand.coords >= -WITNESS_TOL).all()):
             return cand
     raise WitnessInfeasible(
         "no feasibility witness available; provide a known fixed set or use "
@@ -173,29 +185,54 @@ def _choose_witness(problem: Problem, state: IterationState, y: SpherePoint,
     )
 
 
-def _assert_step_invariants(problem: Problem, state: IterationState,
-                            region: Region, x_new: SpherePoint) -> None:
+def _step(problem: Problem, state: IterationState, shrinking: bool) -> IterationState:
+    """The step kernel of both methods; `shrinking` selects the cut policy.
+
+    CQ projects onto the cap cut by the fresh cut and the localization cut
+    through x_n; shrinking appends the fresh cut to the accumulated region.
+    Then the audits run (a known fixed point satisfies every cut, d(x1, x_n)
+    does not decrease) and the record is written.  d(x1, x_{n+1}) and the
+    residuals at x_{n+1} are computed once and carried in the new state.
+    """
+    x_n, dist_n, res_n = state.x_n, state.dist_x1_xn, state.residuals
+    if dist_n is None or res_n is None:
+        dist_n, res_n = distance(problem.x1, x_n), residuals(problem.family, x_n)
+    y = problem._w.apply(x_n, state.n)
+    cn = make_cn(x_n, y)
+    try:
+        if shrinking:
+            cuts = () if cn.is_trivial else (cn,)
+            witness = _choose_witness(problem, state, y, cuts, state.region.normals)
+            region = intersect(state.region, cn, witness)
+        else:
+            cuts = tuple(h for h in (cn, make_qn(problem.x1, x_n)) if not h.is_trivial)
+            witness = _choose_witness(problem, state, y, cuts)
+            region = Region(problem.cap, cuts, witness)
+    except WitnessInfeasible as e:
+        if problem.fixed_rep is not None:
+            raise FeasibilityViolated(
+                f"iteration {state.n}: known fixed point violates a generated cut"
+            ) from e
+        raise
+    x_new, stats = project(region, problem.x1)
     if problem.fixed_rep is not None and not contains(region, problem.fixed_rep,
                                                       CONTAINMENT_TOL):
         raise FeasibilityViolated(
             f"iteration {state.n}: known fixed point violates a generated cut"
         )
-    if distance(problem.x1, x_new) < distance(problem.x1, state.x_n) - FEJER_TOL:
-        raise MonotonicityViolated(
-            f"iteration {state.n}: d(x1, x_n) decreased"
-        )
-
-
-def _record(problem: Problem, state: IterationState, x_new: SpherePoint,
-            region: Region, stats: SolveStats) -> TraceRecord:
-    return TraceRecord(
+    dist_new = distance(problem.x1, x_new)
+    if dist_new < dist_n - FEJER_TOL:
+        raise MonotonicityViolated(f"iteration {state.n}: d(x1, x_n) decreased")
+    rec = TraceRecord(
         n=state.n,
-        dist_x1_xn=distance(problem.x1, state.x_n),
-        step_len=distance(state.x_n, x_new),
-        residuals=tuple(residuals(problem.family, state.x_n)),
+        dist_x1_xn=dist_n,
+        step_len=distance(x_n, x_new),
+        residuals=tuple(res_n),
         constraint_count=len(region.linear),
         solver_sweeps=stats.sweeps,
     )
+    return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,),
+                          dist_new, residuals(problem.family, x_new))
 
 
 def cq_step(problem: Problem, state: IterationState) -> IterationState:
@@ -204,23 +241,7 @@ def cq_step(problem: Problem, state: IterationState) -> IterationState:
     At n = 1 the localization cut is trivial (the first region is the whole
     cap intersected with the fresh cut only).
     """
-    y = problem._w.apply(state.x_n, state.n)
-    cn = make_cn(state.x_n, y)
-    qn = make_qn(problem.x1, state.x_n)
-    cuts = tuple(h for h in (cn, qn) if not h.is_trivial)
-    witness = _choose_witness(problem, state, y, cuts)
-    try:
-        region = Region(problem.cap, cuts, witness)
-    except WitnessInfeasible as e:
-        if witness is problem.fixed_rep:
-            raise FeasibilityViolated(
-                f"iteration {state.n}: known fixed point violates a generated cut"
-            ) from e
-        raise
-    x_new, stats = project(region, problem.x1)
-    _assert_step_invariants(problem, state, region, x_new)
-    rec = _record(problem, state, x_new, region, stats)
-    return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,))
+    return _step(problem, state, shrinking=False)
 
 
 def shrink_step(problem: Problem, state: IterationState) -> IterationState:
@@ -228,23 +249,7 @@ def shrink_step(problem: Problem, state: IterationState) -> IterationState:
 
     Nestedness of the regions holds by construction; constraint counts grow
     by at most one per step (trivial cuts are skipped)."""
-    y = problem._w.apply(state.x_n, state.n)
-    cn = make_cn(state.x_n, y)
-    cuts = () if cn.is_trivial else (cn,)
-    witness = _choose_witness(problem, state, y, cuts,
-                              inherited=state.region.linear)
-    try:
-        region = intersect(state.region, cn, witness)
-    except WitnessInfeasible as e:
-        if witness is problem.fixed_rep:
-            raise FeasibilityViolated(
-                f"iteration {state.n}: known fixed point violates a generated cut"
-            ) from e
-        raise
-    x_new, stats = project(region, problem.x1)
-    _assert_step_invariants(problem, state, region, x_new)
-    rec = _record(problem, state, x_new, region, stats)
-    return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,))
+    return _step(problem, state, shrinking=True)
 
 
 _STEPS = {"cq": cq_step, "shrinking": shrink_step}
@@ -270,9 +275,8 @@ def run(problem: Problem, method: str = "cq",
             if str(e).startswith("iteration "):
                 raise
             raise type(e)(f"iteration {state.n}: {e}") from e
-        rec = state.trace[-1]
-        res_new = residuals(problem.family, state.x_n)
-        if rec.step_len <= stop.eps_step and float(res_new.max()) <= stop.eps_residual:
+        if (state.trace[-1].step_len <= stop.eps_step
+                and float(state.residuals.max()) <= stop.eps_residual):
             return state.x_n, state.trace, StopReason.CONVERGED
         if len(state.trace) >= stop.max_iter:
             return state.x_n, state.trace, StopReason.ITERATION_CAP

@@ -150,11 +150,6 @@ class GeodesicContraction:
         return f"GeodesicContraction(weight={self.weight})"
 
 
-def apply_map(T, x: SpherePoint) -> SpherePoint:
-    """Evaluate a mapping at a sphere point."""
-    return T.apply(x)
-
-
 def fixed_set_basis(T, dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the fixed subspace {v : Tv = v}.
 
@@ -333,11 +328,6 @@ class WMapping:
 
     def __repr__(self) -> str:
         return f"WMapping({self.family!r})"
-
-
-def apply_w(w: WMapping, x: SpherePoint, n: int = 1) -> SpherePoint:
-    """Evaluate the W-mapping at x (iteration n selects the schedule row)."""
-    return w.apply(x, n)
 
 
 def residuals(family: MappingFamily, x: SpherePoint) -> np.ndarray:

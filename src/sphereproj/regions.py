@@ -198,11 +198,7 @@ def make_cn(x_n: SpherePoint, y_n: SpherePoint) -> Halfspace:
     arccos is decreasing, so the condition is <y_n - x_n, z> >= 0.  When
     y_n = x_n the set is everything and the trivial halfspace is returned.
     """
-    v = y_n.coords - x_n.coords
-    n = float(np.linalg.norm(v))
-    if n <= DEGENERATE_TOL:
-        return Halfspace.trivial(x_n.dim)
-    return Halfspace(v / n, 0.0)
+    return _cut(y_n.coords - x_n.coords)
 
 
 def make_qn(x_1: SpherePoint, x_n: SpherePoint) -> Halfspace:
@@ -212,12 +208,25 @@ def make_qn(x_1: SpherePoint, x_n: SpherePoint) -> Halfspace:
     (x_n = x_1) the normal vanishes and the trivial halfspace is returned:
     the first localization cut is all of the ambient set.
     """
-    c = inner(x_1, x_n)
-    v = c * x_n.coords - x_1.coords
+    return _cut(inner(x_1, x_n) * x_n.coords - x_1.coords)
+
+
+def _cut(v: np.ndarray) -> Halfspace:
+    """The homogeneous cut <v, z> >= 0, or the trivial one when v vanishes.
+
+    v is finite (a combination of unit vectors), so the Halfspace checks are
+    skipped.  The unit normal is normalized a second time, as the Halfspace
+    constructor would: the walks are steered by the last bits of the cuts.
+    """
     n = float(np.linalg.norm(v))
     if n <= DEGENERATE_TOL:
-        return Halfspace.trivial(x_1.dim)
-    return Halfspace(v / n, 0.0)
+        return Halfspace.trivial(v.size)
+    v = v / n
+    v /= float(np.linalg.norm(v))
+    v.setflags(write=False)
+    h = Halfspace.__new__(Halfspace)
+    h.normal, h.offset = v, 0.0
+    return h
 
 
 def intersect(region: Region, h: Halfspace, new_witness: SpherePoint) -> Region:
@@ -276,8 +285,14 @@ class _CutCone:
         """
         q = self.normals[self.active]
         k = len(q)
+        r00 = math.sqrt(float(q[0] @ q[0]))
+        q[0] /= r00
+        if k == 1:
+            c = q @ b
+            return b - c @ q, np.array([-float(c[0]) / r00])
         r = np.zeros((k, k))
-        for j in range(k):
+        r[0, 0] = r00
+        for j in range(1, k):
             v = q[j]
             for _ in range(2):
                 c = q[:j] @ v
@@ -294,14 +309,15 @@ class _CutCone:
     def project(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, active = self.normals, self.active
         lam = np.zeros(len(a))
-        passed_over = np.zeros(len(a), dtype=bool)
         z = b
         if active.any():
             z_warm, s = self._solve(b)
-            if (s > 0.0).all():
+            if s.min() > 0.0:
                 z, lam[active] = z_warm, s
             else:
                 active[:] = False
+        # cuts that may not enter: the active ones and those passed over
+        blocked = active.copy()
         scale = math.sqrt(float(b @ b))
         while True:
             if self.sweeps >= self.max_sweeps:
@@ -311,21 +327,20 @@ class _CutCone:
                 )
             self.sweeps += 1
             violation = -(a @ z)
-            violation[active | passed_over] = -math.inf
-            t = int(np.argmax(violation)) if len(a) else -1
+            violation[blocked] = -math.inf
+            t = int(violation.argmax()) if len(a) else -1
             if t < 0 or violation[t] <= self.tol * (scale + float(lam.sum())):
                 return z, lam
-            active[t] = True
+            active[t] = blocked[t] = True
             entering = True
             while True:
-                idx = np.flatnonzero(active)
+                idx = active.nonzero()[0]
                 z_new, s = self._solve(b)
-                if (s > 0.0).all():
+                if s.min() > 0.0:
                     z, lam[idx] = z_new, s
                     break
-                if entering and s[np.searchsorted(idx, t)] <= 0.0:
+                if entering and s[idx.searchsorted(t)] <= 0.0:
                     active[t] = False
-                    passed_over[t] = True
                     break
                 entering = False
                 # step from lam toward s until the first multiplier hits zero
@@ -336,7 +351,7 @@ class _CutCone:
                 lam[idx] = cur + alpha * (s - cur)
                 lam[idx[neg][ratios <= alpha]] = 0.0
                 drop = idx[lam[idx] <= 0.0]
-                active[drop] = False
+                active[drop] = blocked[drop] = False
                 lam[drop] = 0.0
                 if not active.any():
                     z = b
@@ -376,36 +391,36 @@ def project(region: Region, x: SpherePoint, *, tol: float = SOLVER_TOL,
 
     def solve(mu):
         z, lam = cone.project(x.coords + mu * pole)
-        return float(pole @ z) - cos_r * math.sqrt(float(z @ z)), z, lam
+        norm = math.sqrt(float(z @ z))
+        return float(pole @ z) - cos_r * norm, z, lam, norm
 
     mu = 0.0
-    cap_gap, z, lam = solve(mu)
+    cap_gap, z, lam, n = solve(mu)
     if cap_gap < 0.0:
         lo, hi = 0.0, 1.0
-        cap_gap, z, lam = solve(hi)
+        cap_gap, z, lam, n = solve(hi)
         while cap_gap < 0.0 and hi < MAX_CAP_MULTIPLIER:
             lo, hi = hi, 2.0 * hi
-            cap_gap, z, lam = solve(hi)
+            cap_gap, z, lam, n = solve(hi)
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            mid_gap, z_mid, lam_mid = solve(mid)
+            mid_gap, z_mid, lam_mid, n_mid = solve(mid)
             if mid_gap >= 0.0:
-                hi, cap_gap, z, lam = mid, mid_gap, z_mid, lam_mid
+                hi, cap_gap, z, lam, n = mid, mid_gap, z_mid, lam_mid, n_mid
             else:
                 lo = mid
         mu = hi
 
-    n = math.sqrt(float(z @ z))
     if n <= 0.0 or float(x.coords @ z) <= 1e-9 * n:
         raise EmptyOrDegenerate("cone projection collapsed to the zero vector")
     result = SpherePoint._wrap(z / n)
-    if not contains(region, result, RESULT_TOL):
-        raise NoConvergence("projection result violates the region beyond tolerance")
     slack = normals @ result.coords
+    min_slack = float(slack.min(initial=0.0))
     cap_slack = region.cap.slack(result)
+    if cap_slack < -RESULT_TOL or not min_slack >= -RESULT_TOL:
+        raise NoConvergence("projection result violates the region beyond tolerance")
     active = lam > 0.0
-    kkt = max(0.0, -float(slack.min(initial=0.0)),
-              float(np.abs(slack[active]).max(initial=0.0)),
+    kkt = max(0.0, -min_slack, float(np.abs(slack[active]).max(initial=0.0)),
               abs(cap_slack) if mu > 0.0 else -cap_slack)
-    stats = SolveStats(cone.sweeps, tuple(np.flatnonzero(active).tolist()), mu > 0.0, kkt)
+    stats = SolveStats(cone.sweeps, tuple(active.nonzero()[0].tolist()), mu > 0.0, kkt)
     return result, stats

@@ -52,7 +52,6 @@ from sphereproj.mappings import (
     MappingFamily,
     PlaneRotation,
     WMapping,
-    apply_w,
     common_fixed_basis,
     residuals,
 )
@@ -234,13 +233,13 @@ def test_c04_staged_average_fixed_points():
     basis = common_fixed_basis(fam.maps, 4)
     ok = basis.shape == (4, 1) and abs(abs(float(basis[3, 0])) - 1.0) <= 1e-12
     w = WMapping(fam)
-    fixed_drift = distance(apply_w(w, pole), pole)
+    fixed_drift = distance(w.apply(pole), pole)
     rng = np.random.default_rng(20250104)
     pts = sample_cap(pole.coords, math.pi / 5, 1000, rng)
     min_move = math.inf
     for row in pts:
         x = SpherePoint._wrap(row)
-        move = distance(apply_w(w, x), x)
+        move = distance(w.apply(x), x)
         if move < min_move:
             min_move = move
     report(4, ok and fixed_drift <= 1e-12 and min_move > 1e-8,

@@ -7,6 +7,7 @@ import pytest
 
 from sphereproj.geometry import basis_point, distance, random_point_in_cap, SpherePoint
 from sphereproj.iteration import (
+    IterationState,
     Problem,
     StopReason,
     StopRule,
@@ -215,6 +216,69 @@ class TestRun:
         assert reason is StopReason.ITERATION_CAP
         assert fejer_audit(trace)
         assert distance(x, POLE) < distance(x1, POLE)
+
+    def test_shrinking_fallback_witness_lies_in_its_region(self):
+        """Without a known fixed set, the shrinking method picks each witness
+        against every inherited cut as well as the fresh one."""
+        fam = MappingFamily([GeodesicContraction(POLE, 0.5)], allow_experimental=True)
+        x1 = random_point_in_cap(POLE, RHO, 7)
+        prob = Problem(4, POLE, RHO, fam, x1)
+        assert prob.fixed_rep is None
+        s = initial_state(prob)
+        for _ in range(60):
+            s = shrink_step(prob, s)
+            assert contains(s.region, s.region.witness, 1e-10)
+        assert len(s.region.linear) == 60
+        assert fejer_audit(s.trace)
+
+
+class TestCachedFields:
+    """The state carries d(x1, x_n) and the residuals at x_n, so that each
+    is computed once per iterate; the records must not notice."""
+
+    @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
+    def test_records_match_direct_recomputation(self, stepper):
+        fam = two_rotation_family()
+        x1 = random_point_in_cap(POLE, RHO, 14)
+        prob = make_problem(x1, fam)
+        s = initial_state(prob)
+        iterates = [s.x_n]
+        for _ in range(25):
+            s = stepper(prob, s)
+            iterates.append(s.x_n)
+        assert [rec.n for rec in s.trace] == list(range(1, 26))
+        for rec, x_n, x_next in zip(s.trace, iterates, iterates[1:]):
+            assert rec.dist_x1_xn == distance(x1, x_n)
+            assert rec.step_len == distance(x_n, x_next)
+            assert rec.residuals == tuple(residuals(fam, x_n))
+        assert s.dist_x1_xn == distance(x1, s.x_n)
+        assert np.array_equal(s.residuals, residuals(fam, s.x_n))
+
+    @pytest.mark.parametrize("method", ["cq", "shrinking"])
+    def test_run_computes_residuals_once_per_iterate(self, method, monkeypatch):
+        from sphereproj import iteration as it
+
+        calls = {"n": 0}
+        real = it.residuals
+
+        def counted(family, x):
+            calls["n"] += 1
+            return real(family, x)
+
+        monkeypatch.setattr(it, "residuals", counted)
+        prob = make_problem(random_point_in_cap(POLE, RHO, 15))
+        _, trace, reason = run(prob, method, StopRule(1e-12, 1e-12, 17))
+        assert reason is StopReason.ITERATION_CAP
+        assert calls["n"] == len(trace) + 1 == 18
+
+    @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
+    def test_state_without_cached_fields_steps_the_same(self, stepper):
+        prob = make_problem(random_point_in_cap(POLE, RHO, 16))
+        s = stepper(prob, stepper(prob, initial_state(prob)))
+        bare = IterationState(s.n, s.x_n, s.y_n, s.region, s.trace)
+        a, b = stepper(prob, s), stepper(prob, bare)
+        assert a.trace == b.trace
+        assert np.array_equal(a.x_n.coords, b.x_n.coords)
 
 
 class TestStopRule:

@@ -19,8 +19,6 @@ from sphereproj.mappings import (
     PlaneRotation,
     RotationProduct,
     WMapping,
-    apply_map,
-    apply_w,
     common_fixed_basis,
     fixed_set_basis,
     nearest_fixed_point,
@@ -35,14 +33,14 @@ def e(i, dim=4):
 class TestApplyMap:
     def test_identity(self):
         x = e(2)
-        assert apply_map(Identity(), x) is x
+        assert Identity().apply(x) is x
 
     def test_quarter_turn(self):
-        img = apply_map(PlaneRotation(0, 1, math.pi / 2), e(0))
+        img = PlaneRotation(0, 1, math.pi / 2).apply(e(0))
         np.testing.assert_allclose(img.coords, e(1).coords, atol=1e-15)
 
     def test_off_plane_coordinates_fixed(self):
-        img = apply_map(PlaneRotation(0, 1, 1.234), e(3))
+        img = PlaneRotation(0, 1, 1.234).apply(e(3))
         np.testing.assert_allclose(img.coords, e(3).coords, atol=0)
 
     def test_rotation_angle_range(self):
@@ -52,7 +50,7 @@ class TestApplyMap:
     def test_rotation_product_order(self):
         rp = RotationProduct([PlaneRotation(0, 1, math.pi / 2),
                               PlaneRotation(1, 2, math.pi / 2)])
-        img = apply_map(rp, e(0))
+        img = rp.apply(e(0))
         np.testing.assert_allclose(img.coords, e(2).coords, atol=1e-15)
 
     def test_matrix_matches_apply(self):
@@ -61,7 +59,7 @@ class TestApplyMap:
         m = rp.matrix(4)
         for _ in range(50):
             x = SpherePoint(rng.standard_normal(4))
-            np.testing.assert_allclose(apply_map(rp, x).coords, m @ x.coords,
+            np.testing.assert_allclose(rp.apply(x).coords, m @ x.coords,
                                        atol=1e-14)
 
     def test_isometry_random_pairs(self):
@@ -74,7 +72,7 @@ class TestApplyMap:
             for _ in range(300):
                 x = SpherePoint(rng.standard_normal(4))
                 y = SpherePoint(rng.standard_normal(4))
-                assert distance(apply_map(T, x), apply_map(T, y)) == pytest.approx(
+                assert distance(T.apply(x), T.apply(y)) == pytest.approx(
                     distance(x, y), abs=1e-12)
 
 
@@ -87,7 +85,7 @@ class TestOneStageQuasinonexpansive:
         for _ in range(1000):
             x = SpherePoint(sample_cap(p.coords, 1.2, 1, rng)[0])
             a = float(rng.uniform(0.05, 0.95))
-            y = geodesic_combine(a, apply_map(T, x), x)
+            y = geodesic_combine(a, T.apply(x), x)
             assert distance(y, p) <= distance(x, p) + 1e-10
 
 
@@ -178,12 +176,12 @@ class TestWMapping:
     def test_common_fixed_point_is_fixed(self):
         fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)])
         w = WMapping(fam)
-        img = apply_w(w, e(3))
+        img = w.apply(e(3))
         assert distance(img, e(3)) <= 1e-12
 
     def test_single_stage_midpoint(self):
         fam = MappingFamily([PlaneRotation(0, 1, math.pi / 2)], alphas=[0.5])
-        img = apply_w(WMapping(fam), e(0))
+        img = WMapping(fam).apply(e(0))
         s = math.sqrt(2) / 2
         np.testing.assert_allclose(img.coords, [s, s, 0, 0], atol=1e-15)
 
@@ -196,10 +194,10 @@ class TestWMapping:
         rng = np.random.default_rng(23)
         for _ in range(50):
             x = SpherePoint(sample_cap(e(3).coords, math.pi / 5, 1, rng)[0])
-            u1 = geodesic_combine(0.5, apply_map(t1, x), x)
-            u2 = geodesic_combine(0.5, apply_map(t2, u1), x)
+            u1 = geodesic_combine(0.5, t1.apply(x), x)
+            u2 = geodesic_combine(0.5, t2.apply(u1), x)
             w = WMapping(fam)
-            np.testing.assert_allclose(apply_w(w, x).coords, u2.coords, atol=1e-14)
+            np.testing.assert_allclose(w.apply(x).coords, u2.coords, atol=1e-14)
             stages = w.stages(x)
             np.testing.assert_allclose(stages[0].coords, u1.coords, atol=1e-14)
             np.testing.assert_allclose(stages[1].coords, u2.coords, atol=1e-14)
@@ -209,14 +207,14 @@ class TestWMapping:
         points: common ones do not move, every other cap point does."""
         fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)])
         w = WMapping(fam)
-        assert distance(apply_w(w, e(3)), e(3)) <= 1e-10
+        assert distance(w.apply(e(3)), e(3)) <= 1e-10
         rng = np.random.default_rng(24)
         pts = sample_cap(e(3).coords, math.pi / 5, 1000, rng)
         for row in pts:
             x = SpherePoint(row)
             if distance(x, e(3)) < 1e-6:
                 continue
-            assert distance(apply_w(w, x), x) > 1e-8
+            assert distance(w.apply(x), x) > 1e-8
 
     def test_cap_preserved_by_w(self):
         fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)])
@@ -224,7 +222,7 @@ class TestWMapping:
         rng = np.random.default_rng(25)
         for row in sample_cap(e(3).coords, math.pi / 5, 300, rng):
             x = SpherePoint(row)
-            assert distance(apply_w(w, x), e(3)) <= math.pi / 5 + 1e-12
+            assert distance(w.apply(x), e(3)) <= math.pi / 5 + 1e-12
 
 
 class TestResiduals:
