@@ -42,6 +42,7 @@ from .iteration import (
     cq_step,
     fejer_audit,
     initial_state,
+    iterate,
     run,
     shrink_step,
 )
@@ -79,7 +80,7 @@ __all__ = [
     "pal_inequality_gap", "pal_inequality_gaps", "random_point_in_cap",
     "sample_cap",
     "IterationState", "Problem", "StopReason", "StopRule", "Trace",
-    "TraceRecord", "cq_step", "fejer_audit", "initial_state", "run",
+    "TraceRecord", "cq_step", "fejer_audit", "initial_state", "iterate", "run",
     "shrink_step",
     "GeodesicContraction", "Identity", "MappingFamily", "PlaneRotation",
     "RotationProduct", "WMapping", "common_fixed_basis", "fixed_set_basis",

@@ -8,7 +8,7 @@ Config files are flat ``key = value`` text (comments start with ``#``)::
     cap_radius = 0.6283185307179586
     mapping = rotation 0 1 0.8
     mapping = rotation 0 2 0.5
-    alphas = 0.5 0.5          # or: schedule = constant-half
+    alphas = 0.5 0.5          # optional; default 0.5 for every mapping
     x1 = random               # or explicit coordinates
     method = both             # cq | shrinking | both
     eps_step = 1e-8
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, SphereProjError
 from .geometry import SpherePoint, basis_point, distance, random_point_in_cap
-from .iteration import Problem, StopReason, StopRule, Trace, fejer_audit, run
+from .iteration import Problem, StopReason, StopRule, Trace, run
 from .mappings import (
     Identity,
     MappingFamily,
@@ -48,10 +48,9 @@ from .mappings import (
 )
 
 _METHODS = ("cq", "shrinking", "both")
-_SCHEDULES = ("constant-half",)
 
 _SCALAR_FIELDS = {
-    "dim", "cap_pole", "cap_radius", "alphas", "schedule", "x1", "method",
+    "dim", "cap_pole", "cap_radius", "alphas", "x1", "method",
     "eps_step", "eps_residual", "max_iter", "seed", "out",
 }
 
@@ -65,7 +64,6 @@ class RunConfig:
     cap_radius: float = math.nan
     mappings: list[list[str]] = field(default_factory=list)
     alphas: list[float] | None = None
-    schedule: str | None = None
     x1: list[str] = field(default_factory=lambda: ["random"])
     method: str = ""
     eps_step: float = 1e-8
@@ -116,10 +114,6 @@ def _set_scalar(cfg: RunConfig, key: str, value: str) -> None:
         cfg.cap_radius = float(value)
     elif key == "alphas":
         cfg.alphas = [float(tok) for tok in value.split()]
-    elif key == "schedule":
-        if value not in _SCHEDULES:
-            raise ConfigError(f"unknown schedule {value!r}")
-        cfg.schedule = value
     elif key == "x1":
         cfg.x1 = value.split()
     elif key == "method":
@@ -194,15 +188,13 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, StopRule]:
         raise ConfigError(f"cap_radius: must be in (0, {math.pi / 4}), got {cfg.cap_radius}")
     if not cfg.cap_pole:
         raise ConfigError("cap_pole: required field")
-    if cfg.alphas is not None and cfg.schedule is not None:
-        raise ConfigError("alphas: mutually exclusive with schedule")
 
     pole = _parse_point(cfg.cap_pole, cfg.dim, "cap_pole")
     maps = [_build_mapping(tokens, cfg.dim) for tokens in cfg.mappings]
 
     alphas = cfg.alphas
     if alphas is None:
-        alphas = [0.5] * len(maps)  # the constant-half schedule
+        alphas = [0.5] * len(maps)
     if len(alphas) != len(maps):
         raise ConfigError(f"alphas: expected {len(maps)} weights, got {len(alphas)}")
     try:
@@ -273,22 +265,6 @@ def _ensure_outdir(prefix: str) -> None:
         os.makedirs(d, exist_ok=True)
 
 
-def _execute(problem: Problem, stop: StopRule, method: str, prefix: str):
-    final, trace, reason = run(problem, method, stop)
-    if not fejer_audit(trace):
-        raise SphereProjError(f"{method}: trace failed the monotonicity audit")
-    write_trace_csv(f"{prefix}_{method}_trace.csv", trace, problem.family.r)
-    return final, trace, reason
-
-
-def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -> int:
-    return _run_config(config_path, seed, out, compare=False)
-
-
-def cmd_compare(config_path: str, seed: int | None = None, out: str | None = None) -> int:
-    return _run_config(config_path, seed, out, compare=True)
-
-
 def _run_config(config_path: str, seed: int | None, out: str | None, compare: bool) -> int:
     """Run the configured method(s).  `run` writes one summary per method;
     `compare` requires method = both and writes one side-by-side summary
@@ -306,7 +282,8 @@ def _run_config(config_path: str, seed: int | None, out: str | None, compare: bo
     methods = ["cq", "shrinking"] if cfg.method == "both" else [cfg.method]
     payload, finals, reasons = {}, [], []
     for method in methods:
-        final, trace, reason = _execute(problem, stop, method, cfg.out)
+        final, trace, reason = run(problem, method, stop)
+        write_trace_csv(f"{cfg.out}_{method}_trace.csv", trace, problem.family.r)
         summary = _summarize(problem, method, final, trace, reason)
         if compare:
             summary["total_solver_sweeps"] = sum(rec.solver_sweeps for rec in trace)
@@ -336,9 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "run":
-            return cmd_run(args.config, args.seed, args.out)
-        return cmd_compare(args.config, args.seed, args.out)
+        return _run_config(args.config, args.seed, args.out,
+                           compare=args.command == "compare")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

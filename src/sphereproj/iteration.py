@@ -11,15 +11,19 @@ resulting region:
   construction.
 
 Every step records diagnostics and enforces the observable invariants the
-convergence arguments provide: the anchored distance d(x1, x_n) never
-decreases, and any known common fixed point satisfies every generated
-constraint.
+convergence arguments provide, each with one check where it is established:
+any known common fixed point satisfies every generated constraint (it is the
+region's witness, which the region checks on construction), and the
+anchored distance d(x1, x_n) never decreases (compared when x_{n+1} is
+computed).  `iterate` yields the state after each step; `run` and any other
+caller loop over it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +31,10 @@ import numpy as np
 from .errors import FeasibilityViolated, MonotonicityViolated, SphereProjError, WitnessInfeasible
 from .geometry import SpherePoint, distance, geodesic_combine
 from .mappings import MappingFamily, WMapping, common_fixed_basis, nearest_fixed_point, residuals
-from .regions import (WITNESS_TOL, Halfspace, Region, contains, intersect, make_cn,
-                      make_qn, project)
+from .regions import Halfspace, Region, intersect, make_cn, make_qn, project
 
-# Tolerances for the per-step invariant checks.
+# Tolerance of the per-step monotonicity check.
 FEJER_TOL = 1e-10
-CONTAINMENT_TOL = 1e-8
 
 
 class StopReason(enum.Enum):
@@ -52,6 +54,15 @@ class StopRule:
     def __post_init__(self):
         if self.eps_step <= 0 or self.eps_residual <= 0 or self.max_iter <= 0:
             raise ValueError("stop rule fields must be positive")
+
+    def reason(self, state: "IterationState") -> StopReason | None:
+        """Why to stop after the step that produced state, or None to go on."""
+        if (state.trace[-1].step_len <= self.eps_step
+                and float(state.residuals.max()) <= self.eps_residual):
+            return StopReason.CONVERGED
+        if len(state.trace) >= self.max_iter:
+            return StopReason.ITERATION_CAP
+        return None
 
 
 @dataclass(frozen=True)
@@ -83,14 +94,14 @@ class Problem:
 
     def __init__(self, dim: int, cap_pole: SpherePoint, cap_radius: float,
                  family: MappingFamily, x1: SpherePoint,
-                 known_fixed_set="auto", check_cap_samples: int = 1000):
+                 known_fixed_set="auto"):
         if cap_pole.dim != dim or x1.dim != dim:
             raise ValueError("cap pole and start point must match the ambient dimension")
         if not 0.0 < cap_radius < math.pi / 4:
             raise ValueError(f"cap radius must be in (0, pi/4), got {cap_radius}")
         if distance(x1, cap_pole) > cap_radius + 1e-12:
             raise ValueError("x1 must lie in the ambient cap")
-        family.check_preserves_cap(cap_pole, cap_radius, samples=check_cap_samples)
+        family.check_preserves_cap(cap_pole, cap_radius)
 
         if isinstance(known_fixed_set, str) and known_fixed_set == "auto":
             if all(getattr(T, "is_linear", False) for T in family.maps):
@@ -156,33 +167,22 @@ def initial_state(problem: Problem) -> IterationState:
                           residuals(problem.family, problem.x1))
 
 
-def _choose_witness(problem: Problem, state: IterationState, y: SpherePoint,
-                    cuts: tuple[Halfspace, ...],
-                    inherited: np.ndarray | None = None) -> SpherePoint:
-    """Feasibility witness for the next region.
+def _witnesses(problem: Problem, state: IterationState, y: SpherePoint):
+    """Candidate feasibility witnesses for the next region, in order.
 
-    A known common fixed point always works (the convergence arguments put
-    the fixed set inside every cut).  Without one, try points that satisfy
-    the fresh cut by construction: the previous witness, the staged average
-    y (slack 1 - cos d(x,y) >= 0), and the cut boundary midpoint, each
-    checked with one product against the stacked normals of the fresh cuts
-    and the inherited ones.  If none satisfies everything the run aborts
-    rather than continue unsoundly.
+    A known common fixed point is the only candidate: the convergence
+    arguments put the fixed set inside every cut, so if it fails the run
+    has found a wrong fixed set.  Without one, try points that satisfy the
+    fresh cut by construction: the previous witness, the staged average y
+    (slack 1 - cos d(x,y) >= 0), and the cut boundary midpoint, computed
+    only when it is reached.
     """
     if problem.fixed_rep is not None:
-        return problem.fixed_rep
-    normals = np.array([h.normal for h in cuts]).reshape(len(cuts), problem.dim)
-    if inherited is not None:
-        normals = np.vstack((inherited, normals))
-    midpoint = geodesic_combine(0.5, state.x_n, y)
-    for cand in (state.region.witness, y, midpoint):
-        if (problem.cap.slack(cand) >= -WITNESS_TOL
-                and (normals @ cand.coords >= -WITNESS_TOL).all()):
-            return cand
-    raise WitnessInfeasible(
-        "no feasibility witness available; provide a known fixed set or use "
-        "certified isometries"
-    )
+        yield problem.fixed_rep
+        return
+    yield state.region.witness
+    yield y
+    yield geodesic_combine(0.5, state.x_n, y)
 
 
 def _step(problem: Problem, state: IterationState, shrinking: bool) -> IterationState:
@@ -190,36 +190,38 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
 
     CQ projects onto the cap cut by the fresh cut and the localization cut
     through x_n; shrinking appends the fresh cut to the accumulated region.
-    Then the audits run (a known fixed point satisfies every cut, d(x1, x_n)
-    does not decrease) and the record is written.  d(x1, x_{n+1}) and the
-    residuals at x_{n+1} are computed once and carried in the new state.
+    The region is built around the first candidate witness that its own
+    check accepts, which is where fixed-point containment is checked; the
+    projection then must not decrease d(x1, x_n), and the record is
+    written.  d(x1, x_{n+1}) and the residuals at x_{n+1} are computed once
+    and carried in the new state.
     """
     x_n, dist_n, res_n = state.x_n, state.dist_x1_xn, state.residuals
     if dist_n is None or res_n is None:
         dist_n, res_n = distance(problem.x1, x_n), residuals(problem.family, x_n)
     y = problem._w.apply(x_n, state.n)
     cn = make_cn(x_n, y)
-    try:
-        if shrinking:
-            cuts = () if cn.is_trivial else (cn,)
-            witness = _choose_witness(problem, state, y, cuts, state.region.normals)
-            region = intersect(state.region, cn, witness)
-        else:
-            cuts = tuple(h for h in (cn, make_qn(problem.x1, x_n)) if not h.is_trivial)
-            witness = _choose_witness(problem, state, y, cuts)
-            region = Region(problem.cap, cuts, witness)
-    except WitnessInfeasible as e:
+    if not shrinking:
+        cuts = tuple(h for h in (cn, make_qn(problem.x1, x_n)) if not h.is_trivial)
+    for witness in _witnesses(problem, state, y):
+        try:
+            if shrinking:
+                region = intersect(state.region, cn, witness)
+            else:
+                region = Region(problem.cap, cuts, witness)
+            break
+        except WitnessInfeasible:
+            pass
+    else:
         if problem.fixed_rep is not None:
             raise FeasibilityViolated(
                 f"iteration {state.n}: known fixed point violates a generated cut"
-            ) from e
-        raise
-    x_new, stats = project(region, problem.x1)
-    if problem.fixed_rep is not None and not contains(region, problem.fixed_rep,
-                                                      CONTAINMENT_TOL):
-        raise FeasibilityViolated(
-            f"iteration {state.n}: known fixed point violates a generated cut"
+            )
+        raise WitnessInfeasible(
+            "no feasibility witness available; provide a known fixed set or use "
+            "certified isometries"
         )
+    x_new, stats = project(region, problem.x1)
     dist_new = distance(problem.x1, x_new)
     if dist_new < dist_n - FEJER_TOL:
         raise MonotonicityViolated(f"iteration {state.n}: d(x1, x_n) decreased")
@@ -255,31 +257,44 @@ def shrink_step(problem: Problem, state: IterationState) -> IterationState:
 _STEPS = {"cq": cq_step, "shrinking": shrink_step}
 
 
-def run(problem: Problem, method: str = "cq",
-        stop: StopRule = StopRule()) -> tuple[SpherePoint, Trace, StopReason]:
-    """Iterate until both the step length and the worst residual at the new
-    iterate fall below the stop rule, or the iteration cap is reached.
+def iterate(problem: Problem, method: str = "cq") -> Iterator[IterationState]:
+    """Step the method from `initial_state` and yield the state after each
+    step, without end; the caller decides when to stop.
 
-    Returns the final iterate, the full trace (one record per step), and
-    the stop reason.  Errors raised by a step are re-raised with the
-    iteration index prepended.
+    Raises ValueError for an unknown method.  Errors raised by a step are
+    re-raised with the iteration index prepended.
     """
     if method not in _STEPS:
         raise ValueError(f"method must be one of {sorted(_STEPS)}, got {method!r}")
     step = _STEPS[method]
-    state = initial_state(problem)
-    while True:
-        try:
-            state = step(problem, state)
-        except SphereProjError as e:
-            if str(e).startswith("iteration "):
-                raise
-            raise type(e)(f"iteration {state.n}: {e}") from e
-        if (state.trace[-1].step_len <= stop.eps_step
-                and float(state.residuals.max()) <= stop.eps_residual):
-            return state.x_n, state.trace, StopReason.CONVERGED
-        if len(state.trace) >= stop.max_iter:
-            return state.x_n, state.trace, StopReason.ITERATION_CAP
+
+    def states():
+        state = initial_state(problem)
+        while True:
+            try:
+                state = step(problem, state)
+            except SphereProjError as e:
+                if str(e).startswith("iteration "):
+                    raise
+                raise type(e)(f"iteration {state.n}: {e}") from e
+            yield state
+
+    return states()
+
+
+def run(problem: Problem, method: str = "cq",
+        stop: StopRule = StopRule()) -> tuple[SpherePoint, Trace, StopReason]:
+    """Iterate until the stop rule gives a reason: both the step length and
+    the worst residual at the new iterate fall below it, or the iteration
+    cap is reached.
+
+    Returns the final iterate, the full trace (one record per step), and
+    the stop reason.
+    """
+    for state in iterate(problem, method):
+        reason = stop.reason(state)
+        if reason is not None:
+            return state.x_n, state.trace, reason
 
 
 def fejer_audit(trace: Trace, tol: float = FEJER_TOL) -> bool:

@@ -154,23 +154,10 @@ def fixed_set_basis(T, dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the fixed subspace {v : Tv = v}.
 
     Only defined for linear mappings; the fixed point set on the sphere is
-    the unit sphere of the returned subspace.  Plane rotations use the exact
-    complement of the rotation plane; general products fall back to the
-    numeric null space of (matrix - identity).
+    the unit sphere of the returned subspace, the null space of
+    (matrix - identity).
     """
-    if not getattr(T, "is_linear", False):
-        raise TypeError(f"{T!r} is not linear; no fixed-subspace basis")
-    if isinstance(T, Identity):
-        return np.eye(dim)
-    if isinstance(T, PlaneRotation):
-        if T.angle == 0.0:
-            return np.eye(dim)
-        keep = [k for k in range(dim) if k not in (T.axis_i, T.axis_j)]
-        basis = np.zeros((dim, len(keep)))
-        for col, k in enumerate(keep):
-            basis[k, col] = 1.0
-        return basis
-    return _null_space(T.matrix(dim) - np.eye(dim))
+    return common_fixed_basis([T], dim)
 
 
 def common_fixed_basis(maps: Sequence, dim: int) -> np.ndarray:

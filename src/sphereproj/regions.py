@@ -45,7 +45,8 @@ WITNESS_TOL = 1e-10
 # Projection solver contract.  A sweep is one KKT pass over every
 # constraint; the solver returns only after a sweep finds no cut violated by
 # more than SOLVER_TOL relative to the size of the terms in its slack.  The
-# budget guards against an active set that cycles under rounding.
+# budget guards against an active set that cycles under rounding.  `project`
+# reads both at call time.
 SOLVER_TOL = 1e-14
 SOLVER_MAX_SWEEPS = 10_000
 
@@ -156,10 +157,6 @@ class Region:
         return cls(Halfspace.cap(pole, radius), (), pole if witness is None else witness)
 
     @property
-    def cap_pole(self) -> np.ndarray:
-        return self.cap.normal
-
-    @property
     def cap_radius(self) -> float:
         return math.acos(self.cap.offset)
 
@@ -233,13 +230,10 @@ def intersect(region: Region, h: Halfspace, new_witness: SpherePoint) -> Region:
     """Append a cut to the region, replacing the witness.
 
     The new witness must satisfy h and all existing constraints with slack
-    >= -1e-10 (WitnessInfeasible otherwise).  Trivial halfspaces are not
-    appended, so constraint counts only grow for informative cuts.
+    >= -1e-10 (WitnessInfeasible otherwise; the region checks every cut in
+    one product).  Trivial halfspaces are not appended, so constraint counts
+    only grow for informative cuts.
     """
-    if not h.is_trivial and h.slack(new_witness) < -WITNESS_TOL:
-        raise WitnessInfeasible(
-            f"new witness violates the appended halfspace by {-h.slack(new_witness):.3e}"
-        )
     if h.is_trivial:
         linear, normals = region.linear, region.normals
     else:
@@ -267,10 +261,8 @@ class _CutCone:
     while that set stays valid.
     """
 
-    def __init__(self, normals: np.ndarray, tol: float, max_sweeps: int):
+    def __init__(self, normals: np.ndarray):
         self.normals = normals
-        self.tol = tol
-        self.max_sweeps = max_sweeps
         self.sweeps = 0
         self.active = np.zeros(len(normals), dtype=bool)
 
@@ -320,16 +312,16 @@ class _CutCone:
         blocked = active.copy()
         scale = math.sqrt(float(b @ b))
         while True:
-            if self.sweeps >= self.max_sweeps:
+            if self.sweeps >= SOLVER_MAX_SWEEPS:
                 raise NoConvergence(
-                    f"KKT conditions not certified within {self.max_sweeps} sweeps "
+                    f"KKT conditions not certified within {SOLVER_MAX_SWEEPS} sweeps "
                     f"({len(a)} cuts)"
                 )
             self.sweeps += 1
             violation = -(a @ z)
             violation[blocked] = -math.inf
             t = int(violation.argmax()) if len(a) else -1
-            if t < 0 or violation[t] <= self.tol * (scale + float(lam.sum())):
+            if t < 0 or violation[t] <= SOLVER_TOL * (scale + float(lam.sum())):
                 return z, lam
             active[t] = blocked[t] = True
             entering = True
@@ -358,8 +350,7 @@ class _CutCone:
                     break
 
 
-def project(region: Region, x: SpherePoint, *, tol: float = SOLVER_TOL,
-            max_sweeps: int = SOLVER_MAX_SWEEPS) -> tuple[SpherePoint, SolveStats]:
+def project(region: Region, x: SpherePoint) -> tuple[SpherePoint, SolveStats]:
     """Metric projection of x onto the region.
 
     The answer is the normalized Euclidean projection of x onto the cone
@@ -375,7 +366,7 @@ def project(region: Region, x: SpherePoint, *, tol: float = SOLVER_TOL,
     only by a factor set by the angle between active cuts, so they stall on
     the nearly parallel cuts both methods generate.
 
-    Raises NoConvergence if max_sweeps KKT sweeps pass without one that
+    Raises NoConvergence if SOLVER_MAX_SWEEPS KKT sweeps pass without one that
     certifies optimality, or if the result violates the region beyond
     RESULT_TOL; raises EmptyOrDegenerate if the cone projection collapses to
     zero (x at least a quarter turn from the region, which the cap invariant
@@ -387,7 +378,7 @@ def project(region: Region, x: SpherePoint, *, tol: float = SOLVER_TOL,
     pole = region.cap.normal
     cos_r = region.cap.offset
     normals = region.normals
-    cone = _CutCone(normals, tol, max_sweeps)
+    cone = _CutCone(normals)
 
     def solve(mu):
         z, lam = cone.project(x.coords + mu * pole)

@@ -41,12 +41,10 @@ from sphereproj.geometry import (
 )
 from sphereproj.iteration import (
     Problem,
-    StopReason,
     StopRule,
-    cq_step,
     fejer_audit,
     initial_state,
-    shrink_step,
+    iterate,
 )
 from sphereproj.mappings import (
     MappingFamily,
@@ -64,38 +62,30 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _walk(problem: Problem, stepper, stop: StopRule):
-    """Manual benchmark walk mirroring run(), keeping per-step fixed-point
-    slacks and surviving solver aborts with the partial trace intact."""
+def _walk(problem: Problem, method: str, stop: StopRule):
+    """Benchmark walk: run()'s loop over iterate(), keeping per-step
+    fixed-point slacks and, on an abort, the last state with the error."""
     state = initial_state(problem)
     slacks = []
     error = None
     t0 = time.perf_counter()
-    while True:
-        try:
-            state = stepper(problem, state)
-        except SphereProjError as e:
-            error = e
-            reason = f"aborted: {type(e).__name__}"
-            break
-        region = state.region
-        slack = min(region.cap.slack(problem.fixed_rep),
-                    float((region.normals @ problem.fixed_rep.coords).min(initial=math.inf)))
-        slacks.append(slack)
-        rec = state.trace[-1]
-        res_new = residuals(problem.family, state.x_n)
-        if rec.step_len <= stop.eps_step and float(res_new.max()) <= stop.eps_residual:
-            reason = StopReason.CONVERGED.value
-            break
-        if len(state.trace) >= stop.max_iter:
-            reason = StopReason.ITERATION_CAP.value
-            break
+    try:
+        for state in iterate(problem, method):
+            region = state.region
+            slacks.append(min(region.cap.slack(problem.fixed_rep),
+                              float((region.normals @ problem.fixed_rep.coords)
+                                    .min(initial=math.inf))))
+            reason = stop.reason(state)
+            if reason is not None:
+                break
+    except SphereProjError as e:
+        error = e
     return {
         "final": state.x_n,
         "trace": state.trace,
         "slacks": slacks,
         "error": error,
-        "stop": reason,
+        "stop": reason.value if error is None else f"aborted: {type(error).__name__}",
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -113,8 +103,8 @@ def bench_two_rotations():
     x1 = random_point_in_cap(pole, math.pi / 5, 20250801)
     problem = Problem(4, pole, math.pi / 5, fam, x1)
     return problem, {
-        "cq": _walk(problem, cq_step, BENCH_STOP),
-        "shrinking": _walk(problem, shrink_step, BENCH_STOP),
+        "cq": _walk(problem, "cq", BENCH_STOP),
+        "shrinking": _walk(problem, "shrinking", BENCH_STOP),
     }
 
 
@@ -131,8 +121,8 @@ def bench_single_rotation():
     x1 = random_point_in_cap(pole, math.pi / 5, 20250802)
     problem = Problem(4, pole, math.pi / 5, fam, x1)
     return problem, {
-        "cq": _walk(problem, cq_step, StopRule()),
-        "shrinking": _walk(problem, shrink_step, StopRule()),
+        "cq": _walk(problem, "cq", StopRule()),
+        "shrinking": _walk(problem, "shrinking", StopRule()),
     }
 
 

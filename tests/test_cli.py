@@ -102,10 +102,12 @@ out = {tmp_path / "bad"}
         assert "cap_radius" in capsys.readouterr().err
 
     def test_unknown_field_exit_one(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "unk.cfg", "dim = 4\nbogus = 1\n")
-        assert main(["run", cfg]) == 1
-        err = capsys.readouterr().err
-        assert "bogus" in err and "line 2" in err
+        # there is no `schedule` key: leaving out `alphas` gives weights 0.5
+        for key, value in (("bogus", "1"), ("schedule", "constant-half")):
+            cfg = write_config(tmp_path / "unk.cfg", f"dim = 4\n{key} = {value}\n")
+            assert main(["run", cfg]) == 1
+            err = capsys.readouterr().err
+            assert key in err and "line 2" in err and "unknown field" in err
 
     def test_duplicate_field_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "dup.cfg", "dim = 4\ndim = 5\n")

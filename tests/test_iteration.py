@@ -15,6 +15,7 @@ from sphereproj.iteration import (
     cq_step,
     fejer_audit,
     initial_state,
+    iterate,
     run,
     shrink_step,
 )
@@ -173,6 +174,8 @@ class TestRun:
         prob = make_problem(POLE)
         with pytest.raises(ValueError):
             run(prob, "unknown")
+        with pytest.raises(ValueError):
+            iterate(prob, "unknown")  # raised on the call, before any step
 
     @pytest.mark.parametrize("method", ["cq", "shrinking"])
     def test_half_turn_family_converges(self, method):
@@ -288,11 +291,30 @@ class TestStopRule:
         with pytest.raises(ValueError):
             StopRule(max_iter=0)
 
+    def test_reason(self):
+        """The stop rule reads the last step length and the residuals at the
+        new iterate (the state's, not the record's), then the budget."""
+        rule = StopRule(1e-8, 1e-8, 3)
+        region = initial_state(make_problem(POLE)).region
+
+        def state(step_len, res, steps):
+            rec = TraceRecord(steps, 0.0, step_len, (1.0,), 0, 0)
+            return IterationState(steps + 1, POLE, POLE, region, (rec,) * steps,
+                                  0.0, np.array([res, 0.0]))
+
+        assert rule.reason(state(1e-9, 1e-9, 1)) is StopReason.CONVERGED
+        assert rule.reason(state(1e-9, 1e-9, 3)) is StopReason.CONVERGED
+        assert rule.reason(state(1e-7, 1e-9, 3)) is StopReason.ITERATION_CAP
+        assert rule.reason(state(1e-9, 1e-7, 4)) is StopReason.ITERATION_CAP
+        assert rule.reason(state(1e-7, 1e-9, 2)) is None
+        assert rule.reason(state(1e-9, 1e-7, 2)) is None
+
 
 class TestErrorSurfacing:
     def test_wrong_fixed_set_raises_feasibility_violated(self):
         """A claimed fixed point that the mappings do not actually fix must
-        fall outside some generated cut and abort the run."""
+        fall outside some generated cut and abort the run, under both
+        methods; the region's own witness check is what catches it."""
         from sphereproj.errors import FeasibilityViolated
 
         fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
@@ -302,8 +324,9 @@ class TestErrorSurfacing:
         fake[3, 0] = 1.0
         fake /= np.linalg.norm(fake)
         prob = Problem(4, POLE, RHO, fam, x1, known_fixed_set=fake)
-        with pytest.raises(FeasibilityViolated, match=r"^iteration \d+:"):
-            run(prob, "cq", StopRule(1e-10, 1e-10, 50))
+        for method in ("cq", "shrinking"):
+            with pytest.raises(FeasibilityViolated, match=r"^iteration \d+:"):
+                run(prob, method, StopRule(1e-10, 1e-10, 50))
 
     def test_solver_failure_carries_iteration_index(self, monkeypatch):
         """Numerical errors escaping a step are annotated with the step."""
@@ -324,6 +347,30 @@ class TestErrorSurfacing:
         prob = make_problem(x1)
         with pytest.raises(NoConvergence, match=r"^iteration 3:"):
             run(prob, "cq", StopRule(1e-10, 1e-10, 50))
+
+    def test_iterate_ends_on_the_last_good_state(self, monkeypatch):
+        """A step error ends the loop; the caller holds the state after the
+        last completed step and the annotated error."""
+        from sphereproj import iteration as it
+        from sphereproj.errors import NoConvergence
+
+        calls = {"n": 0}
+        real_project = it.project
+
+        def flaky(region, x):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise NoConvergence("sweep budget exhausted")
+            return real_project(region, x)
+
+        monkeypatch.setattr(it, "project", flaky)
+        prob = make_problem(random_point_in_cap(POLE, RHO, 12))
+        last = None
+        with pytest.raises(NoConvergence) as info:
+            for last in iterate(prob, "cq"):
+                pass
+        assert str(info.value).startswith("iteration 3:")
+        assert last.n == 3 and len(last.trace) == 2
 
 
 class TestFejerAudit:

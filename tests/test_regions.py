@@ -246,12 +246,13 @@ class TestProject:
         with pytest.raises(EmptyOrDegenerate):
             project(r, SpherePoint(-e(0).coords))
 
-    def test_sweep_budget_exhaustion_raises(self):
+    def test_sweep_budget_exhaustion_raises(self, monkeypatch):
         """Exhausting the sweep budget surfaces as NoConvergence."""
+        monkeypatch.setattr("sphereproj.regions.SOLVER_MAX_SWEEPS", 1)
         h = Halfspace([1.0, 0, 0, 0], 0.0)
         r = Region(Halfspace.cap(e(1), 0.7), (h,), e(1))
         with pytest.raises(NoConvergence):
-            project(r, SpherePoint([-0.6, 0.8, 0, 0]), max_sweeps=1)
+            project(r, SpherePoint([-0.6, 0.8, 0, 0]))
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_narrow_wedge_closed_form(self, eps):
