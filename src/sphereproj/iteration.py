@@ -139,13 +139,18 @@ class IterationState:
     and the two per-iterate quantities every step reads: d(x1, x_n) and the
     mapping residuals at x_n.  `initial_state` and the step functions fill
     them; a state built without them gets them computed by its next step.
+    `active_cuts` holds the active cuts of the projection that gave x_n,
+    from which the next projection starts; a state built without them
+    starts that projection cold, which costs sweeps but changes no iterate.
     """
 
-    __slots__ = ("n", "x_n", "y_n", "region", "trace", "dist_x1_xn", "residuals")
+    __slots__ = ("n", "x_n", "y_n", "region", "trace", "dist_x1_xn", "residuals",
+                 "active_cuts")
 
     def __init__(self, n: int, x_n: SpherePoint, y_n: SpherePoint | None,
                  region: Region, trace: Trace, dist_x1_xn: float | None = None,
-                 residuals: np.ndarray | None = None):
+                 residuals: np.ndarray | None = None,
+                 active_cuts: tuple[int, ...] = ()):
         self.n = n
         self.x_n = x_n
         self.y_n = y_n
@@ -153,6 +158,7 @@ class IterationState:
         self.trace = trace
         self.dist_x1_xn = dist_x1_xn
         self.residuals = residuals
+        self.active_cuts = active_cuts
 
     def __repr__(self) -> str:
         return f"IterationState(n={self.n})"
@@ -194,7 +200,14 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     check accepts, which is where fixed-point containment is checked; the
     projection then must not decrease d(x1, x_n), and the record is
     written.  d(x1, x_{n+1}) and the residuals at x_{n+1} are computed once
-    and carried in the new state.
+    and carried in the new state, and so are the projection's active cuts.
+
+    The projection starts from the previous step's active cuts.  CQ cuts
+    keep their indices from step to step (fresh cut first, localization
+    cut second).  A shrinking region only gains the fresh cut: if x_n
+    violates it, the old optimum is cut off and the fresh cut must be
+    active at the new one, so the projection starts from that cut alone;
+    otherwise x_n is still optimal and its active cuts certify it.
     """
     x_n, dist_n, res_n = state.x_n, state.dist_x1_xn, state.residuals
     if dist_n is None or res_n is None:
@@ -221,7 +234,10 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
             "no feasibility witness available; provide a known fixed set or use "
             "certified isometries"
         )
-    x_new, stats = project(region, problem.x1)
+    start = state.active_cuts
+    if shrinking and cn.slack(x_n) < 0.0:
+        start = (len(region.linear) - 1,)
+    x_new, stats = project(region, problem.x1, start)
     dist_new = distance(problem.x1, x_new)
     if dist_new < dist_n - FEJER_TOL:
         raise MonotonicityViolated(f"iteration {state.n}: d(x1, x_n) decreased")
@@ -234,7 +250,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         solver_sweeps=stats.sweeps,
     )
     return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,),
-                          dist_new, residuals(problem.family, x_new))
+                          dist_new, residuals(problem.family, x_new), stats.active_cuts)
 
 
 def cq_step(problem: Problem, state: IterationState) -> IterationState:

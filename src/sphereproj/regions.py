@@ -257,14 +257,21 @@ class _CutCone:
     on entry is violated only at rounding level; as in Lawson and Hanson's
     original routine it is passed over for the rest of the call, which
     keeps the active set from cycling.  Sweeps count against one budget
-    over every call, and a call starts from the previous call's active set
-    while that set stays valid.
+    over every call.  The first call starts from the `start` cuts (indices
+    past the last cut are ignored) and each later call from the previous
+    call's active set, while that set stays valid: its own multipliers must
+    all come out positive, or the call starts cold.  The start changes only
+    the number of sweeps: the returned point is always the solve on the
+    final active set, in index order, and that set is the optimum's active
+    set whatever the start, barring cuts tight at the optimum with a zero
+    multiplier.
     """
 
-    def __init__(self, normals: np.ndarray):
+    def __init__(self, normals: np.ndarray, start: tuple[int, ...] = ()):
         self.normals = normals
         self.sweeps = 0
         self.active = np.zeros(len(normals), dtype=bool)
+        self.active[[i for i in start if i < len(normals)]] = True
 
     def _solve(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Projection of b onto the subspace where every active cut is
@@ -350,7 +357,8 @@ class _CutCone:
                     break
 
 
-def project(region: Region, x: SpherePoint) -> tuple[SpherePoint, SolveStats]:
+def project(region: Region, x: SpherePoint,
+            start: tuple[int, ...] = ()) -> tuple[SpherePoint, SolveStats]:
     """Metric projection of x onto the region.
 
     The answer is the normalized Euclidean projection of x onto the cone
@@ -361,10 +369,13 @@ def project(region: Region, x: SpherePoint) -> tuple[SpherePoint, SolveStats]:
     with z(mu) the cut-cone projection of x + mu p, which is nondecreasing
     in mu once normalized; it is bracketed by doubling and bisected to
     adjacent floats.  Points already in the region are returned unchanged
-    with zero solver effort.  Dykstra's alternating projections (Boyle &
-    Dykstra, 1986) would avoid the dual, but their error shrinks per sweep
-    only by a factor set by the angle between active cuts, so they stall on
-    the nearly parallel cuts both methods generate.
+    with zero solver effort.  `start` names cuts expected to be active,
+    such as the previous projection's `SolveStats.active_cuts`; it seeds
+    the active set and changes only `SolveStats.sweeps`.  Dykstra's
+    alternating projections (Boyle & Dykstra, 1986) would avoid the dual,
+    but their error shrinks per sweep only by a factor set by the angle
+    between active cuts, so they stall on the nearly parallel cuts both
+    methods generate.
 
     Raises NoConvergence if SOLVER_MAX_SWEEPS KKT sweeps pass without one that
     certifies optimality, or if the result violates the region beyond
@@ -378,7 +389,7 @@ def project(region: Region, x: SpherePoint) -> tuple[SpherePoint, SolveStats]:
     pole = region.cap.normal
     cos_r = region.cap.offset
     normals = region.normals
-    cone = _CutCone(normals)
+    cone = _CutCone(normals, start)
 
     def solve(mu):
         z, lam = cone.project(x.coords + mu * pole)

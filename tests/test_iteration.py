@@ -1,6 +1,7 @@
 """Tests for the CQ and shrinking iteration drivers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sphereproj.mappings import (
     residuals,
 )
 from sphereproj.oracle import circle_project
-from sphereproj.regions import contains
+from sphereproj.regions import contains, make_cn
 
 POLE = basis_point(3, 4)
 RHO = math.pi / 5
@@ -276,12 +277,83 @@ class TestCachedFields:
 
     @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
     def test_state_without_cached_fields_steps_the_same(self, stepper):
+        """A bare state recomputes d(x1, x_n) and the residuals and starts
+        its projection cold: the same iterate and record, bar solver effort."""
         prob = make_problem(random_point_in_cap(POLE, RHO, 16))
         s = stepper(prob, stepper(prob, initial_state(prob)))
         bare = IterationState(s.n, s.x_n, s.y_n, s.region, s.trace)
         a, b = stepper(prob, s), stepper(prob, bare)
-        assert a.trace == b.trace
-        assert np.array_equal(a.x_n.coords, b.x_n.coords)
+        assert a.x_n.coords.tobytes() == b.x_n.coords.tobytes()
+        assert _without_sweeps(a.trace) == _without_sweeps(b.trace)
+        assert a.trace[-1].solver_sweeps <= b.trace[-1].solver_sweeps
+
+
+def _without_sweeps(trace):
+    return [replace(rec, solver_sweeps=0) for rec in trace]
+
+
+def single_rotation_problem(anchor):
+    """The c06 family: one rotation by 0.8 in plane (0,1), cap around
+    (0, 0, s, s) of radius pi/5."""
+    s = math.sqrt(2) / 2
+    pole = SpherePoint([0.0, 0.0, s, s])
+    x1 = random_point_in_cap(pole, RHO, anchor)
+    return Problem(4, pole, RHO, MappingFamily([PlaneRotation(0, 1, 0.8)]), x1)
+
+
+class TestWarmStart:
+    """Each projection starts from the previous step's active cuts.  That
+    may only save solver sweeps: stepping from a bare state, which starts
+    every projection cold, must give the same iterates bit for bit."""
+
+    @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
+    @pytest.mark.parametrize("family, anchor", [
+        ("two-rotation", 20250801),      # c05
+        ("single-rotation", 20250802),   # c06
+        ("single-rotation", 20250803),   # its shrinking walk freezes
+    ])
+    def test_cold_steps_give_the_same_iterates(self, family, anchor, stepper):
+        if family == "two-rotation":
+            prob = make_problem(random_point_in_cap(POLE, RHO, anchor))
+        else:
+            prob = single_rotation_problem(anchor)
+        warm = cold = initial_state(prob)
+        for _ in range(200):
+            warm = stepper(prob, warm)
+            cold = stepper(prob, IterationState(cold.n, cold.x_n, cold.y_n,
+                                                cold.region, cold.trace))
+            assert warm.x_n.coords.tobytes() == cold.x_n.coords.tobytes()
+            assert warm.active_cuts == cold.active_cuts
+        assert _without_sweeps(warm.trace) == _without_sweeps(cold.trace)
+        if family == "single-rotation":
+            assert (sum(rec.solver_sweeps for rec in warm.trace)
+                    < sum(rec.solver_sweeps for rec in cold.trace))
+
+    def test_shrinking_start_set(self, monkeypatch):
+        """A shrinking projection starts from the fresh cut alone when that
+        cut cuts x_n off, and from x_n's active cuts otherwise.  This walk
+        freezes near step 50, after which x_n satisfies every fresh cut."""
+        from sphereproj import iteration as it
+
+        starts = []
+        real_project = it.project
+
+        def spy(region, x, start=()):
+            starts.append((len(region.linear), tuple(start)))
+            return real_project(region, x, start)
+
+        monkeypatch.setattr(it, "project", spy)
+        prob = single_rotation_problem(20250803)
+        s = initial_state(prob)
+        branches = set()
+        for _ in range(80):
+            prev = s
+            cut_off = make_cn(s.x_n, prob._w.apply(s.x_n, s.n)).slack(s.x_n) < 0.0
+            s = shrink_step(prob, s)
+            m, start = starts[-1]
+            assert start == ((m - 1,) if cut_off else prev.active_cuts)
+            branches.add(cut_off)
+        assert branches == {True, False}
 
 
 class TestStopRule:
@@ -336,11 +408,11 @@ class TestErrorSurfacing:
         calls = {"n": 0}
         real_project = it.project
 
-        def flaky(region, x):
+        def flaky(region, x, *rest):
             calls["n"] += 1
             if calls["n"] >= 3:
                 raise NoConvergence("sweep budget exhausted")
-            return real_project(region, x)
+            return real_project(region, x, *rest)
 
         monkeypatch.setattr(it, "project", flaky)
         x1 = random_point_in_cap(POLE, RHO, 12)
@@ -357,11 +429,11 @@ class TestErrorSurfacing:
         calls = {"n": 0}
         real_project = it.project
 
-        def flaky(region, x):
+        def flaky(region, x, *rest):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise NoConvergence("sweep budget exhausted")
-            return real_project(region, x)
+            return real_project(region, x, *rest)
 
         monkeypatch.setattr(it, "project", flaky)
         prob = make_problem(random_point_in_cap(POLE, RHO, 12))

@@ -272,6 +272,46 @@ class TestProject:
         assert stats.active_cuts == (0, 1) and not stats.cap_active
 
 
+class TestWarmStart:
+    """A start set seeds the solver's active set and changes only its sweep
+    count.  In the region below the optimum has cut 0 active alone: x breaks
+    cuts 0 and 1, projecting onto cut 0 also satisfies cut 1, and x already
+    satisfies cut 2."""
+
+    X = SpherePoint([-0.3, -0.1, 0.05, 0.95])
+    CUTS = (Halfspace([1.0, 0, 0, 0]), Halfspace([1.0, -1.0, 0, 0]),
+            Halfspace([0, 0, 1.0, 0]))
+    STALE = {
+        "past the end": (7,),
+        "negative multiplier": (2,),   # x satisfies cut 2 strictly
+        "non-binding cut": (1,),       # positive alone, then stepped back
+        "mixed": (1, 2, 7),
+    }
+
+    def region(self, radius):
+        return Region(Halfspace.cap(e(3), radius), self.CUTS, e(3))
+
+    @pytest.mark.parametrize("radius, cap_binds", [(0.6, False), (0.1, True)])
+    @pytest.mark.parametrize("name", sorted(STALE))
+    def test_stale_start_gives_the_cold_answer(self, name, radius, cap_binds):
+        r = self.region(radius)
+        p_cold, cold = project(r, self.X)
+        p, warm = project(r, self.X, self.STALE[name])
+        assert cold.active_cuts == (0,) and cold.cap_active is cap_binds
+        assert p.coords.tobytes() == p_cold.coords.tobytes()
+        assert warm.active_cuts == cold.active_cuts
+        assert warm.cap_active == cold.cap_active
+        assert warm.kkt_residual == cold.kkt_residual
+
+    @pytest.mark.parametrize("radius", [0.6, 0.1])
+    def test_optimal_start_saves_a_sweep(self, radius):
+        r = self.region(radius)
+        p_cold, cold = project(r, self.X)
+        p, warm = project(r, self.X, cold.active_cuts)
+        assert p.coords.tobytes() == p_cold.coords.tobytes()
+        assert warm.sweeps == cold.sweeps - 1
+
+
 class TestIntersect:
     def test_trivial_halfspace_not_appended(self):
         r = Region.from_cap(e(0), 0.6)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One SHA-256 over every iterate and output the benchmark panels produce.
+"""Two SHA-256 digests over every iterate and output the benchmark panels produce.
 
     python3 tools/trace_digest.py src            # this checkout
     python3 tools/trace_digest.py /path/to/other/src
@@ -15,8 +15,13 @@ digest covers, in panel order:
 * every ``cli-sweep`` call (``sphereproj compare``): the exit code, the
   printed lines and the bytes of its five output files.
 
-Equal digests for two source trees mean that their arithmetic agrees bit for
-bit on these inputs.  Floats are hashed by their exact hexadecimal form.
+Two digests are printed.  ``full`` covers all of the above.  ``arithmetic``
+leaves out solver effort: the ``solver_sweeps`` record field, the last
+column of the CLI trace CSVs and the ``total_solver_sweeps`` lines of
+``_compare.json``.  Equal ``arithmetic`` digests for two source trees mean
+that their arithmetic agrees bit for bit on these inputs; equal ``full``
+digests mean that the solver did the same work as well.  Floats are hashed
+by their exact hexadecimal form.
 """
 
 from __future__ import annotations
@@ -31,6 +36,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WALK_PANELS = ("two-rotation-cq", "two-rotation-shrinking", "single-rotation")
+RECORD_FIELDS = ("n", "dist_x1_xn", "step_len", "residuals", "constraint_count")
+CSV_SUFFIXES = ("_cq_trace.csv", "_shrinking_trace.csv")
+
+
+class Digests:
+    """The ``full`` digest and the ``arithmetic`` one, fed side by side."""
+
+    def __init__(self):
+        self.full = hashlib.sha256()
+        self.arithmetic = hashlib.sha256()
+
+    def update(self, data: bytes, arithmetic: bytes | None = None) -> None:
+        """Feed data to both digests, or arithmetic to the second instead."""
+        self.full.update(data)
+        self.arithmetic.update(data if arithmetic is None else arithmetic)
 
 
 def _field(value) -> bytes:
@@ -55,9 +75,8 @@ def walk_digest(h, sp, wl, walk) -> None:
             break
         rec = state.trace[-1]
         h.update(state.x_n.coords.tobytes())
-        h.update(b"|".join(_field(getattr(rec, f)) for f in
-                           ("n", "dist_x1_xn", "step_len", "residuals",
-                            "constraint_count", "solver_sweeps")))
+        fields = b"|".join(_field(getattr(rec, f)) for f in RECORD_FIELDS)
+        h.update(fields + b"|" + _field(rec.solver_sweeps), fields)
         if wl._stop_met(problem, state):
             stop = "converged"
             break
@@ -75,7 +94,18 @@ def cli_digest(h, wl, inv, tmp: Path, i: int) -> None:
     h.update(f"{inv.label} exit {rc}\n{sink.getvalue()}".encode())
     for suffix in wl.CLI_OUTPUTS:
         path = Path(f"{prefix}{suffix}")
-        h.update(suffix.encode() + (path.read_bytes() if path.is_file() else b"<missing>"))
+        data = path.read_bytes() if path.is_file() else b"<missing>"
+        h.update(suffix.encode() + data, suffix.encode() + _without_sweeps(suffix, data))
+
+
+def _without_sweeps(suffix: str, data: bytes) -> bytes:
+    """A CLI output with its solver-effort fields dropped."""
+    lines = data.split(b"\n")
+    if suffix in CSV_SUFFIXES:
+        lines = [line.rsplit(b",", 1)[0] for line in lines]
+    else:
+        lines = [line for line in lines if b'"total_solver_sweeps"' not in line]
+    return b"\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -94,14 +124,15 @@ def main(argv=None) -> int:
     import sphereproj as sp
     import workloads as wl
 
-    h = hashlib.sha256()
+    h = Digests()
     for name in WALK_PANELS:
         for walk in wl.PANELS[name]:
             walk_digest(h, sp, wl, walk)
     with tempfile.TemporaryDirectory() as tmp:
         for i, inv in enumerate(wl.PANELS["cli-sweep"]):
             cli_digest(h, wl, inv, Path(tmp), i)
-    print(h.hexdigest())
+    print(f"full {h.full.hexdigest()}")
+    print(f"arithmetic {h.arithmetic.hexdigest()}")
     return 0
 
 
