@@ -106,7 +106,7 @@ class TestBruteProject:
             best = float(np.arccos(np.clip(feas @ x.coords, -1, 1)).min())
             assert distance(x, p) <= best + 1e-3
 
-    def test_agrees_with_brute_projection(self):
+    def test_agrees_with_dykstra_projection(self):
         """Spot check of the cone-hull identity on random small regions; the
         full 100-case validation runs in the acceptance suite."""
         rng = np.random.default_rng(31)
