@@ -49,9 +49,27 @@ from .mappings import (
 
 _METHODS = ("cq", "shrinking", "both")
 
-_SCALAR_FIELDS = {
-    "dim", "cap_pole", "cap_radius", "alphas", "x1", "method",
-    "eps_step", "eps_residual", "max_iter", "seed", "out",
+
+def _method(value: str) -> str:
+    if value not in _METHODS:
+        raise ConfigError(f"must be one of {', '.join(_METHODS)}")
+    return value
+
+
+# The grammar: each key that may appear once, with the function that reads
+# its value.  `mapping` may repeat and fills `RunConfig.mappings`.
+_PARSERS = {
+    "dim": int,
+    "cap_pole": str.split,
+    "cap_radius": float,
+    "alphas": lambda value: [float(tok) for tok in value.split()],
+    "x1": str.split,
+    "method": _method,
+    "eps_step": float,
+    "eps_residual": float,
+    "max_iter": int,
+    "seed": int,
+    "out": str,
 }
 
 
@@ -80,7 +98,7 @@ def parse_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}") from e
 
     for ln, raw in enumerate(lines, start=1):
@@ -93,43 +111,16 @@ def parse_config(path: str) -> RunConfig:
         if key == "mapping":
             cfg.mappings.append(value.split())
             continue
-        if key not in _SCALAR_FIELDS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {ln}: unknown field {key!r}")
         if key in seen:
             raise ConfigError(f"line {ln}: duplicate field {key!r}")
         seen.add(key)
         try:
-            _set_scalar(cfg, key, value)
+            setattr(cfg, key, _PARSERS[key](value))
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"line {ln}: {key}: {e}") from e
     return cfg
-
-
-def _set_scalar(cfg: RunConfig, key: str, value: str) -> None:
-    if key == "dim":
-        cfg.dim = int(value)
-    elif key == "cap_pole":
-        cfg.cap_pole = value.split()
-    elif key == "cap_radius":
-        cfg.cap_radius = float(value)
-    elif key == "alphas":
-        cfg.alphas = [float(tok) for tok in value.split()]
-    elif key == "x1":
-        cfg.x1 = value.split()
-    elif key == "method":
-        if value not in _METHODS:
-            raise ConfigError(f"must be one of {', '.join(_METHODS)}")
-        cfg.method = value
-    elif key == "eps_step":
-        cfg.eps_step = float(value)
-    elif key == "eps_residual":
-        cfg.eps_residual = float(value)
-    elif key == "max_iter":
-        cfg.max_iter = int(value)
-    elif key == "seed":
-        cfg.seed = int(value)
-    elif key == "out":
-        cfg.out = value
 
 
 def _parse_point(tokens: list[str], dim: int, fieldname: str) -> SpherePoint:
@@ -192,18 +183,16 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, StopRule]:
     pole = _parse_point(cfg.cap_pole, cfg.dim, "cap_pole")
     maps = [_build_mapping(tokens, cfg.dim) for tokens in cfg.mappings]
 
-    alphas = cfg.alphas
-    if alphas is None:
-        alphas = [0.5] * len(maps)
-    if len(alphas) != len(maps):
-        raise ConfigError(f"alphas: expected {len(maps)} weights, got {len(alphas)}")
     try:
-        family = MappingFamily(maps, alphas)
+        family = MappingFamily(maps, cfg.alphas)
     except ValueError as e:
         raise ConfigError(f"alphas: {e}") from e
 
     if cfg.x1 == ["random"]:
-        x1 = random_point_in_cap(pole, cfg.cap_radius, cfg.seed)
+        try:
+            x1 = random_point_in_cap(pole, cfg.cap_radius, cfg.seed)
+        except ValueError as e:
+            raise ConfigError(f"seed: {e}") from e
     else:
         x1 = _parse_point(cfg.x1, cfg.dim, "x1")
         if distance(x1, pole) > cfg.cap_radius + 1e-12:
@@ -320,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SphereProjError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"error: cannot write outputs: {e}", file=sys.stderr)
         return 1
 
 

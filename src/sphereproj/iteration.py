@@ -52,7 +52,8 @@ class StopRule:
     max_iter: int = 10_000
 
     def __post_init__(self):
-        if self.eps_step <= 0 or self.eps_residual <= 0 or self.max_iter <= 0:
+        # written as `not (v > 0)` so that NaN is rejected too
+        if not all(v > 0 for v in (self.eps_step, self.eps_residual, self.max_iter)):
             raise ValueError("stop rule fields must be positive")
 
     def reason(self, state: "IterationState") -> StopReason | None:
@@ -313,8 +314,8 @@ def run(problem: Problem, method: str = "cq",
             return state.x_n, state.trace, reason
 
 
-def fejer_audit(trace: Trace, tol: float = FEJER_TOL) -> bool:
+def fejer_audit(trace: Trace) -> bool:
     """True iff the anchored distance d(x1, x_n) is nondecreasing along the
-    trace (within tol)."""
-    return all(b.dist_x1_xn >= a.dist_x1_xn - tol
+    trace (within FEJER_TOL)."""
+    return all(b.dist_x1_xn >= a.dist_x1_xn - FEJER_TOL
                for a, b in zip(trace, trace[1:]))

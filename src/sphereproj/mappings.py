@@ -31,6 +31,12 @@ from .geometry import SpherePoint, distance, geodesic_combine, sample_cap
 # extracting fixed subspaces.
 NULLSPACE_TOL = 1e-10
 
+# The sampled cap check: how many cap points, from which generator seed, and
+# how far past the cap boundary an image may land.
+CAP_CHECK_SAMPLES = 1000
+CAP_CHECK_SEED = 0
+CAP_CHECK_TOL = 1e-9
+
 
 class Identity:
     """The identity mapping."""
@@ -273,16 +279,14 @@ class MappingFamily:
             return self.alphas
         return self._check_row(tuple(float(a) for a in self.schedule(n)), self.r)
 
-    def check_preserves_cap(self, pole: SpherePoint, radius: float,
-                            samples: int = 1000, seed: int = 0,
-                            tol: float = 1e-9) -> None:
+    def check_preserves_cap(self, pole: SpherePoint, radius: float) -> None:
         """Sampled check that every member maps the cap into itself."""
-        rng = np.random.default_rng(seed)
-        pts = sample_cap(pole.coords, radius, samples, rng)
+        rng = np.random.default_rng(CAP_CHECK_SEED)
+        pts = sample_cap(pole.coords, radius, CAP_CHECK_SAMPLES, rng)
         for T in self.maps:
             for row in pts:
                 img = T.apply(SpherePoint._wrap(row.copy()))
-                if distance(img, pole) > radius + tol:
+                if distance(img, pole) > radius + CAP_CHECK_TOL:
                     raise ValueError(
                         f"{T!r} maps a cap point {distance(img, pole) - radius:.3e} "
                         "outside the cap"

@@ -152,9 +152,9 @@ class Region:
             )
 
     @classmethod
-    def from_cap(cls, pole: SpherePoint, radius: float, witness: SpherePoint = None) -> "Region":
+    def from_cap(cls, pole: SpherePoint, radius: float) -> "Region":
         """The bare ambient cap; the pole itself witnesses feasibility."""
-        return cls(Halfspace.cap(pole, radius), (), pole if witness is None else witness)
+        return cls(Halfspace.cap(pole, radius), (), pole)
 
     @property
     def cap_radius(self) -> float:

@@ -1,11 +1,13 @@
 """Tests for the batch-runner CLI: config parsing, outputs, exit codes."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
-from sphereproj.cli import main
+from sphereproj.cli import _PARSERS, RunConfig, main
 
 PI5 = math.pi / 5
 
@@ -170,6 +172,55 @@ out = {tmp_path / "ignored"}
         assert main(["run", cfg, "--seed", "9", "--out", str(tmp_path / "ovr")]) == 0
         assert (tmp_path / "ovr_cq_trace.csv").exists()
         assert not (tmp_path / "ignored_cq_trace.csv").exists()
+
+
+class TestBadInputs:
+    """Every bad input exits 1 with a message that names its cause."""
+
+    @staticmethod
+    def half_turn_with(tmp_path, old, new):
+        """The half-turn cq config with one line replaced."""
+        text = Path(half_turn_config(tmp_path, tmp_path / "bad", method="cq")).read_text()
+        assert old in text
+        return write_config(tmp_path / "edited.cfg", text.replace(old, new))
+
+    @staticmethod
+    def exits_one(capsys, argv, cause):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert cause in err
+        assert "Traceback" not in err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = self.half_turn_with(tmp_path, "seed = 7", "seed = -1")
+        self.exits_one(capsys, ["run", cfg], "config error: seed:")
+        cfg = half_turn_config(tmp_path, tmp_path / "neg", method="cq")
+        self.exits_one(capsys, ["run", cfg, "--seed", "-1"], "config error: seed:")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("dim = 4  # größe\n".encode("latin-1"))
+        self.exits_one(capsys, ["run", str(path)], "config error: cannot read config file")
+
+    def test_out_directory_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        cfg = half_turn_config(tmp_path, tmp_path / "taken" / "run", method="cq")
+        self.exits_one(capsys, ["run", cfg], "error: cannot write outputs")
+
+    def test_nan_epsilon(self, tmp_path, capsys):
+        cfg = self.half_turn_with(tmp_path, "eps_step = 1e-3", "eps_step = nan")
+        self.exits_one(capsys, ["run", cfg], "stop rule")
+
+    def test_weight_count(self, tmp_path, capsys):
+        cfg = self.half_turn_with(tmp_path, "alphas = 0.5", "alphas = 0.5 0.5")
+        self.exits_one(capsys, ["run", cfg], "alphas: expected 1 stage weights, got 2")
+
+
+def test_parsers_cover_run_config():
+    """The parser table and the dataclass name the same keys; `mapping`
+    lines fill the `mappings` list."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(_PARSERS) | {"mappings"} == fields
 
 
 class TestCompareCommand:

@@ -358,10 +358,11 @@ class TestWarmStart:
 
 class TestStopRule:
     def test_fields_positive(self):
-        with pytest.raises(ValueError):
-            StopRule(eps_step=0.0)
-        with pytest.raises(ValueError):
-            StopRule(max_iter=0)
+        # NaN too: it fails every comparison, so it could never stop a run
+        for bad in ({"eps_step": 0.0}, {"max_iter": 0}, {"eps_step": math.nan},
+                    {"eps_residual": math.nan}):
+            with pytest.raises(ValueError):
+                StopRule(**bad)
 
     def test_reason(self):
         """The stop rule reads the last step length and the residuals at the

@@ -1,0 +1,24 @@
+"""The benchmark's self-test must keep passing against this checkout's
+library: it builds states, regions and cuts through the public API, so a
+library change that breaks what it reads shows here first."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_selftest(tmp_path):
+    # A copy of perfbench/ next to a link to src/, so that its work
+    # directory lands under tmp_path and not in the checkout.
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(tmp_path / "perfbench" / "selftest.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "self-test passed" in proc.stdout

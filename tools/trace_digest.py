@@ -13,7 +13,11 @@ digest covers, in panel order:
   rule or an error: per step, the iterate's bytes and every field of its
   ``TraceRecord``; per walk, how it stopped;
 * every ``cli-sweep`` call (``sphereproj compare``): the exit code, the
-  printed lines and the bytes of its five output files.
+  printed lines and the bytes of the three files it writes
+  (``_cq_trace.csv``, ``_shrinking_trace.csv`` and ``_compare.json``).
+  The names come from ``CLI_OUTPUTS`` in ``perfbench/workloads.py``, which
+  also lists two per-method summaries that ``compare`` does not write;
+  those are hashed as ``<missing>``.
 
 Two digests are printed.  ``full`` covers all of the above.  ``arithmetic``
 leaves out solver effort: the ``solver_sweeps`` record field, the last
