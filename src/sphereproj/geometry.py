@@ -78,7 +78,7 @@ def basis_point(axis: int, dim: int) -> SpherePoint:
 def inner(x: SpherePoint, y: SpherePoint) -> float:
     """Ambient inner product, clamped to [-1, 1] so arccos never sees a
     rounding excursion past the ends."""
-    c = float(x.coords @ y.coords)
+    c = float(x.coords.dot(y.coords))
     if c > 1.0:
         return 1.0
     if c < -1.0:
@@ -116,7 +116,7 @@ def geodesic_combine(alpha: float, x: SpherePoint, y: SpherePoint) -> SpherePoin
     theta = math.acos(c)
     s = math.sin(theta)
     v = (math.sin(alpha * theta) * x.coords + math.sin((1.0 - alpha) * theta) * y.coords) / s
-    v /= math.sqrt(v @ v)
+    v /= math.sqrt(v.dot(v))
     return SpherePoint._wrap(v)
 
 

@@ -106,7 +106,7 @@ class Halfspace:
 
     def slack(self, z: SpherePoint) -> float:
         """<normal, z> - offset; nonnegative iff z satisfies the constraint."""
-        return float(self.normal @ z.coords) - self.offset
+        return float(self.normal.dot(z.coords)) - self.offset
 
     def __repr__(self) -> str:
         return f"Halfspace(normal={np.array2string(self.normal, precision=6)}, offset={self.offset:.6g})"
@@ -145,7 +145,7 @@ class Region:
         self.normals = normals
         self.witness = witness
         bad = min(cap.slack(witness),
-                  float((normals @ witness.coords).min(initial=math.inf)))
+                  float(normals.dot(witness.coords).min(initial=math.inf)))
         if bad < -WITNESS_TOL:
             raise WitnessInfeasible(
                 f"witness violates a region constraint by {-bad:.3e}"
@@ -182,11 +182,12 @@ class SolveStats:
 
 def contains(region: Region, z: SpherePoint, tol: float) -> bool:
     """True iff z satisfies every constraint of the region with slack >= -tol."""
-    if tol < 0.0:
+    # written as `not tol >= 0` so that NaN is rejected too
+    if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     if region.cap.slack(z) < -tol:
         return False
-    return bool((region.normals @ z.coords >= -tol).all())
+    return bool((region.normals.dot(z.coords) >= -tol).all())
 
 
 def make_cn(x_n: SpherePoint, y_n: SpherePoint) -> Halfspace:
@@ -215,11 +216,11 @@ def _cut(v: np.ndarray) -> Halfspace:
     skipped.  The unit normal is normalized a second time, as the Halfspace
     constructor would: the walks are steered by the last bits of the cuts.
     """
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(float(v.dot(v)))
     if n <= DEGENERATE_TOL:
         return Halfspace.trivial(v.size)
     v = v / n
-    v /= float(np.linalg.norm(v))
+    v /= math.sqrt(float(v.dot(v)))
     v.setflags(write=False)
     h = Halfspace.__new__(Halfspace)
     h.normal, h.offset = v, 0.0
@@ -258,20 +259,20 @@ class _CutCone:
     original routine it is passed over for the rest of the call, which
     keeps the active set from cycling.  Sweeps count against one budget
     over every call.  The first call starts from the `start` cuts (indices
-    past the last cut are ignored) and each later call from the previous
-    call's active set, while that set stays valid: its own multipliers must
-    all come out positive, or the call starts cold.  The start changes only
-    the number of sweeps: the returned point is always the solve on the
-    final active set, in index order, and that set is the optimum's active
-    set whatever the start, barring cuts tight at the optimum with a zero
-    multiplier.
+    outside the region's cuts are ignored) and each later call from the
+    previous call's active set, while that set stays valid: its own
+    multipliers must all come out positive, or the call starts cold.  The
+    start changes only the number of sweeps: the returned point is always
+    the solve on the final active set, in index order, and that set is the
+    optimum's active set whatever the start, barring cuts tight at the
+    optimum with a zero multiplier.
     """
 
     def __init__(self, normals: np.ndarray, start: tuple[int, ...] = ()):
         self.normals = normals
         self.sweeps = 0
         self.active = np.zeros(len(normals), dtype=bool)
-        self.active[[i for i in start if i < len(normals)]] = True
+        self.active[[i for i in start if 0 <= i < len(normals)]] = True
 
     def _solve(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Projection of b onto the subspace where every active cut is
@@ -284,26 +285,26 @@ class _CutCone:
         """
         q = self.normals[self.active]
         k = len(q)
-        r00 = math.sqrt(float(q[0] @ q[0]))
+        r00 = math.sqrt(float(q[0].dot(q[0])))
         q[0] /= r00
         if k == 1:
-            c = q @ b
-            return b - c @ q, np.array([-float(c[0]) / r00])
+            c = q.dot(b)
+            return b - c.dot(q), np.array([-float(c[0]) / r00])
         r = np.zeros((k, k))
         r[0, 0] = r00
         for j in range(1, k):
             v = q[j]
             for _ in range(2):
-                c = q[:j] @ v
-                v -= c @ q[:j]
+                c = q[:j].dot(v)
+                v -= c.dot(q[:j])
                 r[:j, j] += c
-            r[j, j] = math.sqrt(float(v @ v))
+            r[j, j] = math.sqrt(float(v.dot(v)))
             v /= r[j, j]
-        c = q @ b
+        c = q.dot(b)
         s = np.empty(k)
         for j in range(k - 1, -1, -1):
-            s[j] = (-c[j] - float(r[j, j + 1:] @ s[j + 1:])) / r[j, j]
-        return b - c @ q, s
+            s[j] = (-c[j] - float(r[j, j + 1:].dot(s[j + 1:]))) / r[j, j]
+        return b - c.dot(q), s
 
     def project(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, active = self.normals, self.active
@@ -317,7 +318,7 @@ class _CutCone:
                 active[:] = False
         # cuts that may not enter: the active ones and those passed over
         blocked = active.copy()
-        scale = math.sqrt(float(b @ b))
+        scale = math.sqrt(float(b.dot(b)))
         while True:
             if self.sweeps >= SOLVER_MAX_SWEEPS:
                 raise NoConvergence(
@@ -325,7 +326,7 @@ class _CutCone:
                     f"({len(a)} cuts)"
                 )
             self.sweeps += 1
-            violation = -(a @ z)
+            violation = -a.dot(z)
             violation[blocked] = -math.inf
             t = int(violation.argmax()) if len(a) else -1
             if t < 0 or violation[t] <= SOLVER_TOL * (scale + float(lam.sum())):
@@ -371,11 +372,12 @@ def project(region: Region, x: SpherePoint,
     adjacent floats.  Points already in the region are returned unchanged
     with zero solver effort.  `start` names cuts expected to be active,
     such as the previous projection's `SolveStats.active_cuts`; it seeds
-    the active set and changes only `SolveStats.sweeps`.  Dykstra's
-    alternating projections (Boyle & Dykstra, 1986) would avoid the dual,
-    but their error shrinks per sweep only by a factor set by the angle
-    between active cuts, so they stall on the nearly parallel cuts both
-    methods generate.
+    the active set and changes only `SolveStats.sweeps`, and indices
+    outside the region's cuts are ignored.  Dykstra's alternating
+    projections (Boyle & Dykstra, 1986) would avoid the dual, but their
+    error shrinks per sweep only by a factor set by the angle between
+    active cuts, so they stall on the nearly parallel cuts both methods
+    generate.
 
     Raises NoConvergence if SOLVER_MAX_SWEEPS KKT sweeps pass without one that
     certifies optimality, or if the result violates the region beyond
@@ -393,8 +395,8 @@ def project(region: Region, x: SpherePoint,
 
     def solve(mu):
         z, lam = cone.project(x.coords + mu * pole)
-        norm = math.sqrt(float(z @ z))
-        return float(pole @ z) - cos_r * norm, z, lam, norm
+        norm = math.sqrt(float(z.dot(z)))
+        return float(pole.dot(z)) - cos_r * norm, z, lam, norm
 
     mu = 0.0
     cap_gap, z, lam, n = solve(mu)
@@ -413,10 +415,10 @@ def project(region: Region, x: SpherePoint,
                 lo = mid
         mu = hi
 
-    if n <= 0.0 or float(x.coords @ z) <= 1e-9 * n:
+    if n <= 0.0 or float(x.coords.dot(z)) <= 1e-9 * n:
         raise EmptyOrDegenerate("cone projection collapsed to the zero vector")
     result = SpherePoint._wrap(z / n)
-    slack = normals @ result.coords
+    slack = normals.dot(result.coords)
     min_slack = float(slack.min(initial=0.0))
     cap_slack = region.cap.slack(result)
     if cap_slack < -RESULT_TOL or not min_slack >= -RESULT_TOL:

@@ -72,6 +72,13 @@ class TestRegionAndContains:
         with pytest.raises(WitnessInfeasible):
             Region(Halfspace.cap(e(0), 0.6), (h,), e(0))
 
+    @pytest.mark.parametrize("tol", [-1e-3, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        r = Region.from_cap(e(3), 0.6)
+        z = SpherePoint([0.1, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            contains(r, z, tol)
+
     def test_linear_constraints_must_be_homogeneous(self):
         h = Halfspace([1.0, 0, 0, 0], 0.1)
         with pytest.raises(ValueError):
@@ -302,6 +309,15 @@ class TestWarmStart:
         assert warm.active_cuts == cold.active_cuts
         assert warm.cap_active == cold.cap_active
         assert warm.kkt_residual == cold.kkt_residual
+
+    @pytest.mark.parametrize("radius", [0.6, 0.1])
+    def test_negative_index_is_ignored(self, radius):
+        # a negative index must not wrap around to cut 0, the optimum's cut
+        r = self.region(radius)
+        p_cold, cold = project(r, self.X)
+        p, warm = project(r, self.X, (-3,))
+        assert p.coords.tobytes() == p_cold.coords.tobytes()
+        assert warm == cold
 
     @pytest.mark.parametrize("radius", [0.6, 0.1])
     def test_optimal_start_saves_a_sweep(self, radius):

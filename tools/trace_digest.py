@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Two SHA-256 digests over every iterate and output the benchmark panels produce.
+"""SHA-256 digests over the benchmark panels' iterates and outputs, and over projections.
 
     python3 tools/trace_digest.py src            # this checkout
     python3 tools/trace_digest.py /path/to/other/src
@@ -19,13 +19,20 @@ digest covers, in panel order:
   also lists two per-method summaries that ``compare`` does not write;
   those are hashed as ``<missing>``.
 
-Two digests are printed.  ``full`` covers all of the above.  ``arithmetic``
-leaves out solver effort: the ``solver_sweeps`` record field, the last
-column of the CLI trace CSVs and the ``total_solver_sweeps`` lines of
-``_compare.json``.  Equal ``arithmetic`` digests for two source trees mean
+Three digests are printed.  ``full`` covers all of the above.
+``arithmetic`` leaves out solver effort: the ``solver_sweeps`` record field,
+the last column of the CLI trace CSVs and the ``total_solver_sweeps`` lines
+of ``_compare.json``.  Equal ``arithmetic`` digests for two source trees mean
 that their arithmetic agrees bit for bit on these inputs; equal ``full``
-digests mean that the solver did the same work as well.  Floats are hashed
-by their exact hexadecimal form.
+digests mean that the solver did the same work as well.
+
+``projections`` covers ``project`` alone, on inputs no benchmark walk
+reaches: 4000 calls drawn from a fixed seed, in dimension 3 to 6, with 0 to
+6 cuts (some of them nearly parallel pairs), start sets that mix valid and
+past-the-end indices, and about a sixth of the calls with the cap binding,
+so that the cap's bisection runs.  Per call it hashes the returned point and
+every ``SolveStats`` field, or the error raised.  Floats are hashed by their
+exact hexadecimal form.
 """
 
 from __future__ import annotations
@@ -38,10 +45,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 WALK_PANELS = ("two-rotation-cq", "two-rotation-shrinking", "single-rotation")
 RECORD_FIELDS = ("n", "dist_x1_xn", "step_len", "residuals", "constraint_count")
 CSV_SUFFIXES = ("_cq_trace.csv", "_shrinking_trace.csv")
+PROJECTION_CALLS = 4000
+PROJECTION_SEED = 20250803
 
 
 class Digests:
@@ -112,6 +123,53 @@ def _without_sweeps(suffix: str, data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def _unit(v):
+    return v / np.sqrt(v.dot(v))
+
+
+def projection_digest(sp) -> str:
+    """Digest of PROJECTION_CALLS seeded ``project`` calls.
+
+    Every input is drawn before the call, and the draws never depend on a
+    result, so two source trees see the same inputs.  The pole witnesses
+    each region: every cut normal is turned to face it.
+    """
+    h = hashlib.sha256()
+    rng = np.random.default_rng(PROJECTION_SEED)
+    for _ in range(PROJECTION_CALLS):
+        d = int(rng.integers(3, 7))
+        pole = _unit(rng.standard_normal(d))
+        radius = float(rng.uniform(0.05, 0.75))
+        normals = []
+        for _ in range(int(rng.integers(0, 7))):
+            if normals and rng.random() < 0.3:
+                a = normals[-1] + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(d)
+            else:
+                # a cut whose boundary passes within about 0.3 of the pole
+                a = rng.standard_normal(d)
+                a -= a.dot(pole) * pole
+                a += rng.uniform(0.0, 0.3) * np.sqrt(a.dot(a)) * pole
+            normals.append(a if a.dot(pole) >= 0.0 else -a)
+        # x at angle t from the pole, along a random tangent direction
+        g = rng.standard_normal(d)
+        g = _unit(g - g.dot(pole) * pole)
+        t = float(rng.uniform(0.0, 1.3 * radius))
+        x = np.cos(t) * pole + np.sin(t) * g
+        start = tuple(int(i) for i in rng.integers(0, len(normals) + 2,
+                                                   int(rng.integers(0, 3))))
+        region = sp.Region(sp.Halfspace.cap(sp.SpherePoint(pole), radius),
+                           [sp.Halfspace(a) for a in normals], sp.SpherePoint(pole))
+        try:
+            z, stats = sp.project(region, sp.SpherePoint(x), start)
+        except sp.SphereProjError as e:
+            h.update(f"{type(e).__name__}: {e}".encode())
+            continue
+        h.update(z.coords.tobytes() + b"|" + _field(stats.sweeps) + b"|"
+                 + _field(stats.active_cuts) + b"|" + _field(stats.cap_active)
+                 + b"|" + _field(stats.kkt_residual))
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -137,6 +195,7 @@ def main(argv=None) -> int:
             cli_digest(h, wl, inv, Path(tmp), i)
     print(f"full {h.full.hexdigest()}")
     print(f"arithmetic {h.arithmetic.hexdigest()}")
+    print(f"projections {projection_digest(sp)}")
     return 0
 
 
