@@ -2,13 +2,13 @@
 
 Both methods iterate from a fixed anchor x1 inside the ambient cap.  Each
 step evaluates the staged average y_n of the current iterate, forms the
-halfspace cut "closer to y_n than to x_n", and projects the anchor onto the
-resulting region:
+halfspace cut "closer to y_n than to x_n", appends its cuts to a region
+with `intersect`, and projects the anchor onto the result:
 
-* the CQ method keeps exactly two cuts per step (the fresh cut and a
-  localization cut through x_n);
-* the shrinking method accumulates every cut, so regions are nested by
-  construction.
+* the CQ method appends two cuts (the fresh cut and a localization cut
+  through x_n) to the bare cap, `Problem.cap_region`;
+* the shrinking method appends the fresh cut to the previous region, so
+  regions are nested by construction.
 
 Every step records diagnostics and enforces the observable invariants the
 convergence arguments provide, each with one check where it is established:
@@ -87,19 +87,21 @@ class Problem:
     known_fixed_set is an orthonormal basis (columns) of the common fixed
     subspace, used for oracle checks and as the region witness.  Passing
     "auto" (the default) derives it in closed form when every mapping is
-    linear and leaves it absent otherwise.
+    linear and leaves it absent otherwise; an explicit set must be a finite
+    (dim, k) array with orthonormal columns (ValueError otherwise).
+    cap_region is the bare cap, witnessed by the known fixed point or else
+    by x1: the initial region, to which each CQ step appends its cuts.
     """
 
     __slots__ = ("dim", "cap_pole", "cap_radius", "family", "x1",
-                 "known_fixed_set", "fixed_rep", "cap", "_w")
+                 "known_fixed_set", "fixed_rep", "cap_region", "_w")
 
     def __init__(self, dim: int, cap_pole: SpherePoint, cap_radius: float,
                  family: MappingFamily, x1: SpherePoint,
                  known_fixed_set="auto"):
         if cap_pole.dim != dim or x1.dim != dim:
             raise ValueError("cap pole and start point must match the ambient dimension")
-        if not 0.0 < cap_radius < math.pi / 4:
-            raise ValueError(f"cap radius must be in (0, pi/4), got {cap_radius}")
+        cap = Halfspace.cap(cap_pole, cap_radius)
         if distance(x1, cap_pole) > cap_radius + 1e-12:
             raise ValueError("x1 must lie in the ambient cap")
         family.check_preserves_cap(cap_pole, cap_radius)
@@ -109,8 +111,9 @@ class Problem:
                 known_fixed_set = common_fixed_basis(family.maps, dim)
             else:
                 known_fixed_set = None
+        elif known_fixed_set is not None:
+            known_fixed_set = _checked_basis(known_fixed_set, dim)
         if known_fixed_set is not None:
-            known_fixed_set = np.asarray(known_fixed_set, dtype=float)
             rep = nearest_fixed_point(known_fixed_set, cap_pole)
             if rep is None or distance(rep, cap_pole) > cap_radius + 1e-9:
                 raise ValueError(
@@ -126,12 +129,25 @@ class Problem:
         self.x1 = x1
         self.known_fixed_set = known_fixed_set
         self.fixed_rep = rep
-        self.cap = Halfspace.cap(cap_pole, cap_radius)
+        self.cap_region = Region(cap, (), rep if rep is not None else x1)
         self._w = WMapping(family)
 
     def __repr__(self) -> str:
         return (f"Problem(dim={self.dim}, cap_radius={self.cap_radius:.6g}, "
                 f"r={self.family.r})")
+
+
+def _checked_basis(basis, dim: int) -> np.ndarray:
+    """An explicit known fixed set as a float array; ValueError unless it is
+    finite, has dim rows and has orthonormal columns to 1e-9."""
+    basis = np.asarray(basis, dtype=float)
+    if basis.ndim != 2 or basis.shape[0] != dim:
+        raise ValueError(f"known fixed set must be a ({dim}, k) array, got shape {basis.shape}")
+    if not np.isfinite(basis).all():
+        raise ValueError("known fixed set must be finite")
+    if np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) > 1e-9:
+        raise ValueError("known fixed set must have orthonormal columns")
+    return basis
 
 
 class IterationState:
@@ -167,9 +183,7 @@ class IterationState:
 
 def initial_state(problem: Problem) -> IterationState:
     """State at n = 1: the iterate is the anchor, the region is the bare cap."""
-    witness = problem.fixed_rep if problem.fixed_rep is not None else problem.x1
-    region = Region(problem.cap, (), witness)
-    return IterationState(1, problem.x1, None, region, (),
+    return IterationState(1, problem.x1, None, problem.cap_region, (),
                           distance(problem.x1, problem.x1),
                           residuals(problem.family, problem.x1))
 
@@ -195,12 +209,12 @@ def _witnesses(problem: Problem, state: IterationState, y: SpherePoint):
 def _step(problem: Problem, state: IterationState, shrinking: bool) -> IterationState:
     """The step kernel of both methods; `shrinking` selects the cut policy.
 
-    CQ projects onto the cap cut by the fresh cut and the localization cut
-    through x_n; shrinking appends the fresh cut to the accumulated region.
-    The region is built around the first candidate witness that its own
-    check accepts, which is where fixed-point containment is checked; the
-    projection then must not decrease d(x1, x_n), and the record is
-    written.  d(x1, x_{n+1}) and the residuals at x_{n+1} are computed once
+    One `intersect` call builds the region: CQ appends the fresh cut and the
+    localization cut through x_n to the bare cap, shrinking appends the
+    fresh cut to the accumulated region.  The region is built around the
+    first candidate witness that its own check accepts, which is where
+    fixed-point containment is checked; the projection then must not
+    decrease d(x1, x_n), and the record is written.  d(x1, x_{n+1}) and the residuals at x_{n+1} are computed once
     and carried in the new state, and so are the projection's active cuts.
 
     The projection starts from the previous step's active cuts.  CQ cuts
@@ -215,14 +229,13 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         dist_n, res_n = distance(problem.x1, x_n), residuals(problem.family, x_n)
     y = problem._w.apply(x_n, state.n)
     cn = make_cn(x_n, y)
-    if not shrinking:
-        cuts = tuple(h for h in (cn, make_qn(problem.x1, x_n)) if not h.is_trivial)
+    if shrinking:
+        base, cuts = state.region, (cn,)
+    else:
+        base, cuts = problem.cap_region, (cn, make_qn(problem.x1, x_n))
     for witness in _witnesses(problem, state, y):
         try:
-            if shrinking:
-                region = intersect(state.region, cn, witness)
-            else:
-                region = Region(problem.cap, cuts, witness)
+            region = intersect(base, cuts, witness)
             break
         except WitnessInfeasible:
             pass
@@ -237,7 +250,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         )
     start = state.active_cuts
     if shrinking and cn.slack(x_n) < 0.0:
-        start = (len(region.linear) - 1,)
+        start = (len(region.normals) - 1,)
     x_new, stats = project(region, problem.x1, start)
     dist_new = distance(problem.x1, x_new)
     if dist_new < dist_n - FEJER_TOL:
@@ -247,7 +260,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         dist_x1_xn=dist_n,
         step_len=distance(x_n, x_new),
         residuals=tuple(res_n),
-        constraint_count=len(region.linear),
+        constraint_count=len(region.normals),
         solver_sweeps=stats.sweeps,
     )
     return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,),

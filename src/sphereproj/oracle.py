@@ -66,8 +66,8 @@ def _cap_grid(c: np.ndarray, rho: float, h: float) -> np.ndarray:
 
 def _feasible_mask(pts: np.ndarray, region: Region) -> np.ndarray:
     mask = pts @ region.cap.normal >= region.cap.offset
-    for hs in region.linear:
-        mask &= pts @ hs.normal >= 0.0
+    for a in region.normals:
+        mask &= pts @ a >= 0.0
     return mask
 
 
@@ -120,7 +120,7 @@ def _null_basis(rows: np.ndarray, dim: int) -> np.ndarray:
 def _active_set_candidates(region: Region, x: SpherePoint):
     """Stationary points of <x, .> on the unit sphere for every combination
     of tight constraints (each cut as an equality, cap boundary or not)."""
-    cuts = [hs.normal for hs in region.linear]
+    cuts = region.normals
     if len(cuts) > 12:
         return
     p = region.cap.normal

@@ -146,7 +146,8 @@ class Region:
         self.witness = witness
         bad = min(cap.slack(witness),
                   float(normals.dot(witness.coords).min(initial=math.inf)))
-        if bad < -WITNESS_TOL:
+        # written as `not bad >= -tol` so that a NaN witness is rejected too
+        if not bad >= -WITNESS_TOL:
             raise WitnessInfeasible(
                 f"witness violates a region constraint by {-bad:.3e}"
             )
@@ -161,7 +162,7 @@ class Region:
         return math.acos(self.cap.offset)
 
     def __repr__(self) -> str:
-        return f"Region(cap_radius={self.cap_radius:.6g}, n_linear={len(self.linear)})"
+        return f"Region(cap_radius={self.cap_radius:.6g}, n_linear={len(self.normals)})"
 
 
 @dataclass(frozen=True)
@@ -227,18 +228,19 @@ def _cut(v: np.ndarray) -> Halfspace:
     return h
 
 
-def intersect(region: Region, h: Halfspace, new_witness: SpherePoint) -> Region:
-    """Append a cut to the region, replacing the witness.
+def intersect(region: Region, cuts, new_witness: SpherePoint) -> Region:
+    """Append a sequence of cuts to the region in order, replacing the witness.
 
-    The new witness must satisfy h and all existing constraints with slack
-    >= -1e-10 (WitnessInfeasible otherwise; the region checks every cut in
-    one product).  Trivial halfspaces are not appended, so constraint counts
-    only grow for informative cuts.
+    Every step of both methods builds its region this way.  The new witness
+    must satisfy all the cuts and existing constraints with slack >= -1e-10
+    (WitnessInfeasible otherwise; one product checks them all).  Trivial
+    cuts are not appended, so constraint counts only grow for informative ones.
     """
-    if h.is_trivial:
-        linear, normals = region.linear, region.normals
-    else:
-        linear, normals = region.linear + (h,), np.vstack((region.normals, h.normal))
+    fresh = tuple(h for h in cuts if not h.is_trivial)
+    linear, normals = region.linear, region.normals
+    if fresh:
+        linear += fresh
+        normals = np.concatenate((normals, [h.normal for h in fresh]))
     out = Region.__new__(Region)
     out._set(region.cap, linear, normals, new_witness)
     return out

@@ -67,10 +67,52 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             Problem(4, POLE, RHO, fam, POLE, known_fixed_set=basis)
 
+    def test_explicit_fixed_set_must_be_finite(self):
+        """A NaN would make the fixed point NaN, and a NaN witness would
+        switch the containment audit off."""
+        fake = np.zeros((4, 1))
+        fake[0, 0], fake[1, 0], fake[3, 0] = 0.3, math.nan, 1.0
+        fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
+        with pytest.raises(ValueError, match="finite"):
+            Problem(4, POLE, RHO, fam, POLE, known_fixed_set=fake)
+
+    def test_explicit_fixed_set_must_be_two_dimensional(self):
+        fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
+        with pytest.raises(ValueError, match="array"):
+            Problem(4, POLE, RHO, fam, POLE, known_fixed_set=POLE.coords)
+
+    def test_explicit_fixed_set_must_be_orthonormal(self):
+        """The right span with non-orthonormal columns would give a wrong
+        nearest fixed point."""
+        pole = SpherePoint([0.0, 0.0, 1.0, 1.0])
+        fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
+        basis = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="orthonormal"):
+            Problem(4, pole, RHO, fam, pole, known_fixed_set=basis)
+        p = Problem(4, pole, RHO, fam, pole, known_fixed_set=np.eye(4)[:, 2:])
+        np.testing.assert_allclose(p.fixed_rep.coords, pole.coords, atol=1e-15)
+
     def test_experimental_family_has_no_fixed_set(self):
         fam = MappingFamily([GeodesicContraction(POLE, 0.5)], allow_experimental=True)
         p = Problem(4, POLE, RHO, fam, POLE)
         assert p.known_fixed_set is None and p.fixed_rep is None
+
+
+class TestInitialState:
+    def test_region_is_the_problem_cap_region(self):
+        p = make_problem(random_point_in_cap(POLE, RHO, 3))
+        s = initial_state(p)
+        assert s.region is p.cap_region
+        assert s.region.witness is p.fixed_rep
+        assert s.region.normals.shape == (0, 4)
+
+    def test_witness_is_x1_without_fixed_set(self):
+        fam = MappingFamily([GeodesicContraction(POLE, 0.5)], allow_experimental=True)
+        x1 = random_point_in_cap(POLE, RHO, 7)
+        p = Problem(4, POLE, RHO, fam, x1)
+        s = initial_state(p)
+        assert s.region is p.cap_region
+        assert s.region.witness is x1
 
 
 class TestStationaryStart:

@@ -72,6 +72,10 @@ class TestRegionAndContains:
         with pytest.raises(WitnessInfeasible):
             Region(Halfspace.cap(e(0), 0.6), (h,), e(0))
 
+    def test_nan_witness_rejected(self):
+        with pytest.raises(WitnessInfeasible):
+            Region(Halfspace.cap(e(0), 0.6), (), SpherePoint._wrap(np.full(4, np.nan)))
+
     @pytest.mark.parametrize("tol", [-1e-3, math.nan])
     def test_negative_or_nan_tolerance_rejected(self, tol):
         r = Region.from_cap(e(3), 0.6)
@@ -331,14 +335,14 @@ class TestWarmStart:
 class TestIntersect:
     def test_trivial_halfspace_not_appended(self):
         r = Region.from_cap(e(0), 0.6)
-        r2 = intersect(r, Halfspace.trivial(4), e(0))
+        r2 = intersect(r, (Halfspace.trivial(4),), e(0))
         assert len(r2.linear) == len(r.linear)
 
     def test_appended_constraint_holds_for_witness(self):
         r = Region.from_cap(e(0), 0.6)
         h = Halfspace([0.0, 1.0, 0, 0], 0.0)
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
-        r2 = intersect(r, h, w)
+        r2 = intersect(r, (h,), w)
         assert contains(r2, w, 1e-10)
         assert len(r2.linear) == 1
 
@@ -347,7 +351,31 @@ class TestIntersect:
         h = Halfspace([0.0, -1.0, 0, 0], 0.0)
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
         with pytest.raises(WitnessInfeasible):
-            intersect(r, h, w)
+            intersect(r, (h,), w)
+
+    def test_several_cuts_append_in_order(self):
+        """One call appends every non-trivial cut in order, exactly as the
+        constructor stacks them, and checks the witness against all of them."""
+        r = Region.from_cap(e(0), 0.6)
+        h1 = Halfspace([0.0, 1.0, 0.0, 0.0], 0.0)
+        h2 = Halfspace([0.0, 0.3, 1.0, 0.0], 0.0)
+        w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
+        r2 = intersect(r, (h1, Halfspace.trivial(4), h2), w)
+        built = Region(r.cap, (h1, h2), w)
+        assert r2.normals.tobytes() == built.normals.tobytes()
+        assert r2.normals.shape == built.normals.shape
+        assert len(r2.linear) == 2
+
+        w2 = SpherePoint([math.cos(0.1), 0.0, math.sin(0.1), 0.0])
+        r3 = intersect(r2, (), w2)
+        assert r3.normals.tobytes() == r2.normals.tobytes()
+        assert r3.witness is w2
+
+        # inside the cap and h1, outside h2 only
+        bad = SpherePoint([math.cos(0.2), 0.1, -0.15, 0.0])
+        assert h1.slack(bad) > 0.0 and r.cap.slack(bad) > 0.0 and h2.slack(bad) < 0.0
+        with pytest.raises(WitnessInfeasible):
+            intersect(r, (h1, h2), bad)
 
     def test_nested_regions_monotone(self):
         """Membership in a later region implies membership in every earlier one."""
@@ -359,7 +387,7 @@ class TestIntersect:
             a = rng.standard_normal(4)
             if a @ w.coords < 0:
                 a = -a
-            regions.append(intersect(regions[-1], Halfspace(a, 0.0), w))
+            regions.append(intersect(regions[-1], (Halfspace(a, 0.0),), w))
         zs = rng.standard_normal((1000, 4))
         zs /= np.linalg.norm(zs, axis=1)[:, None]
         for row in zs:

@@ -11,15 +11,20 @@ The walks are the 3000-step two-rotation shrinking walk from the c05 anchor
 ``cq_step`` for a fixed number of steps.  For each walk the script reports
 the wall time of the stepping, the mean solver sweeps per step, d(x_n, P_F
 x1) at the end, and a SHA-256 over the bytes of every iterate x_n: equal
-digests mean bitwise-equal iterates.
+digests mean bitwise-equal iterates.  The machine's speed drifts between
+and during long walks, so each walk is bracketed by two reference slices of
+``Speed`` from ``perfbench/run.py``; ``speed_factor`` is their nominal over
+their mean time (above 1 when the machine is fast), and ``wall_s_corrected
+= wall_s * speed_factor`` is the wall time at nominal speed.
 
 With two trees, every measurement runs in a fresh child process, and the two
 trees alternate: each repeat (and each benchmark pair) runs both, with the
 order swapped on every other one, so that a drift of the machine's speed
-falls on both sides.  ``--pairs N`` also runs ``perfbench/run.py --workload W
---seed 1 --seconds S --trace 0`` from the checkout around each tree for each
-of the four workloads and keeps its end-to-end metrics.  ``--out`` writes
-everything to one JSON file.
+falls on both sides.  ``speedup_median`` compares the medians of the
+corrected walls; the raw walls and their medians are kept as well.  ``--pairs
+N`` also runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace
+0`` from the checkout around each tree for each of the four workloads and
+keeps its end-to-end metrics.  ``--out`` writes everything to one JSON file.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ def walks(src: Path) -> dict:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import sphereproj as sp
     import workloads as wl
+    from run import Speed
 
     out = {}
     for name, (fam, anchor, method, steps) in WALKS.items():
@@ -60,14 +66,20 @@ def walks(src: Path) -> dict:
         problem = case.problem()
         step = {"cq": sp.cq_step, "shrinking": sp.shrink_step}[method]
         digest = hashlib.sha256()
+        speed = Speed()
+        speed.sample()
         t0 = time.perf_counter()
         state = sp.initial_state(problem)
         for _ in range(steps):
             state = step(problem, state)
             digest.update(state.x_n.coords.tobytes())
         wall = time.perf_counter() - t0
+        speed.sample()
+        factor = speed.factor()
         out[name] = {
             "wall_s": wall,
+            "speed_factor": factor,
+            "wall_s_corrected": wall * factor,
             "mean_sweeps": sum(rec.solver_sweeps for rec in state.trace) / steps,
             "d_target": sp.distance(state.x_n, case.target(problem.x1)),
             "xn_sha256": digest.hexdigest(),
@@ -117,12 +129,16 @@ def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
     for name in WALKS:
         before = [p[0][name] for p in walk_runs]
         after = [p[1][name] for p in walk_runs]
-        b_wall = statistics.median(r["wall_s"] for r in before)
-        a_wall = statistics.median(r["wall_s"] for r in after)
+        series = {key: {"before": [r[key] for r in before], "after": [r[key] for r in after]}
+                  for key in ("wall_s", "speed_factor", "wall_s_corrected")}
+        medians = {key: {side: statistics.median(v) for side, v in series[key].items()}
+                   for key in ("wall_s", "wall_s_corrected")}
         report["walks"][name] = {
-            "wall_s": {"before": [r["wall_s"] for r in before],
-                       "after": [r["wall_s"] for r in after]},
-            "speedup_median": b_wall / a_wall,
+            **series,
+            "wall_s_median": medians["wall_s"],
+            "wall_s_corrected_median": medians["wall_s_corrected"],
+            "speedup_median": (medians["wall_s_corrected"]["before"]
+                               / medians["wall_s_corrected"]["after"]),
             "mean_sweeps": {"before": before[0]["mean_sweeps"], "after": after[0]["mean_sweeps"]},
             "d_target": {"before": before[0]["d_target"], "after": after[0]["d_target"]},
             "xn_sha256": {"before": before[0]["xn_sha256"], "after": after[0]["xn_sha256"]},

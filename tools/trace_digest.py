@@ -3,6 +3,7 @@
 
     python3 tools/trace_digest.py src            # this checkout
     python3 tools/trace_digest.py /path/to/other/src
+    python3 tools/trace_digest.py OLD/src NEW/src   # compare two trees
 
 Imports ``sphereproj`` from the given source directory and the job panels
 from ``perfbench/workloads.py`` next to this directory (read only).  The
@@ -33,6 +34,10 @@ past-the-end indices, and about a sixth of the calls with the cap binding,
 so that the cap's bisection runs.  Per call it hashes the returned point and
 every ``SolveStats`` field, or the error raised.  Floats are hashed by their
 exact hexadecimal form.
+
+With two source trees, each is digested in its own child process, both sets
+of digests are printed, and a last line says ``identical: yes`` or
+``identical: no``.  The exit status is 1 when any digest differs.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -170,16 +176,38 @@ def projection_digest(sp) -> str:
     return h.hexdigest()
 
 
+def compare(srcs: list[Path]) -> int:
+    """Digest each tree in a child process; 0 when all digests agree."""
+    outputs = []
+    for src in srcs:
+        done = subprocess.run([sys.executable, str(Path(__file__).resolve()), str(src)],
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            print(f"error: digesting {src} failed:\n{done.stderr}", file=sys.stderr)
+            return 2
+        outputs.append(done.stdout.splitlines())
+        print(src)
+        for line in outputs[-1]:
+            print(f"  {line}")
+    identical = outputs[0] == outputs[1]
+    print(f"identical: {'yes' if identical else 'no'}")
+    return 0 if identical else 1
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
+    if len(argv) not in (1, 2):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: trace_digest.py <src-dir>", file=sys.stderr)
+        print("usage: trace_digest.py <src-dir> [<other-src-dir>]", file=sys.stderr)
         return 2
-    src = Path(argv[0]).resolve()
-    if not (src / "sphereproj" / "__init__.py").is_file():
-        print(f"error: no sphereproj sources at {src}", file=sys.stderr)
-        return 2
+    srcs = [Path(a).resolve() for a in argv]
+    for src in srcs:
+        if not (src / "sphereproj" / "__init__.py").is_file():
+            print(f"error: no sphereproj sources at {src}", file=sys.stderr)
+            return 2
+    if len(srcs) == 2:
+        return compare(srcs)
+    src = srcs[0]
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
