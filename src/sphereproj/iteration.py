@@ -2,8 +2,8 @@
 
 Both methods iterate from a fixed anchor x1 inside the ambient cap.  Each
 step evaluates the staged average y_n of the current iterate, forms the
-halfspace cut "closer to y_n than to x_n", appends its cuts to a region
-with `intersect`, and projects the anchor onto the result:
+cut "closer to y_n than to x_n" as a unit normal, appends its cuts to a
+region with `intersect`, and projects the anchor onto the result:
 
 * the CQ method appends two cuts (the fresh cut and a localization cut
   through x_n) to the bare cap, `Problem.cap_region`;
@@ -209,13 +209,14 @@ def _witnesses(problem: Problem, state: IterationState, y: SpherePoint):
 def _step(problem: Problem, state: IterationState, shrinking: bool) -> IterationState:
     """The step kernel of both methods; `shrinking` selects the cut policy.
 
-    One `intersect` call builds the region: CQ appends the fresh cut and the
-    localization cut through x_n to the bare cap, shrinking appends the
-    fresh cut to the accumulated region.  The region is built around the
-    first candidate witness that its own check accepts, which is where
-    fixed-point containment is checked; the projection then must not
-    decrease d(x1, x_n), and the record is written.  d(x1, x_{n+1}) and the residuals at x_{n+1} are computed once
-    and carried in the new state, and so are the projection's active cuts.
+    One `intersect` call builds the region from the cut normals: CQ appends
+    the fresh cut and the localization cut through x_n to the bare cap,
+    shrinking appends the fresh cut to the accumulated region.  The region
+    is built around the first candidate witness that its own check accepts,
+    which is where fixed-point containment is checked; the projection then
+    must not decrease d(x1, x_n), and the record is written.  d(x1, x_{n+1})
+    and the residuals at x_{n+1} are computed once and carried in the new
+    state, and so are the projection's active cuts.
 
     The projection starts from the previous step's active cuts.  CQ cuts
     keep their indices from step to step (fresh cut first, localization
@@ -249,7 +250,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
             "certified isometries"
         )
     start = state.active_cuts
-    if shrinking and cn.slack(x_n) < 0.0:
+    if shrinking and cn is not None and float(cn.dot(x_n.coords)) < 0.0:
         start = (len(region.normals) - 1,)
     x_new, stats = project(region, problem.x1, start)
     dist_new = distance(problem.x1, x_new)

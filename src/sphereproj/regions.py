@@ -2,8 +2,8 @@
 
 A region is the intersection of one spherical cap (the ambient constraint
 set, radius < pi/4 so any two members are less than a quarter turn apart)
-with finitely many homogeneous linear halfspaces.  Both cut families used by
-the iteration drivers admit exact halfspace forms:
+with finitely many cuts <a, z> >= 0, each kept as its unit normal a.  Both
+cut families used by the iteration drivers admit exact forms of this kind:
 
 * "closer to y than to x" rewrites, via monotonicity of arccos, to
   <y - x, z> >= 0;
@@ -36,7 +36,7 @@ from .geometry import SpherePoint, inner
 # cos(radius) stays above cos(pi/4).
 MAX_CAP_RADIUS = math.pi / 4
 
-# Vector differences below this norm collapse to the trivial halfspace.
+# Vector differences below this norm give no cut (the trivial halfspace).
 DEGENERATE_TOL = 1e-12
 
 # Witnesses must satisfy every constraint with at least this slack.
@@ -62,8 +62,8 @@ class Halfspace:
     """A linear constraint <normal, z> >= offset on the ambient space.
 
     The normal is unit length, or the zero vector for the trivial constraint
-    (which then requires offset <= 0 so it is always satisfied).  Cut sets
-    are homogeneous (offset 0); the ambient cap stores offset cos(radius).
+    (which then requires offset <= 0 so it is always satisfied).  The cap
+    has offset cos(radius); outside input gives cuts with offset 0.
     """
 
     __slots__ = ("normal", "offset")
@@ -89,11 +89,6 @@ class Halfspace:
         self.offset = offset
 
     @classmethod
-    def trivial(cls, dim: int) -> "Halfspace":
-        """The always-satisfied constraint (zero normal, offset 0)."""
-        return cls(np.zeros(dim), 0.0)
-
-    @classmethod
     def cap(cls, pole: SpherePoint, radius: float) -> "Halfspace":
         """The cap {z : <pole, z> >= cos(radius)} of radius < pi/4."""
         if not 0.0 < radius < MAX_CAP_RADIUS:
@@ -113,35 +108,36 @@ class Halfspace:
 
 
 class Region:
-    """A cap intersected with ordered homogeneous halfspaces, plus a witness.
+    """A cap intersected with ordered homogeneous cuts, plus a witness.
 
-    The witness is a sphere point known to satisfy every constraint; it
-    certifies nonemptiness.  `normals` stacks the cut normals into one
-    read-only (m, d) array, so that every membership test is one product.
+    Each cut <a, z> >= 0 is a row a of the read-only (m, d) array
+    `normals`, so that every membership test is one product.  The witness
+    is a sphere point known to satisfy every constraint; it certifies
+    nonemptiness.  The constructor, for outside input, takes the cuts as
+    homogeneous Halfspaces and drops trivial ones, as `intersect` does.
     Regions are immutable values: `intersect` returns a new region.
     """
 
-    __slots__ = ("cap", "linear", "normals", "witness")
+    __slots__ = ("cap", "normals", "witness")
 
-    def __init__(self, cap: Halfspace, linear=(), witness: SpherePoint = None):
-        if cap.is_trivial or cap.offset <= math.cos(MAX_CAP_RADIUS):
+    def __init__(self, cap: Halfspace, halfspaces=(), witness: SpherePoint = None):
+        # a positive offset also excludes a zero normal (see Halfspace)
+        if cap.offset <= math.cos(MAX_CAP_RADIUS):
             raise ValueError("region cap must have radius in (0, pi/4)")
-        linear = tuple(linear)
-        for h in linear:
+        halfspaces = tuple(halfspaces)
+        for h in halfspaces:
             if h.offset != 0.0:
                 raise ValueError("linear region constraints must be homogeneous")
         if witness is None:
             raise ValueError("a region requires a feasibility witness")
-        normals = np.array([h.normal for h in linear], dtype=float)
-        self._set(cap, linear, normals.reshape(len(linear), cap.normal.size), witness)
+        rows = [h.normal for h in halfspaces if not h.is_trivial]
+        normals = np.array(rows, dtype=float).reshape(len(rows), cap.normal.size)
+        self._set(cap, normals, witness)
 
-    def _set(self, cap: Halfspace, linear: tuple, normals: np.ndarray,
-             witness: SpherePoint) -> None:
+    def _set(self, cap: Halfspace, normals: np.ndarray, witness: SpherePoint) -> None:
         # shared with `intersect`, which passes the normals already stacked
-        # so that appending a cut does not rebuild the array from the tuple
         normals.setflags(write=False)
         self.cap = cap
-        self.linear = linear
         self.normals = normals
         self.witness = witness
         bad = min(cap.slack(witness),
@@ -160,6 +156,14 @@ class Region:
     @property
     def cap_radius(self) -> float:
         return math.acos(self.cap.offset)
+
+    @property
+    def linear(self) -> tuple[Halfspace, ...]:
+        """The cuts as Halfspaces holding the rows of `normals` bit for bit."""
+        out = tuple(Halfspace(a) for a in self.normals)
+        for h, a in zip(out, self.normals):
+            h.normal = a   # renormalizing can move the last bit of a row
+        return out
 
     def __repr__(self) -> str:
         return f"Region(cap_radius={self.cap_radius:.6g}, n_linear={len(self.normals)})"
@@ -191,58 +195,52 @@ def contains(region: Region, z: SpherePoint, tol: float) -> bool:
     return bool((region.normals.dot(z.coords) >= -tol).all())
 
 
-def make_cn(x_n: SpherePoint, y_n: SpherePoint) -> Halfspace:
-    """Halfspace form of {z : d(y_n, z) <= d(x_n, z)}.
+def make_cn(x_n: SpherePoint, y_n: SpherePoint) -> np.ndarray | None:
+    """Unit normal of the cut {z : d(y_n, z) <= d(x_n, z)}.
 
     arccos is decreasing, so the condition is <y_n - x_n, z> >= 0.  When
-    y_n = x_n the set is everything and the trivial halfspace is returned.
+    y_n = x_n the set is everything: there is no cut, and None is returned.
     """
     return _cut(y_n.coords - x_n.coords)
 
 
-def make_qn(x_1: SpherePoint, x_n: SpherePoint) -> Halfspace:
-    """Halfspace form of {z : cos d(x1,xn) cos d(xn,z) >= cos d(x1,z)}.
+def make_qn(x_1: SpherePoint, x_n: SpherePoint) -> np.ndarray | None:
+    """Unit normal of the cut {z : cos d(x1,xn) cos d(xn,z) >= cos d(x1,z)}.
 
     Expanding the cosines gives <cos d(x1,xn) xn - x1, z> >= 0.  At n = 1
-    (x_n = x_1) the normal vanishes and the trivial halfspace is returned:
-    the first localization cut is all of the ambient set.
+    (x_n = x_1) the normal vanishes and None is returned: the first
+    localization cut is all of the ambient set.
     """
     return _cut(inner(x_1, x_n) * x_n.coords - x_1.coords)
 
 
-def _cut(v: np.ndarray) -> Halfspace:
-    """The homogeneous cut <v, z> >= 0, or the trivial one when v vanishes.
+def _cut(v: np.ndarray) -> np.ndarray | None:
+    """Read-only unit normal of the cut <v, z> >= 0, or None if v vanishes.
 
-    v is finite (a combination of unit vectors), so the Halfspace checks are
-    skipped.  The unit normal is normalized a second time, as the Halfspace
+    The normal is normalized a second time, as passing it to the Halfspace
     constructor would: the walks are steered by the last bits of the cuts.
     """
     n = math.sqrt(float(v.dot(v)))
     if n <= DEGENERATE_TOL:
-        return Halfspace.trivial(v.size)
+        return None
     v = v / n
     v /= math.sqrt(float(v.dot(v)))
     v.setflags(write=False)
-    h = Halfspace.__new__(Halfspace)
-    h.normal, h.offset = v, 0.0
-    return h
+    return v
 
 
 def intersect(region: Region, cuts, new_witness: SpherePoint) -> Region:
-    """Append a sequence of cuts to the region in order, replacing the witness.
+    """Append a sequence of cut normals to the region in order, replacing the witness.
 
     Every step of both methods builds its region this way.  The new witness
     must satisfy all the cuts and existing constraints with slack >= -1e-10
-    (WitnessInfeasible otherwise; one product checks them all).  Trivial
-    cuts are not appended, so constraint counts only grow for informative ones.
+    (WitnessInfeasible otherwise; one product checks them all).  None is no
+    cut and is not appended, so constraint counts only grow for real cuts.
     """
-    fresh = tuple(h for h in cuts if not h.is_trivial)
-    linear, normals = region.linear, region.normals
-    if fresh:
-        linear += fresh
-        normals = np.concatenate((normals, [h.normal for h in fresh]))
+    fresh = [a for a in cuts if a is not None]
+    normals = np.concatenate((region.normals, fresh)) if fresh else region.normals
     out = Region.__new__(Region)
-    out._set(region.cap, linear, normals, new_witness)
+    out._set(region.cap, normals, new_witness)
     return out
 
 

@@ -165,7 +165,7 @@ def test_c02_halfspace_equivalence():
         x = SpherePoint._wrap(pair[k, 0])
         y = SpherePoint._wrap(pair[k, 1])
         z = SpherePoint._wrap(zs[k])
-        lin = make_cn(x, y).slack(z)
+        lin = float(make_cn(x, y).dot(z.coords))
         met = distance(x, z) - distance(y, z)
         if (lin > 1e-10 and met < -1e-10) or (lin < -1e-10 and met > 1e-10):
             bad_cn += 1
@@ -173,7 +173,7 @@ def test_c02_halfspace_equivalence():
         x1 = SpherePoint._wrap(pair[k, 0])
         xn = SpherePoint._wrap(pair[k, 1])
         z = SpherePoint._wrap(zs[k])
-        lin = make_qn(x1, xn).slack(z)
+        lin = float(make_qn(x1, xn).dot(z.coords))
         met = (math.cos(distance(x1, xn)) * math.cos(distance(xn, z))
                - math.cos(distance(x1, z)))
         if (lin > 1e-10 and met < -1e-10) or (lin < -1e-10 and met > 1e-10):

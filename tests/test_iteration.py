@@ -27,7 +27,7 @@ from sphereproj.mappings import (
     residuals,
 )
 from sphereproj.oracle import circle_project
-from sphereproj.regions import contains, make_cn
+from sphereproj.regions import Region, contains, make_cn
 
 POLE = basis_point(3, 4)
 RHO = math.pi / 5
@@ -172,6 +172,17 @@ class TestSingleSteps:
             for earlier, later in zip(flags, flags[1:]):
                 assert earlier or not later
 
+    def test_shrink_region_rebuilds_bitwise(self):
+        """A region's cuts read back as halfspaces rebuild it bit for bit:
+        renormalizing a stored unit row would move the last bit of some."""
+        prob = make_problem(random_point_in_cap(POLE, RHO, 20250801))
+        s = initial_state(prob)
+        for _ in range(100):
+            s = shrink_step(prob, s)
+        r = s.region
+        assert len(r.normals) == 100
+        assert Region(r.cap, r.linear, r.witness).normals.tobytes() == r.normals.tobytes()
+
     def test_fixed_point_contained_every_step(self):
         """The known common fixed point stays feasible for every generated
         region, with slack no worse than -1e-8."""
@@ -274,7 +285,7 @@ class TestRun:
         for _ in range(60):
             s = shrink_step(prob, s)
             assert contains(s.region, s.region.witness, 1e-10)
-        assert len(s.region.linear) == 60
+        assert len(s.region.normals) == 60
         assert fejer_audit(s.trace)
 
 
@@ -381,7 +392,7 @@ class TestWarmStart:
         real_project = it.project
 
         def spy(region, x, start=()):
-            starts.append((len(region.linear), tuple(start)))
+            starts.append((len(region.normals), tuple(start)))
             return real_project(region, x, start)
 
         monkeypatch.setattr(it, "project", spy)
@@ -390,7 +401,8 @@ class TestWarmStart:
         branches = set()
         for _ in range(80):
             prev = s
-            cut_off = make_cn(s.x_n, prob._w.apply(s.x_n, s.n)).slack(s.x_n) < 0.0
+            a = make_cn(s.x_n, prob._w.apply(s.x_n, s.n))
+            cut_off = a is not None and float(a.dot(s.x_n.coords)) < 0.0
             s = shrink_step(prob, s)
             m, start = starts[-1]
             assert start == ((m - 1,) if cut_off else prev.active_cuts)

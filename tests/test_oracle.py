@@ -99,8 +99,8 @@ class TestBruteProject:
             p, _ = project(r, x)
             grid = GeodesicGrid(pole, rho, 1e-3).points
             mask = grid @ r.cap.normal >= r.cap.offset
-            for hs in r.linear:
-                mask &= grid @ hs.normal >= 0.0
+            for a in r.normals:
+                mask &= grid @ a >= 0.0
             feas = grid[mask]
             assert feas.size  # witness guarantees a nonempty neighborhood
             best = float(np.arccos(np.clip(feas @ x.coords, -1, 1)).min())

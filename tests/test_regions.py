@@ -39,7 +39,7 @@ class TestHalfspace:
             Halfspace(np.zeros(4), 0.5)
 
     def test_trivial_always_satisfied(self):
-        h = Halfspace.trivial(4)
+        h = Halfspace(np.zeros(4))
         assert h.is_trivial
         assert h.slack(e(2)) == 0.0
 
@@ -88,21 +88,37 @@ class TestRegionAndContains:
         with pytest.raises(ValueError):
             Region(Halfspace.cap(e(0), 0.6), (h,), e(0))
 
+    def test_trivial_halfspace_dropped(self):
+        """The constructor drops a trivial halfspace, as `intersect` does: a
+        zero row among the normals would break the solver's warm start."""
+        r = Region(Halfspace.cap(e(0), 0.6),
+                   (Halfspace(np.zeros(4)), Halfspace([0, 1.0, 0, 0])), e(0))
+        assert r.normals.shape == (1, 4)
+        x = SpherePoint([math.cos(0.3), -math.sin(0.3), 0, 0])
+        p_cold, _ = project(r, x)
+        for start in [(0,), (1,), (0, 1)]:
+            p, _ = project(r, x, start)
+            assert p.coords.tobytes() == p_cold.coords.tobytes()
+
 
 class TestMakeCn:
     def test_equal_points_give_trivial(self):
-        assert make_cn(e(0), e(0)).is_trivial
+        assert make_cn(e(0), e(0)) is None
+
+    def test_returns_read_only_normal(self):
+        a = make_cn(e(0), SpherePoint([0.6, 0.8, 0, 0]))
+        assert isinstance(a, np.ndarray) and a.shape == (4,)
+        assert not a.flags.writeable
 
     def test_orthogonal_pair_normal(self):
-        h = make_cn(e(0), e(1))
+        a = make_cn(e(0), e(1))
         s = math.sqrt(2) / 2
-        np.testing.assert_allclose(h.normal, [-s, s, 0, 0], atol=1e-15)
-        assert h.offset == 0.0
+        np.testing.assert_allclose(a, [-s, s, 0, 0], atol=1e-15)
 
     def test_geodesic_midpoint_on_boundary(self):
-        h = make_cn(e(0), e(1))
+        a = make_cn(e(0), e(1))
         mid = geodesic_combine(0.5, e(0), e(1))
-        assert abs(h.slack(mid)) <= 1e-12
+        assert abs(float(a.dot(mid.coords))) <= 1e-12
 
     def test_sign_agreement_with_metric_inequality(self):
         """Linear membership must match d(y,z) <= d(x,z) computed via arccos."""
@@ -114,8 +130,8 @@ class TestMakeCn:
             x = SpherePoint(pts[2 * k])
             y = SpherePoint(pts[2 * k + 1])
             z = SpherePoint(zs[k])
-            h = make_cn(x, y)
-            lin = h.slack(z)
+            a = make_cn(x, y)
+            lin = float(a.dot(z.coords))
             met = distance(x, z) - distance(y, z)
             if abs(lin) > 1e-10 and abs(met) > 1e-10:
                 assert (lin > 0) == (met > 0)
@@ -130,11 +146,11 @@ class TestCutEquivalenceProperty:
         pts = sample_cap(e(0).coords, 0.7, 2, rng)
         a, b = SpherePoint(pts[0]), SpherePoint(pts[1])
         z = SpherePoint(rng.standard_normal(4))
-        lin_c = make_cn(a, b).slack(z)
+        lin_c = float(make_cn(a, b).dot(z.coords))
         met_c = distance(a, z) - distance(b, z)
         if abs(lin_c) > 1e-10 and abs(met_c) > 1e-10:
             assert (lin_c > 0) == (met_c > 0)
-        lin_q = make_qn(a, b).slack(z)
+        lin_q = float(make_qn(a, b).dot(z.coords))
         met_q = (math.cos(distance(a, b)) * math.cos(distance(b, z))
                  - math.cos(distance(a, z)))
         if abs(lin_q) > 1e-10 and abs(met_q) > 1e-10:
@@ -143,18 +159,18 @@ class TestCutEquivalenceProperty:
 
 class TestMakeQn:
     def test_same_point_gives_trivial(self):
-        assert make_qn(e(0), e(0)).is_trivial
+        assert make_qn(e(0), e(0)) is None
 
     def test_orthogonal_anchor_normal(self):
         """cos d(x1,xn) = 0 reduces the condition to <x1, z> <= 0."""
-        h = make_qn(e(0), e(1))
-        np.testing.assert_allclose(h.normal, [-1, 0, 0, 0], atol=1e-15)
+        a = make_qn(e(0), e(1))
+        np.testing.assert_allclose(a, [-1, 0, 0, 0], atol=1e-15)
 
     def test_xn_on_boundary(self):
         rng = np.random.default_rng(11)
         pts = sample_cap(e(0).coords, 0.7, 4, rng)
         x1, xn = SpherePoint(pts[0]), SpherePoint(pts[1])
-        assert abs(make_qn(x1, xn).slack(xn)) <= 1e-12
+        assert abs(float(make_qn(x1, xn).dot(xn.coords))) <= 1e-12
 
     def test_sign_agreement_with_cosine_inequality(self):
         rng = np.random.default_rng(12)
@@ -165,8 +181,8 @@ class TestMakeQn:
             x1 = SpherePoint(pts[2 * k])
             xn = SpherePoint(pts[2 * k + 1])
             z = SpherePoint(zs[k])
-            h = make_qn(x1, xn)
-            lin = h.slack(z)
+            a = make_qn(x1, xn)
+            lin = float(a.dot(z.coords))
             met = (math.cos(distance(x1, xn)) * math.cos(distance(xn, z))
                    - math.cos(distance(x1, z)))
             if abs(lin) > 1e-10 and abs(met) > 1e-10:
@@ -335,23 +351,23 @@ class TestWarmStart:
 class TestIntersect:
     def test_trivial_halfspace_not_appended(self):
         r = Region.from_cap(e(0), 0.6)
-        r2 = intersect(r, (Halfspace.trivial(4),), e(0))
-        assert len(r2.linear) == len(r.linear)
+        r2 = intersect(r, (None,), e(0))
+        assert len(r2.normals) == len(r.normals)
 
     def test_appended_constraint_holds_for_witness(self):
         r = Region.from_cap(e(0), 0.6)
         h = Halfspace([0.0, 1.0, 0, 0], 0.0)
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
-        r2 = intersect(r, (h,), w)
+        r2 = intersect(r, (h.normal,), w)
         assert contains(r2, w, 1e-10)
-        assert len(r2.linear) == 1
+        assert len(r2.normals) == 1
 
     def test_infeasible_new_witness_rejected(self):
         r = Region.from_cap(e(0), 0.6)
         h = Halfspace([0.0, -1.0, 0, 0], 0.0)
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
         with pytest.raises(WitnessInfeasible):
-            intersect(r, (h,), w)
+            intersect(r, (h.normal,), w)
 
     def test_several_cuts_append_in_order(self):
         """One call appends every non-trivial cut in order, exactly as the
@@ -360,11 +376,11 @@ class TestIntersect:
         h1 = Halfspace([0.0, 1.0, 0.0, 0.0], 0.0)
         h2 = Halfspace([0.0, 0.3, 1.0, 0.0], 0.0)
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
-        r2 = intersect(r, (h1, Halfspace.trivial(4), h2), w)
+        r2 = intersect(r, (h1.normal, None, h2.normal), w)
         built = Region(r.cap, (h1, h2), w)
         assert r2.normals.tobytes() == built.normals.tobytes()
         assert r2.normals.shape == built.normals.shape
-        assert len(r2.linear) == 2
+        assert len(r2.normals) == 2
 
         w2 = SpherePoint([math.cos(0.1), 0.0, math.sin(0.1), 0.0])
         r3 = intersect(r2, (), w2)
@@ -375,7 +391,7 @@ class TestIntersect:
         bad = SpherePoint([math.cos(0.2), 0.1, -0.15, 0.0])
         assert h1.slack(bad) > 0.0 and r.cap.slack(bad) > 0.0 and h2.slack(bad) < 0.0
         with pytest.raises(WitnessInfeasible):
-            intersect(r, (h1, h2), bad)
+            intersect(r, (h1.normal, h2.normal), bad)
 
     def test_nested_regions_monotone(self):
         """Membership in a later region implies membership in every earlier one."""
@@ -387,7 +403,7 @@ class TestIntersect:
             a = rng.standard_normal(4)
             if a @ w.coords < 0:
                 a = -a
-            regions.append(intersect(regions[-1], (Halfspace(a, 0.0),), w))
+            regions.append(intersect(regions[-1], (Halfspace(a, 0.0).normal,), w))
         zs = rng.standard_normal((1000, 4))
         zs /= np.linalg.norm(zs, axis=1)[:, None]
         for row in zs:

@@ -9,19 +9,22 @@ The walks are the 3000-step two-rotation shrinking walk from the c05 anchor
 (20250801) and the 10,000-step single-rotation CQ walk from the c06 anchor
 (20250802), stepped through ``initial_state`` and ``shrink_step`` /
 ``cq_step`` for a fixed number of steps.  For each walk the script reports
-the wall time of the stepping, the mean solver sweeps per step, d(x_n, P_F
-x1) at the end, and a SHA-256 over the bytes of every iterate x_n: equal
-digests mean bitwise-equal iterates.  The machine's speed drifts between
-and during long walks, so each walk is bracketed by two reference slices of
-``Speed`` from ``perfbench/run.py``; ``speed_factor`` is their nominal over
-their mean time (above 1 when the machine is fast), and ``wall_s_corrected
-= wall_s * speed_factor`` is the wall time at nominal speed.
+the wall time of the steps alone, the mean solver sweeps per step, d(x_n,
+P_F x1) at the end, and a SHA-256 over the bytes of every iterate x_n:
+equal digests mean bitwise-equal iterates.  The machine's speed drifts
+between and during long walks, so reference slices of ``Speed`` from
+``perfbench/run.py`` run before and after each walk and, as in the
+benchmark's walks, between steps every ``SPEED_EVERY_S``, outside the timed
+span; ``speed_factor`` is their nominal over their mean time (above 1 when
+the machine is fast), and ``wall_s_corrected = wall_s * speed_factor`` is
+the wall time at nominal speed.
 
 With two trees, every measurement runs in a fresh child process, and the two
 trees alternate: each repeat (and each benchmark pair) runs both, with the
 order swapped on every other one, so that a drift of the machine's speed
 falls on both sides.  ``speedup_median`` compares the medians of the
-corrected walls; the raw walls and their medians are kept as well.  ``--pairs
+corrected walls; the raw walls and their medians are kept as well, and with
+``--repeats 0`` no walk runs and ``walks`` stays empty.  ``--pairs
 N`` also runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace
 0`` from the checkout around each tree for each of the four workloads and
 keeps its end-to-end metrics.  ``--out`` writes everything to one JSON file.
@@ -68,12 +71,14 @@ def walks(src: Path) -> dict:
         digest = hashlib.sha256()
         speed = Speed()
         speed.sample()
-        t0 = time.perf_counter()
         state = sp.initial_state(problem)
+        wall = 0.0
         for _ in range(steps):
+            t0 = time.perf_counter()
             state = step(problem, state)
+            wall += time.perf_counter() - t0
             digest.update(state.x_n.coords.tobytes())
-        wall = time.perf_counter() - t0
+            speed()
         speed.sample()
         factor = speed.factor()
         out[name] = {
@@ -126,7 +131,7 @@ def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
         "walks": {},
         "perfbench": {},
     }
-    for name in WALKS:
+    for name in WALKS if walk_runs else ():
         before = [p[0][name] for p in walk_runs]
         after = [p[1][name] for p in walk_runs]
         series = {key: {"before": [r[key] for r in before], "after": [r[key] for r in after]}
