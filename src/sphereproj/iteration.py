@@ -222,8 +222,10 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     keep their indices from step to step (fresh cut first, localization
     cut second).  A shrinking region only gains the fresh cut: if x_n
     violates it, the old optimum is cut off and the fresh cut must be
-    active at the new one, so the projection starts from that cut alone;
-    otherwise x_n is still optimal and its active cuts certify it.
+    active at the new one, so the projection starts from the old active
+    cuts plus the fresh cut, and the solver drops those whose multipliers
+    come out nonpositive; otherwise x_n is still optimal and its active
+    cuts certify it.
     """
     x_n, dist_n, res_n = state.x_n, state.dist_x1_xn, state.residuals
     if dist_n is None or res_n is None:
@@ -251,7 +253,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         )
     start = state.active_cuts
     if shrinking and cn is not None and float(cn.dot(x_n.coords)) < 0.0:
-        start = (len(region.normals) - 1,)
+        start += (len(region.normals) - 1,)
     x_new, stats = project(region, problem.x1, start)
     dist_new = distance(problem.x1, x_new)
     if dist_new < dist_n - FEJER_TOL:

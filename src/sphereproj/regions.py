@@ -25,7 +25,7 @@ in the test suite rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,14 +169,15 @@ class Region:
         return f"Region(cap_radius={self.cap_radius:.6g}, n_linear={len(self.normals)})"
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     """Projection solver effort and optimality certificate.
 
     sweeps counts KKT passes over every constraint (0 for a point already in
     the region); active_cuts are the indices of the cuts with a positive
     multiplier; cap_active tells whether the cap binds; kkt_residual is the
-    largest primal or complementarity violation of the returned point.
+    largest primal or complementarity violation of the returned point.  A
+    named tuple: immutable, compared field by field, and cheap to build once
+    per projection.
     """
 
     sweeps: int
@@ -260,62 +261,83 @@ class _CutCone:
     keeps the active set from cycling.  Sweeps count against one budget
     over every call.  The first call starts from the `start` cuts (indices
     outside the region's cuts are ignored) and each later call from the
-    previous call's active set, while that set stays valid: its own
-    multipliers must all come out positive, or the call starts cold.  The
-    start changes only the number of sweeps: the returned point is always
-    the solve on the final active set, in index order, and that set is the
-    optimum's active set whatever the start, barring cuts tight at the
-    optimum with a zero multiplier.
+    previous call's active set.  Before its first sweep a call solves on
+    that set, deactivates every cut whose multiplier comes out nonpositive
+    and solves again, until the multipliers are all positive or no cut is
+    left: the simplest form of block principal pivoting (Judice and Pires,
+    1994), which changes several active cuts at once.  The start changes
+    only the number of sweeps: the returned point is always the solve on
+    the final active set, in index order, and that set is the optimum's
+    active set whatever the start, barring cuts tight at the optimum with a
+    zero multiplier.
     """
 
     def __init__(self, normals: np.ndarray, start: tuple[int, ...] = ()):
         self.normals = normals
         self.sweeps = 0
         self.active = np.zeros(len(normals), dtype=bool)
-        self.active[[i for i in start if 0 <= i < len(normals)]] = True
+        if start:
+            self.active[[i for i in start if 0 <= i < len(normals)]] = True
 
-    def _solve(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Projection of b onto the subspace where every active cut is
-        tight, and the multipliers of the active cuts.
+    def _solve(self, b: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """Projection of b onto the subspace where the cuts idx (the active
+        ones, in index order) are tight, and their multipliers.
 
         The active normals are orthonormalized by Gram-Schmidt with one
         reorthogonalization pass ("twice is enough"), so the projection
         stays orthogonal to working precision however close to parallel
-        the cuts are; the multipliers come from back substitution.
+        the cuts are; the multipliers come from back substitution.  Every
+        product of two or more terms is one BLAS call; the triangular
+        factor and the one-term products are Python floats.
         """
-        q = self.normals[self.active]
+        q = self.normals[idx]
         k = len(q)
         r00 = math.sqrt(float(q[0].dot(q[0])))
         q[0] /= r00
         if k == 1:
             c = q.dot(b)
-            return b - c.dot(q), np.array([-float(c[0]) / r00])
-        r = np.zeros((k, k))
-        r[0, 0] = r00
+            return b - c.dot(q), [-float(c[0]) / r00]
+        diag = [r00]
+        rows = [[] for _ in range(k)]   # each row of the factor right of its diagonal
         for j in range(1, k):
-            v = q[j]
-            for _ in range(2):
-                c = q[:j].dot(v)
-                v -= c.dot(q[:j])
-                r[:j, j] += c
-            r[j, j] = math.sqrt(float(v.dot(v)))
-            v /= r[j, j]
+            v, head = q[j], q[:j]
+            c1 = head.dot(v)
+            v -= c1.dot(head)
+            c2 = head.dot(v)
+            v -= c2.dot(head)
+            for row, x, y in zip(rows, c1.tolist(), c2.tolist()):
+                # summed from zero, as accumulating into a zeroed factor would
+                row.append(0.0 + x + y)
+            diag.append(math.sqrt(float(v.dot(v))))
+            v /= diag[j]
         c = q.dot(b)
-        s = np.empty(k)
+        cs = c.tolist()
+        s = [0.0] * k
         for j in range(k - 1, -1, -1):
-            s[j] = (-c[j] - float(r[j, j + 1:].dot(s[j + 1:]))) / r[j, j]
+            row = rows[j]
+            if not row:
+                t = 0.0
+            elif len(row) == 1:
+                t = 0.0 + row[0] * s[j + 1]   # a dot sums from zero
+            else:
+                t = float(np.array(row).dot(np.array(s[j + 1:])))
+            s[j] = (-cs[j] - t) / diag[j]
         return b - c.dot(q), s
 
     def project(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, active = self.normals, self.active
         lam = np.zeros(len(a))
         z = b
-        if active.any():
-            z_warm, s = self._solve(b)
-            if s.min() > 0.0:
-                z, lam[active] = z_warm, s
-            else:
-                active[:] = False
+        # block pivoting: drop every cut of the start whose multiplier is
+        # nonpositive at once, until the rest are all positive
+        idx = active.nonzero()[0]
+        while len(idx):
+            z_warm, s = self._solve(b, idx)
+            if min(s) > 0.0:
+                z, lam[idx] = z_warm, s
+                break
+            active[idx[np.array(s) <= 0.0]] = False
+            idx = active.nonzero()[0]
         # cuts that may not enter: the active ones and those passed over
         blocked = active.copy()
         scale = math.sqrt(float(b.dot(b)))
@@ -335,15 +357,16 @@ class _CutCone:
             entering = True
             while True:
                 idx = active.nonzero()[0]
-                z_new, s = self._solve(b)
-                if s.min() > 0.0:
+                z_new, s = self._solve(b, idx)
+                if min(s) > 0.0:
                     z, lam[idx] = z_new, s
                     break
-                if entering and s[idx.searchsorted(t)] <= 0.0:
+                if entering and s[int(idx.searchsorted(t))] <= 0.0:
                     active[t] = False
                     break
                 entering = False
                 # step from lam toward s until the first multiplier hits zero
+                s = np.array(s)
                 cur = lam[idx]
                 neg = s <= 0.0
                 ratios = cur[neg] / (cur[neg] - s[neg])
@@ -372,7 +395,8 @@ def project(region: Region, x: SpherePoint,
     adjacent floats.  Points already in the region are returned unchanged
     with zero solver effort.  `start` names cuts expected to be active,
     such as the previous projection's `SolveStats.active_cuts`; it seeds
-    the active set and changes only `SolveStats.sweeps`, and indices
+    the active set, from which the solver first drops every cut with a
+    nonpositive multiplier, and changes only `SolveStats.sweeps`.  Indices
     outside the region's cuts are ignored.  Dykstra's alternating
     projections (Boyle & Dykstra, 1986) would avoid the dual, but their
     error shrinks per sweep only by a factor set by the angle between
@@ -423,8 +447,7 @@ def project(region: Region, x: SpherePoint,
     cap_slack = region.cap.slack(result)
     if cap_slack < -RESULT_TOL or not min_slack >= -RESULT_TOL:
         raise NoConvergence("projection result violates the region beyond tolerance")
-    active = lam > 0.0
-    kkt = max(0.0, -min_slack, float(np.abs(slack[active]).max(initial=0.0)),
+    active = (lam > 0.0).nonzero()[0]
+    kkt = max(0.0, -min_slack, max([abs(v) for v in slack[active].tolist()], default=0.0),
               abs(cap_slack) if mu > 0.0 else -cap_slack)
-    stats = SolveStats(cone.sweeps, tuple(active.nonzero()[0].tolist()), mu > 0.0, kkt)
-    return result, stats
+    return result, SolveStats(cone.sweeps, tuple(active.tolist()), mu > 0.0, kkt)

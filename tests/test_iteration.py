@@ -383,9 +383,10 @@ class TestWarmStart:
                     < sum(rec.solver_sweeps for rec in cold.trace))
 
     def test_shrinking_start_set(self, monkeypatch):
-        """A shrinking projection starts from the fresh cut alone when that
-        cut cuts x_n off, and from x_n's active cuts otherwise.  This walk
-        freezes near step 50, after which x_n satisfies every fresh cut."""
+        """A shrinking projection starts from x_n's active cuts plus the
+        fresh cut when that cut cuts x_n off, and from x_n's active cuts
+        otherwise.  This walk freezes near step 50, after which x_n
+        satisfies every fresh cut."""
         from sphereproj import iteration as it
 
         starts = []
@@ -405,7 +406,7 @@ class TestWarmStart:
             cut_off = a is not None and float(a.dot(s.x_n.coords)) < 0.0
             s = shrink_step(prob, s)
             m, start = starts[-1]
-            assert start == ((m - 1,) if cut_off else prev.active_cuts)
+            assert start == (prev.active_cuts + (m - 1,) if cut_off else prev.active_cuts)
             branches.add(cut_off)
         assert branches == {True, False}
 

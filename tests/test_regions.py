@@ -17,6 +17,7 @@ from sphereproj.geometry import (
 from sphereproj.regions import (
     Halfspace,
     Region,
+    _CutCone,
     contains,
     intersect,
     make_cn,
@@ -303,7 +304,9 @@ class TestWarmStart:
     """A start set seeds the solver's active set and changes only its sweep
     count.  In the region below the optimum has cut 0 active alone: x breaks
     cuts 0 and 1, projecting onto cut 0 also satisfies cut 1, and x already
-    satisfies cut 2."""
+    satisfies cut 2.  The solver drops every cut of a start whose multiplier
+    comes out nonpositive, and solves again on the rest, until all of them
+    are positive."""
 
     X = SpherePoint([-0.3, -0.1, 0.05, 0.95])
     CUTS = (Halfspace([1.0, 0, 0, 0]), Halfspace([1.0, -1.0, 0, 0]),
@@ -313,6 +316,7 @@ class TestWarmStart:
         "negative multiplier": (2,),   # x satisfies cut 2 strictly
         "non-binding cut": (1,),       # positive alone, then stepped back
         "mixed": (1, 2, 7),
+        "two dropped at once": (0, 1, 2),   # multipliers +, -, -
     }
 
     def region(self, radius):
@@ -325,6 +329,35 @@ class TestWarmStart:
         p_cold, cold = project(r, self.X)
         p, warm = project(r, self.X, self.STALE[name])
         assert cold.active_cuts == (0,) and cold.cap_active is cap_binds
+        assert p.coords.tobytes() == p_cold.coords.tobytes()
+        assert warm.active_cuts == cold.active_cuts
+        assert warm.cap_active == cold.cap_active
+        assert warm.kkt_residual == cold.kkt_residual
+
+    @pytest.mark.parametrize("radius, cap_binds", [(0.6, False), (0.4, True)])
+    def test_drops_in_rounds(self, radius, cap_binds, monkeypatch):
+        """A start whose first solve has two nonpositive multipliers, and
+        whose second solve, on the other two cuts, has one more: the solver
+        drops cuts 0 and 3, then cut 2, keeps cut 1 and still gives the cold
+        answer bit for bit.  At radius 0.4 the cap binds next to cut 1."""
+        cuts = [Halfspace(a) for a in ([-0.7, 0.6, -0.1, 0.7], [0.4, 0.8, -1.6, 0.4],
+                                       [-1.0, -0.2, -1.3, 0.1], [0.0, -0.3, -1.0, 0.5])]
+        r = Region(Halfspace.cap(e(3), radius), cuts, e(3))
+        x = SpherePoint([-0.33, -0.41, 0.07, 1.0])
+        p_cold, cold = project(r, x)
+        solves = []
+        real_solve = _CutCone._solve
+
+        def spy(cone, b, idx):
+            z, s = real_solve(cone, b, idx)
+            solves.append((tuple(idx.tolist()), [v > 0.0 for v in s]))
+            return z, s
+
+        monkeypatch.setattr(_CutCone, "_solve", spy)
+        p, warm = project(r, x, (0, 1, 2, 3))
+        assert solves[:3] == [((0, 1, 2, 3), [False, True, True, False]),
+                              ((1, 2), [True, False]), ((1,), [True])]
+        assert cold.active_cuts == (1,) and cold.cap_active is cap_binds
         assert p.coords.tobytes() == p_cold.coords.tobytes()
         assert warm.active_cuts == cold.active_cuts
         assert warm.cap_active == cold.cap_active

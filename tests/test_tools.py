@@ -1,5 +1,6 @@
 """The comparison scripts in tools/ must run against this checkout."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -17,3 +18,24 @@ def test_bench_walks_without_walks():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["walks"] == {} and report["perfbench"] == {}
+
+
+def test_projections_arithmetic_ignores_sweeps(monkeypatch):
+    # one more sweep per call moves `projections` and not its sweeps-free line
+    import sphereproj as sp
+
+    spec = importlib.util.spec_from_file_location("trace_digest", ROOT / "tools" / "trace_digest.py")
+    td = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(td)
+    monkeypatch.setattr(td, "PROJECTION_CALLS", 200)
+    before = td.projection_digest(sp)
+    real_project = sp.project
+
+    def one_more_sweep(region, x, start=()):
+        z, stats = real_project(region, x, start)
+        return z, stats._replace(sweeps=stats.sweeps + 1)
+
+    monkeypatch.setattr(sp, "project", one_more_sweep)
+    after = td.projection_digest(sp)
+    assert after.full.hexdigest() != before.full.hexdigest()
+    assert after.arithmetic.hexdigest() == before.arithmetic.hexdigest()

@@ -20,7 +20,7 @@ digest covers, in panel order:
   also lists two per-method summaries that ``compare`` does not write;
   those are hashed as ``<missing>``.
 
-Three digests are printed.  ``full`` covers all of the above.
+Four digests are printed.  ``full`` covers all of the above.
 ``arithmetic`` leaves out solver effort: the ``solver_sweeps`` record field,
 the last column of the CLI trace CSVs and the ``total_solver_sweeps`` lines
 of ``_compare.json``.  Equal ``arithmetic`` digests for two source trees mean
@@ -32,8 +32,11 @@ reaches: 4000 calls drawn from a fixed seed, in dimension 3 to 6, with 0 to
 6 cuts (some of them nearly parallel pairs), start sets that mix valid and
 past-the-end indices, and about a sixth of the calls with the cap binding,
 so that the cap's bisection runs.  Per call it hashes the returned point and
-every ``SolveStats`` field, or the error raised.  Floats are hashed by their
-exact hexadecimal form.
+every ``SolveStats`` field, or the error raised.  ``projections-arithmetic``
+hashes the same calls without ``sweeps``: the point, ``active_cuts``,
+``cap_active`` and ``kkt_residual``, or the error.  As ``arithmetic`` is for
+the walks, it is the line a change that only saves solver work must keep.
+Floats are hashed by their exact hexadecimal form.
 
 With two source trees, each is digested in its own child process, both sets
 of digests are printed, and a last line says ``identical: yes`` or
@@ -133,14 +136,15 @@ def _unit(v):
     return v / np.sqrt(v.dot(v))
 
 
-def projection_digest(sp) -> str:
-    """Digest of PROJECTION_CALLS seeded ``project`` calls.
+def projection_digest(sp) -> Digests:
+    """The ``projections`` digest of PROJECTION_CALLS seeded ``project``
+    calls, as ``full``, and its sweeps-free form, as ``arithmetic``.
 
     Every input is drawn before the call, and the draws never depend on a
     result, so two source trees see the same inputs.  The pole witnesses
     each region: every cut normal is turned to face it.
     """
-    h = hashlib.sha256()
+    h = Digests()
     rng = np.random.default_rng(PROJECTION_SEED)
     for _ in range(PROJECTION_CALLS):
         d = int(rng.integers(3, 7))
@@ -170,10 +174,11 @@ def projection_digest(sp) -> str:
         except sp.SphereProjError as e:
             h.update(f"{type(e).__name__}: {e}".encode())
             continue
-        h.update(z.coords.tobytes() + b"|" + _field(stats.sweeps) + b"|"
-                 + _field(stats.active_cuts) + b"|" + _field(stats.cap_active)
-                 + b"|" + _field(stats.kkt_residual))
-    return h.hexdigest()
+        point = z.coords.tobytes() + b"|"
+        certificate = (_field(stats.active_cuts) + b"|" + _field(stats.cap_active)
+                       + b"|" + _field(stats.kkt_residual))
+        h.update(point + _field(stats.sweeps) + b"|" + certificate, point + certificate)
+    return h
 
 
 def compare(srcs: list[Path]) -> int:
@@ -223,7 +228,9 @@ def main(argv=None) -> int:
             cli_digest(h, wl, inv, Path(tmp), i)
     print(f"full {h.full.hexdigest()}")
     print(f"arithmetic {h.arithmetic.hexdigest()}")
-    print(f"projections {projection_digest(sp)}")
+    p = projection_digest(sp)
+    print(f"projections {p.full.hexdigest()}")
+    print(f"projections-arithmetic {p.arithmetic.hexdigest()}")
     return 0
 
 
