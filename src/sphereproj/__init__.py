@@ -54,7 +54,6 @@ from .mappings import (
     RotationProduct,
     WMapping,
     common_fixed_basis,
-    fixed_set_basis,
     nearest_fixed_point,
     residuals,
 )
@@ -83,8 +82,8 @@ __all__ = [
     "TraceRecord", "cq_step", "fejer_audit", "initial_state", "iterate", "run",
     "shrink_step",
     "GeodesicContraction", "Identity", "MappingFamily", "PlaneRotation",
-    "RotationProduct", "WMapping", "common_fixed_basis", "fixed_set_basis",
-    "nearest_fixed_point", "residuals",
+    "RotationProduct", "WMapping", "common_fixed_basis", "nearest_fixed_point",
+    "residuals",
     "Halfspace", "Region", "SolveStats", "contains", "intersect", "make_cn",
     "make_qn", "project",
     "__version__",

@@ -86,9 +86,10 @@ class Problem:
 
     known_fixed_set is an orthonormal basis (columns) of the common fixed
     subspace, used for oracle checks and as the region witness.  Passing
-    "auto" (the default) derives it in closed form when every mapping is
-    linear and leaves it absent otherwise; an explicit set must be a finite
-    (dim, k) array with orthonormal columns (ValueError otherwise).
+    "auto" (the default) derives it from the maps' apply on the axes they
+    move when every mapping is linear and leaves it absent otherwise; an
+    explicit set must be a finite (dim, k) array with orthonormal columns
+    (ValueError otherwise).
     cap_region is the bare cap, witnessed by the known fixed point or else
     by x1: the initial region, to which each CQ step appends its cuts.
     """

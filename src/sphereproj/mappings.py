@@ -2,11 +2,12 @@
 
 The certified zoo consists of linear isometries: plane rotations, products
 of plane rotations, and the identity.  For these, nonexpansiveness is exact,
-fixed-point sets are null spaces computable in closed form, and invariance
-of a cap follows whenever the cap pole is fixed.  A geodesic contraction
-toward a target point is available as an experimental mapping: it is
-quasinonexpansive but not an isometry, so the convergence guarantees of the
-iteration drivers are not certified for it.
+fixed-point sets are null spaces, read from apply on the axes the maps move
+(every other axis is fixed as it stands), and invariance of a cap follows
+whenever the cap pole is fixed.  apply is the only description of a map.
+A geodesic contraction toward a target point is available as an
+experimental mapping: it is quasinonexpansive but not an isometry, so the
+convergence guarantees of the iteration drivers are not certified for it.
 
 A family (T_1..T_r, alpha_1..alpha_r) combines into a single self-mapping by
 the staged recursion
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import SpherePoint, distance, geodesic_combine, sample_cap
+from .geometry import SpherePoint, basis_point, distance, geodesic_combine, sample_cap
 
 # Row remainders below this (relative) threshold count as zero when
 # extracting fixed subspaces.
@@ -45,9 +46,6 @@ class Identity:
 
     def apply(self, x: SpherePoint) -> SpherePoint:
         return x
-
-    def matrix(self, dim: int) -> np.ndarray:
-        return np.eye(dim)
 
     def __repr__(self) -> str:
         return "Identity()"
@@ -88,16 +86,6 @@ class PlaneRotation:
         v[self.axis_j] = self._sin * vi + self._cos * vj
         return SpherePoint._wrap(v)
 
-    def matrix(self, dim: int) -> np.ndarray:
-        if dim <= self.axis_j:
-            raise ValueError("dimension too small for the rotation plane")
-        m = np.eye(dim)
-        m[self.axis_i, self.axis_i] = self._cos
-        m[self.axis_j, self.axis_j] = self._cos
-        m[self.axis_i, self.axis_j] = -self._sin
-        m[self.axis_j, self.axis_i] = self._sin
-        return m
-
     def __repr__(self) -> str:
         return f"PlaneRotation({self.axis_i}, {self.axis_j}, {self.angle})"
 
@@ -121,12 +109,6 @@ class RotationProduct:
         for f in self.factors:
             x = f.apply(x)
         return x
-
-    def matrix(self, dim: int) -> np.ndarray:
-        m = np.eye(dim)
-        for f in self.factors:
-            m = f.matrix(dim) @ m
-        return m
 
     def __repr__(self) -> str:
         return f"RotationProduct({list(self.factors)})"
@@ -156,24 +138,30 @@ class GeodesicContraction:
         return f"GeodesicContraction(weight={self.weight})"
 
 
-def fixed_set_basis(T, dim: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the fixed subspace {v : Tv = v}.
-
-    Only defined for linear mappings; the fixed point set on the sphere is
-    the unit sphere of the returned subspace, the null space of
-    (matrix - identity).
-    """
-    return common_fixed_basis([T], dim)
-
-
 def common_fixed_basis(maps: Sequence, dim: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the intersection of fixed subspaces."""
-    blocks = []
+    """Orthonormal basis (columns) of the intersection of fixed subspaces.
+
+    Only defined for linear maps (TypeError otherwise), and each is read
+    only through apply: row j of its moves is T(e_j) - e_j.  An axis that
+    no map moves is fixed as it stands and enters the basis unchanged, in
+    index order; the null space of the stacked moves, taken on the moved
+    axes alone, follows.
+    """
+    axes = [basis_point(j, dim) for j in range(dim)]
+    moves = []
     for T in maps:
         if not getattr(T, "is_linear", False):
             raise TypeError(f"{T!r} is not linear; cannot derive a fixed basis")
-        blocks.append(T.matrix(dim) - np.eye(dim))
-    return _null_space(np.vstack(blocks)) if blocks else np.eye(dim)
+        moves.append(np.array([T.apply(a).coords - a.coords for a in axes]))
+    moved = np.any([m.any(axis=1) for m in moves], axis=0)
+    if not moved.any():
+        return np.eye(dim)
+    still, shifted = np.flatnonzero(~moved), np.flatnonzero(moved)
+    null = _null_space(np.vstack([m[shifted].T for m in moves]))
+    basis = np.zeros((dim, len(still) + null.shape[1]))
+    basis[still, np.arange(len(still))] = 1.0
+    basis[shifted, len(still):] = null
+    return basis
 
 
 def nearest_fixed_point(basis: np.ndarray, x: SpherePoint) -> SpherePoint | None:
@@ -198,7 +186,7 @@ def _null_space(m: np.ndarray) -> np.ndarray:
     space, stopping once no remaining row exceeds NULLSPACE_TOL times the
     largest row norm; the coordinate axes, with that span projected out,
     complete it the same way.  Plain numpy rather than an SVD: the
-    matrices are small isometry differences, and keeping LAPACK unloaded
+    matrices have one column per moved axis, and keeping LAPACK unloaded
     saves about 1 MB of resident memory in every process that builds a
     Problem.
     """

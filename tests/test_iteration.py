@@ -41,6 +41,22 @@ def make_problem(x1, family=None):
     return Problem(4, POLE, RHO, family or two_rotation_family(), x1)
 
 
+class TestHighDimension:
+    def test_embedded_two_rotation_problem(self):
+        """The two-rotation family embedded in d = 1024: the fixed set is
+        every axis from e3 on, and both methods step on it."""
+        dim = 1024
+        pole = basis_point(3, dim)
+        x1 = random_point_in_cap(pole, RHO, 20250801)
+        prob = Problem(dim, pole, RHO, two_rotation_family(), x1)
+        assert np.array_equal(prob.known_fixed_set, np.eye(dim)[:, 3:])
+        for stepper in (cq_step, shrink_step):
+            s = initial_state(prob)
+            for _ in range(10):
+                s = stepper(prob, s)
+            assert s.n == 11
+
+
 class TestProblemValidation:
     def test_x1_outside_cap_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from sphereproj.mappings import (
     RotationProduct,
     WMapping,
     common_fixed_basis,
-    fixed_set_basis,
     nearest_fixed_point,
     residuals,
 )
@@ -53,15 +52,6 @@ class TestApplyMap:
         img = rp.apply(e(0))
         np.testing.assert_allclose(img.coords, e(2).coords, atol=1e-15)
 
-    def test_matrix_matches_apply(self):
-        rng = np.random.default_rng(20)
-        rp = RotationProduct([PlaneRotation(0, 1, 0.8), PlaneRotation(1, 3, -0.4)])
-        m = rp.matrix(4)
-        for _ in range(50):
-            x = SpherePoint(rng.standard_normal(4))
-            np.testing.assert_allclose(rp.apply(x).coords, m @ x.coords,
-                                       atol=1e-14)
-
     def test_isometry_random_pairs(self):
         """Rotations preserve the metric exactly, hence are nonexpansive."""
         rng = np.random.default_rng(21)
@@ -91,18 +81,18 @@ class TestOneStageQuasinonexpansive:
 
 class TestFixedSetBasis:
     def test_plane_rotation_complement(self):
-        b = fixed_set_basis(PlaneRotation(0, 1, 0.7), 4)
+        b = common_fixed_basis([PlaneRotation(0, 1, 0.7)], 4)
         assert b.shape == (4, 2)
         np.testing.assert_allclose(b.T @ b, np.eye(2), atol=1e-14)
         # span must be exactly coords 2 and 3
         assert np.allclose(b[0], 0) and np.allclose(b[1], 0)
 
     def test_identity_full_basis(self):
-        b = fixed_set_basis(Identity(), 4)
+        b = common_fixed_basis([Identity()], 4)
         assert b.shape == (4, 4)
 
     def test_zero_angle_rotation_full_basis(self):
-        b = fixed_set_basis(PlaneRotation(0, 1, 0.0), 4)
+        b = common_fixed_basis([PlaneRotation(0, 1, 0.0)], 4)
         assert b.shape == (4, 4)
 
     def test_composition_basis(self):
@@ -110,10 +100,11 @@ class TestFixedSetBasis:
         element on coords 0..2, which always has a rotation axis (Euler), so
         the fixed subspace is two-dimensional: span{axis, e3}."""
         rp = RotationProduct([PlaneRotation(0, 1, 0.7), PlaneRotation(0, 2, 0.4)])
-        b = fixed_set_basis(rp, 4)
+        b = common_fixed_basis([rp], 4)
         assert b.shape == (4, 2)
-        m = rp.matrix(4)
-        np.testing.assert_allclose(m @ b, b, atol=1e-12)
+        for col in b.T:
+            np.testing.assert_allclose(rp.apply(SpherePoint(col)).coords, col,
+                                       atol=1e-12)
         np.testing.assert_allclose(b.T @ b, np.eye(2), atol=1e-12)
         # e3 lies in the span
         proj = b @ (b.T @ np.array([0.0, 0, 0, 1]))
@@ -121,21 +112,62 @@ class TestFixedSetBasis:
 
     def test_nonlinear_rejected(self):
         with pytest.raises(TypeError):
-            fixed_set_basis(GeodesicContraction(e(0), 0.5), 4)
+            common_fixed_basis([GeodesicContraction(e(0), 0.5)], 4)
 
     def test_common_fixed_basis_pair(self):
         b = common_fixed_basis([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)], 4)
         assert b.shape == (4, 1)
         np.testing.assert_allclose(np.abs(b[:, 0]), [0, 0, 0, 1], atol=1e-12)
 
+    def test_agrees_with_svd_null_space(self):
+        """Seeded families of 1 to 3 maps in d = 4..8: b b^T is the projector
+        onto the SVD null space of the stacked T - I, each T - I read from
+        apply on the axes, and every column is fixed by every map."""
+        rng = np.random.default_rng(27)
+
+        def rotation(dim):
+            i, j = sorted(rng.choice(dim, 2, replace=False).tolist())
+            return PlaneRotation(i, j, float(rng.uniform(-math.pi, math.pi)))
+
+        def draw(dim):
+            kind = int(rng.integers(5))
+            if kind == 0:
+                return rotation(dim)
+            if kind == 1:
+                return RotationProduct([rotation(dim) for _ in range(int(rng.integers(2, 4)))])
+            if kind == 2:
+                return Identity()
+            if kind == 3:
+                return PlaneRotation(0, int(rng.integers(1, dim)), 0.0)
+            theta = float(rng.uniform(0.1, 3.0))
+            return RotationProduct([PlaneRotation(0, 1, theta), PlaneRotation(0, 1, -theta)])
+
+        for _ in range(200):
+            dim = int(rng.integers(4, 9))
+            maps = [draw(dim) for _ in range(int(rng.integers(1, 4)))]
+            b = common_fixed_basis(maps, dim)
+            axes = [e(j, dim) for j in range(dim)]
+            stacked = np.vstack([np.array([T.apply(a).coords - a.coords for a in axes]).T
+                                 for T in maps])
+            _, sv, vt = np.linalg.svd(stacked)
+            null = vt[int((sv > 1e-8).sum()):].T
+            np.testing.assert_allclose(b @ b.T, null @ null.T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b.T @ b, np.eye(b.shape[1]), rtol=0, atol=1e-12)
+            for T in maps:
+                for col in b.T:
+                    np.testing.assert_allclose(T.apply(SpherePoint(col)).coords, col,
+                                               rtol=0, atol=1e-12)
+            with pytest.raises(ValueError):
+                common_fixed_basis(maps + [PlaneRotation(1, dim, 0.3)], dim)
+
     def test_nearest_fixed_point(self):
-        b = fixed_set_basis(PlaneRotation(0, 1, 0.7), 4)
+        b = common_fixed_basis([PlaneRotation(0, 1, 0.7)], 4)
         x = SpherePoint([0.6, 0.0, 0.8, 0.0])
         p = nearest_fixed_point(b, x)
         np.testing.assert_allclose(p.coords, [0, 0, 1, 0], atol=1e-12)
 
     def test_nearest_fixed_point_orthogonal_returns_none(self):
-        b = fixed_set_basis(PlaneRotation(0, 1, 0.7), 4)
+        b = common_fixed_basis([PlaneRotation(0, 1, 0.7)], 4)
         assert nearest_fixed_point(b, e(0)) is None
 
 
