@@ -47,7 +47,6 @@ from .iteration import (
     shrink_step,
 )
 from .mappings import (
-    GeodesicContraction,
     Identity,
     MappingFamily,
     PlaneRotation,
@@ -81,9 +80,8 @@ __all__ = [
     "IterationState", "Problem", "StopReason", "StopRule", "Trace",
     "TraceRecord", "cq_step", "fejer_audit", "initial_state", "iterate", "run",
     "shrink_step",
-    "GeodesicContraction", "Identity", "MappingFamily", "PlaneRotation",
-    "RotationProduct", "WMapping", "common_fixed_basis", "nearest_fixed_point",
-    "residuals",
+    "Identity", "MappingFamily", "PlaneRotation", "RotationProduct",
+    "WMapping", "common_fixed_basis", "nearest_fixed_point", "residuals",
     "Halfspace", "Region", "SolveStats", "contains", "intersect", "make_cn",
     "make_qn", "project",
     "__version__",

@@ -235,10 +235,9 @@ def _summarize(problem: Problem, method: str, final: SpherePoint, trace: Trace,
         "final_point": [float(c) for c in final.coords],
         "final_residuals": [float(v) for v in residuals(problem.family, final)],
     }
-    if problem.known_fixed_set is not None:
-        pf = nearest_fixed_point(problem.known_fixed_set, problem.x1)
-        if pf is not None and distance(pf, problem.cap_pole) <= problem.cap_radius + 1e-9:
-            summary["dist_to_known_PF"] = distance(final, pf)
+    pf = nearest_fixed_point(problem.known_fixed_set, problem.x1)
+    if pf is not None and distance(pf, problem.cap_pole) <= problem.cap_radius + 1e-9:
+        summary["dist_to_known_PF"] = distance(final, pf)
     return summary
 
 

@@ -12,8 +12,8 @@ region with `intersect`, and projects the anchor onto the result:
 
 Every step records diagnostics and enforces the observable invariants the
 convergence arguments provide, each with one check where it is established:
-any known common fixed point satisfies every generated constraint (it is the
-region's witness, which the region checks on construction), and the
+the known common fixed point satisfies every generated constraint (it is
+the region's witness, which the region checks on construction), and the
 anchored distance d(x1, x_n) never decreases (compared when x_{n+1} is
 computed).  `iterate` yields the state after each step; `run` and any other
 caller loop over it.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityViolated, MonotonicityViolated, SphereProjError, WitnessInfeasible
-from .geometry import SpherePoint, distance, geodesic_combine
+from .geometry import SpherePoint, distance
 from .mappings import MappingFamily, WMapping, common_fixed_basis, nearest_fixed_point, residuals
 from .regions import Halfspace, Region, intersect, make_cn, make_qn, project
 
@@ -85,13 +85,12 @@ class Problem:
     """A cap-constrained common-fixed-point problem.
 
     known_fixed_set is an orthonormal basis (columns) of the common fixed
-    subspace, used for oracle checks and as the region witness.  Passing
-    "auto" (the default) derives it from the maps' apply on the axes they
-    move when every mapping is linear and leaves it absent otherwise; an
-    explicit set must be a finite (dim, k) array with orthonormal columns
-    (ValueError otherwise).
-    cap_region is the bare cap, witnessed by the known fixed point or else
-    by x1: the initial region, to which each CQ step appends its cuts.
+    subspace, used for oracle checks and as the region witness.  None (the
+    default) derives it with `common_fixed_basis`; an explicit set must be
+    a finite (dim, k) array with orthonormal columns (ValueError otherwise).
+    fixed_rep, its point nearest the cap pole, must lie in the cap
+    (ValueError otherwise).  cap_region is the bare cap, witnessed by
+    fixed_rep: the initial region, to which each CQ step appends its cuts.
     """
 
     __slots__ = ("dim", "cap_pole", "cap_radius", "family", "x1",
@@ -99,7 +98,7 @@ class Problem:
 
     def __init__(self, dim: int, cap_pole: SpherePoint, cap_radius: float,
                  family: MappingFamily, x1: SpherePoint,
-                 known_fixed_set="auto"):
+                 known_fixed_set=None):
         if cap_pole.dim != dim or x1.dim != dim:
             raise ValueError("cap pole and start point must match the ambient dimension")
         cap = Halfspace.cap(cap_pole, cap_radius)
@@ -107,21 +106,13 @@ class Problem:
             raise ValueError("x1 must lie in the ambient cap")
         family.check_preserves_cap(cap_pole, cap_radius)
 
-        if isinstance(known_fixed_set, str) and known_fixed_set == "auto":
-            if all(getattr(T, "is_linear", False) for T in family.maps):
-                known_fixed_set = common_fixed_basis(family.maps, dim)
-            else:
-                known_fixed_set = None
-        elif known_fixed_set is not None:
-            known_fixed_set = _checked_basis(known_fixed_set, dim)
-        if known_fixed_set is not None:
-            rep = nearest_fixed_point(known_fixed_set, cap_pole)
-            if rep is None or distance(rep, cap_pole) > cap_radius + 1e-9:
-                raise ValueError(
-                    "the common fixed set does not meet the ambient cap"
-                )
+        if known_fixed_set is None:
+            known_fixed_set = common_fixed_basis(family.maps, dim)
         else:
-            rep = None
+            known_fixed_set = _checked_basis(known_fixed_set, dim)
+        rep = nearest_fixed_point(known_fixed_set, cap_pole)
+        if rep is None or distance(rep, cap_pole) > cap_radius + 1e-9:
+            raise ValueError("the common fixed set does not meet the ambient cap")
 
         self.dim = dim
         self.cap_pole = cap_pole
@@ -130,7 +121,7 @@ class Problem:
         self.x1 = x1
         self.known_fixed_set = known_fixed_set
         self.fixed_rep = rep
-        self.cap_region = Region(cap, (), rep if rep is not None else x1)
+        self.cap_region = Region(cap, (), rep)
         self._w = WMapping(family)
 
     def __repr__(self) -> str:
@@ -189,35 +180,19 @@ def initial_state(problem: Problem) -> IterationState:
                           residuals(problem.family, problem.x1))
 
 
-def _witnesses(problem: Problem, state: IterationState, y: SpherePoint):
-    """Candidate feasibility witnesses for the next region, in order.
-
-    A known common fixed point is the only candidate: the convergence
-    arguments put the fixed set inside every cut, so if it fails the run
-    has found a wrong fixed set.  Without one, try points that satisfy the
-    fresh cut by construction: the previous witness, the staged average y
-    (slack 1 - cos d(x,y) >= 0), and the cut boundary midpoint, computed
-    only when it is reached.
-    """
-    if problem.fixed_rep is not None:
-        yield problem.fixed_rep
-        return
-    yield state.region.witness
-    yield y
-    yield geodesic_combine(0.5, state.x_n, y)
-
-
 def _step(problem: Problem, state: IterationState, shrinking: bool) -> IterationState:
     """The step kernel of both methods; `shrinking` selects the cut policy.
 
     One `intersect` call builds the region from the cut normals: CQ appends
     the fresh cut and the localization cut through x_n to the bare cap,
     shrinking appends the fresh cut to the accumulated region.  The region
-    is built around the first candidate witness that its own check accepts,
-    which is where fixed-point containment is checked; the projection then
-    must not decrease d(x1, x_n), and the record is written.  d(x1, x_{n+1})
-    and the residuals at x_{n+1} are computed once and carried in the new
-    state, and so are the projection's active cuts.
+    is built around the problem's known fixed point, which is where
+    fixed-point containment is checked: the convergence arguments put the
+    fixed set inside every cut, so a violation means a wrong fixed set and
+    raises FeasibilityViolated.  The projection then must not decrease
+    d(x1, x_n), and the record is written.  d(x1, x_{n+1}) and the
+    residuals at x_{n+1} are computed once and carried in the new state,
+    and so are the projection's active cuts.
 
     The projection starts from the previous step's active cuts.  CQ cuts
     keep their indices from step to step (fresh cut first, localization
@@ -237,21 +212,12 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         base, cuts = state.region, (cn,)
     else:
         base, cuts = problem.cap_region, (cn, make_qn(problem.x1, x_n))
-    for witness in _witnesses(problem, state, y):
-        try:
-            region = intersect(base, cuts, witness)
-            break
-        except WitnessInfeasible:
-            pass
-    else:
-        if problem.fixed_rep is not None:
-            raise FeasibilityViolated(
-                f"iteration {state.n}: known fixed point violates a generated cut"
-            )
-        raise WitnessInfeasible(
-            "no feasibility witness available; provide a known fixed set or use "
-            "certified isometries"
-        )
+    try:
+        region = intersect(base, cuts, problem.fixed_rep)
+    except WitnessInfeasible:
+        raise FeasibilityViolated(
+            f"iteration {state.n}: known fixed point violates a generated cut"
+        ) from None
     start = state.active_cuts
     if shrinking and cn is not None and float(cn.dot(x_n.coords)) < 0.0:
         start += (len(region.normals) - 1,)

@@ -4,10 +4,9 @@ The certified zoo consists of linear isometries: plane rotations, products
 of plane rotations, and the identity.  For these, nonexpansiveness is exact,
 fixed-point sets are null spaces, read from apply on the axes the maps move
 (every other axis is fixed as it stands), and invariance of a cap follows
-whenever the cap pole is fixed.  apply is the only description of a map.
-A geodesic contraction toward a target point is available as an
-experimental mapping: it is quasinonexpansive but not an isometry, so the
-convergence guarantees of the iteration drivers are not certified for it.
+whenever the cap pole is fixed.  apply is the only description of a map,
+and is_linear is the one certification marker: a family admits only
+members that carry it, so every problem has a known common fixed set.
 
 A family (T_1..T_r, alpha_1..alpha_r) combines into a single self-mapping by
 the staged recursion
@@ -114,50 +113,34 @@ class RotationProduct:
         return f"RotationProduct({list(self.factors)})"
 
 
-class GeodesicContraction:
-    """Experimental: x -> weight * target (+) (1 - weight) * x.
-
-    Quasinonexpansive with fixed point set {target}, but not an isometry;
-    families containing it must opt in via allow_experimental.
-    """
-
-    is_linear = False
-
-    __slots__ = ("target", "weight")
-
-    def __init__(self, target: SpherePoint, weight: float):
-        if not 0.0 < weight < 1.0:
-            raise ValueError("contraction weight must be in (0, 1)")
-        self.target = target
-        self.weight = float(weight)
-
-    def apply(self, x: SpherePoint) -> SpherePoint:
-        return geodesic_combine(self.weight, self.target, x)
-
-    def __repr__(self) -> str:
-        return f"GeodesicContraction(weight={self.weight})"
-
-
 def common_fixed_basis(maps: Sequence, dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the intersection of fixed subspaces.
 
     Only defined for linear maps (TypeError otherwise), and each is read
-    only through apply: row j of its moves is T(e_j) - e_j.  An axis that
-    no map moves is fixed as it stands and enters the basis unchanged, in
-    index order; the null space of the stacked moves, taken on the moved
-    axes alone, follows.
+    only through apply: row j of its moves is T(e_j) - e_j, built one axis
+    at a time and kept only where it is nonzero.  An axis that no map moves
+    is fixed as it stands and enters the basis unchanged, in index order;
+    the null space of the stacked moves, taken on the moved axes alone,
+    follows.
     """
-    axes = [basis_point(j, dim) for j in range(dim)]
-    moves = []
     for T in maps:
         if not getattr(T, "is_linear", False):
             raise TypeError(f"{T!r} is not linear; cannot derive a fixed basis")
-        moves.append(np.array([T.apply(a).coords - a.coords for a in axes]))
-    moved = np.any([m.any(axis=1) for m in moves], axis=0)
-    if not moved.any():
+    moves = [{} for _ in maps]
+    for j in range(dim):
+        axis = basis_point(j, dim)
+        for T, rows in zip(maps, moves):
+            row = T.apply(axis).coords - axis.coords
+            if row.any():
+                rows[j] = row
+    moved = set().union(*moves)
+    if not moved:
         return np.eye(dim)
-    still, shifted = np.flatnonzero(~moved), np.flatnonzero(moved)
-    null = _null_space(np.vstack([m[shifted].T for m in moves]))
+    still = [j for j in range(dim) if j not in moved]
+    shifted = sorted(moved)
+    zero = np.zeros(dim)
+    null = _null_space(np.vstack([np.array([rows.get(j, zero) for j in shifted]).T
+                                  for rows in moves]))
     basis = np.zeros((dim, len(still) + null.shape[1]))
     basis[still, np.arange(len(still))] = 1.0
     basis[shifted, len(still):] = null
@@ -224,29 +207,26 @@ class MappingFamily:
     alphas holds the base weight row (each in the open interval (0, 1), so
     some margin [a, 1-a] with 0 < a < 1/2 contains them all); an optional
     schedule callback supplies a per-iteration row and is validated on use.
-    Non-isometric members require allow_experimental=True.
+    Every member must be a certified isometry (is_linear set; ValueError
+    otherwise).
     """
 
-    __slots__ = ("maps", "alphas", "schedule", "allow_experimental")
+    __slots__ = ("maps", "alphas", "schedule")
 
     def __init__(self, maps: Sequence, alphas: Sequence[float] | None = None,
-                 schedule: Callable[[int], Sequence[float]] | None = None,
-                 allow_experimental: bool = False):
+                 schedule: Callable[[int], Sequence[float]] | None = None):
         maps = tuple(maps)
         if not maps:
             raise ValueError("a mapping family needs at least one mapping")
         for T in maps:
-            if not getattr(T, "is_linear", False) and not allow_experimental:
-                raise ValueError(
-                    f"{T!r} is not a certified isometry; pass allow_experimental=True"
-                )
+            if not getattr(T, "is_linear", False):
+                raise ValueError(f"{T!r} is not a certified isometry")
         if alphas is None:
             alphas = (0.5,) * len(maps)
         alphas = self._check_row(tuple(float(a) for a in alphas), len(maps))
         self.maps = maps
         self.alphas = alphas
         self.schedule = schedule
-        self.allow_experimental = allow_experimental
 
     @staticmethod
     def _check_row(row: tuple[float, ...], r: int) -> tuple[float, ...]:

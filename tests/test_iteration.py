@@ -21,7 +21,6 @@ from sphereproj.iteration import (
     shrink_step,
 )
 from sphereproj.mappings import (
-    GeodesicContraction,
     MappingFamily,
     PlaneRotation,
     residuals,
@@ -108,10 +107,15 @@ class TestProblemValidation:
         p = Problem(4, pole, RHO, fam, pole, known_fixed_set=np.eye(4)[:, 2:])
         np.testing.assert_allclose(p.fixed_rep.coords, pole.coords, atol=1e-15)
 
-    def test_experimental_family_has_no_fixed_set(self):
-        fam = MappingFamily([GeodesicContraction(POLE, 0.5)], allow_experimental=True)
-        p = Problem(4, POLE, RHO, fam, POLE)
-        assert p.known_fixed_set is None and p.fixed_rep is None
+    def test_none_fixed_set_is_the_default(self):
+        """known_fixed_set=None derives the same basis and fixed point as
+        leaving it out, bit for bit."""
+        x1 = random_point_in_cap(POLE, RHO, 3)
+        default = make_problem(x1)
+        derived = Problem(4, POLE, RHO, two_rotation_family(), x1, known_fixed_set=None)
+        assert derived.known_fixed_set.tobytes() == default.known_fixed_set.tobytes()
+        assert derived.known_fixed_set.shape == default.known_fixed_set.shape
+        assert derived.fixed_rep.coords.tobytes() == default.fixed_rep.coords.tobytes()
 
 
 class TestInitialState:
@@ -121,14 +125,6 @@ class TestInitialState:
         assert s.region is p.cap_region
         assert s.region.witness is p.fixed_rep
         assert s.region.normals.shape == (0, 4)
-
-    def test_witness_is_x1_without_fixed_set(self):
-        fam = MappingFamily([GeodesicContraction(POLE, 0.5)], allow_experimental=True)
-        x1 = random_point_in_cap(POLE, RHO, 7)
-        p = Problem(4, POLE, RHO, fam, x1)
-        s = initial_state(p)
-        assert s.region is p.cap_region
-        assert s.region.witness is x1
 
 
 class TestStationaryStart:
@@ -279,30 +275,6 @@ class TestRun:
         assert reason is StopReason.CONVERGED
         assert fejer_audit(trace)
         assert rows[: len(trace)] == list(range(1, len(trace) + 1))
-
-    def test_fallback_witness_without_known_fixed_set(self):
-        """Experimental mappings run on the non-certified witness chain."""
-        fam = MappingFamily([GeodesicContraction(POLE, 0.5)], allow_experimental=True)
-        x1 = random_point_in_cap(POLE, RHO, 7)
-        prob = Problem(4, POLE, RHO, fam, x1)
-        x, trace, reason = run(prob, "cq", StopRule(1e-6, 1e-6, 40))
-        assert reason is StopReason.ITERATION_CAP
-        assert fejer_audit(trace)
-        assert distance(x, POLE) < distance(x1, POLE)
-
-    def test_shrinking_fallback_witness_lies_in_its_region(self):
-        """Without a known fixed set, the shrinking method picks each witness
-        against every inherited cut as well as the fresh one."""
-        fam = MappingFamily([GeodesicContraction(POLE, 0.5)], allow_experimental=True)
-        x1 = random_point_in_cap(POLE, RHO, 7)
-        prob = Problem(4, POLE, RHO, fam, x1)
-        assert prob.fixed_rep is None
-        s = initial_state(prob)
-        for _ in range(60):
-            s = shrink_step(prob, s)
-            assert contains(s.region, s.region.witness, 1e-10)
-        assert len(s.region.normals) == 60
-        assert fejer_audit(s.trace)
 
 
 class TestCachedFields:

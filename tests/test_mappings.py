@@ -1,6 +1,7 @@
 """Tests for the mapping zoo and staged geodesic averaging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from sphereproj.geometry import (
     sample_cap,
 )
 from sphereproj.mappings import (
-    GeodesicContraction,
     Identity,
     MappingFamily,
     PlaneRotation,
@@ -27,6 +27,13 @@ from sphereproj.mappings import (
 
 def e(i, dim=4):
     return basis_point(i, dim)
+
+
+class Uncertified:
+    """A map with apply but no is_linear marker."""
+
+    def apply(self, x):
+        return x
 
 
 class TestApplyMap:
@@ -112,7 +119,7 @@ class TestFixedSetBasis:
 
     def test_nonlinear_rejected(self):
         with pytest.raises(TypeError):
-            common_fixed_basis([GeodesicContraction(e(0), 0.5)], 4)
+            common_fixed_basis([Uncertified()], 4)
 
     def test_common_fixed_basis_pair(self):
         b = common_fixed_basis([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)], 4)
@@ -160,6 +167,20 @@ class TestFixedSetBasis:
             with pytest.raises(ValueError):
                 common_fixed_basis(maps + [PlaneRotation(1, dim, 0.3)], dim)
 
+    def test_memory_at_high_dimension(self):
+        """The two-rotation family at d = 1024: only the moved rows of each
+        map are held, so the peak is about the returned d x (d - 3) basis
+        (8.4 MB) and not r dense d x d arrays of moves."""
+        maps = [PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)]
+        tracemalloc.start()
+        try:
+            b = common_fixed_basis(maps, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(b, np.eye(1024)[:, 3:])
+        assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_nearest_fixed_point(self):
         b = common_fixed_basis([PlaneRotation(0, 1, 0.7)], 4)
         x = SpherePoint([0.6, 0.0, 0.8, 0.0])
@@ -185,11 +206,11 @@ class TestMappingFamily:
             MappingFamily([Identity()], alphas=[1.0])
 
     def test_experimental_gate(self):
-        contraction = GeodesicContraction(e(0), 0.5)
-        with pytest.raises(ValueError):
-            MappingFamily([contraction])
-        fam = MappingFamily([contraction], allow_experimental=True)
-        assert fam.r == 1
+        """Only certified isometries join a family, and there is no opt-out."""
+        with pytest.raises(ValueError, match="not a certified isometry"):
+            MappingFamily([Identity(), Uncertified()])
+        with pytest.raises(TypeError):
+            MappingFamily([Uncertified()], allow_experimental=True)
 
     def test_schedule_rows_validated(self):
         fam = MappingFamily([Identity()], schedule=lambda n: [1.0 / (n + 1)])

@@ -39,3 +39,17 @@ def test_projections_arithmetic_ignores_sweeps(monkeypatch):
     after = td.projection_digest(sp)
     assert after.full.hexdigest() != before.full.hexdigest()
     assert after.arithmetic.hexdigest() == before.arithmetic.hexdigest()
+
+
+def test_trace_digest_same_tree_twice():
+    # two fresh processes on one tree: the same walks, CLI bytes and projections
+    src = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "trace_digest.py"), src, src],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "identical: yes"
+    names = ["full", "arithmetic", "projections", "projections-arithmetic"]
+    digests = [line.split() for line in lines if line.startswith("  ")]
+    assert [d[0] for d in digests] == names * 2
+    assert digests[:4] == digests[4:]
