@@ -18,8 +18,9 @@ class WitnessInfeasible(SphereProjError):
 
 
 class EmptyOrDegenerate(SphereProjError):
-    """Cone projection collapsed to the zero vector; the query point is a
-    quarter turn or more away from the region, which indicates corrupted state."""
+    """A projection's query point is not finite, or its cone projection
+    collapsed to the zero vector (the query is a quarter turn or more away
+    from the region); either indicates corrupted state."""
 
 
 class NoConvergence(SphereProjError):

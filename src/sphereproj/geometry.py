@@ -108,7 +108,7 @@ def geodesic_combine(alpha: float, x: SpherePoint, y: SpherePoint) -> SpherePoin
         return x
     if alpha == 0.0:
         return y
-    c = inner(x, y)
+    c = float(x.coords.dot(y.coords))
     if c <= -1.0 + ANTIPODAL_TOL:
         raise AntipodalPoints("no unique geodesic between antipodal points")
     if c >= 1.0:

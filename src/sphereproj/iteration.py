@@ -25,6 +25,7 @@ import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +67,9 @@ class StopRule:
         return None
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """Diagnostics for the step taking x_n to x_{n+1}."""
+class TraceRecord(NamedTuple):
+    """Diagnostics for the step taking x_n to x_{n+1}; a named tuple, as
+    `SolveStats` is, since one is built per step."""
 
     n: int
     dist_x1_xn: float
@@ -145,21 +146,24 @@ def _checked_basis(basis, dim: int) -> np.ndarray:
 class IterationState:
     """Immutable snapshot after n-1 steps: the current iterate, the last
     staged average, the region used for the last projection, the trace,
-    and the two per-iterate quantities every step reads: d(x1, x_n) and the
-    mapping residuals at x_n.  `initial_state` and the step functions fill
-    them; a state built without them gets them computed by its next step.
-    `active_cuts` holds the active cuts of the projection that gave x_n,
-    from which the next projection starts; a state built without them
-    starts that projection cold, which costs sweeps but changes no iterate.
+    and the per-iterate quantities every step reads: d(x1, x_n), the
+    mapping residuals at x_n and the images T_i x_n they are measured
+    from, which the next W-map's first stage reuses.  `initial_state` and
+    the step functions fill them; a state built without them gets them
+    computed by its next step.  `active_cuts` holds the active cuts of the
+    projection that gave x_n, from which the next projection starts; a
+    state built without them starts that projection cold, which costs
+    sweeps but changes no iterate.
     """
 
     __slots__ = ("n", "x_n", "y_n", "region", "trace", "dist_x1_xn", "residuals",
-                 "active_cuts")
+                 "active_cuts", "images")
 
     def __init__(self, n: int, x_n: SpherePoint, y_n: SpherePoint | None,
                  region: Region, trace: Trace, dist_x1_xn: float | None = None,
                  residuals: np.ndarray | None = None,
-                 active_cuts: tuple[int, ...] = ()):
+                 active_cuts: tuple[int, ...] = (),
+                 images: tuple[SpherePoint, ...] | None = None):
         self.n = n
         self.x_n = x_n
         self.y_n = y_n
@@ -168,6 +172,7 @@ class IterationState:
         self.dist_x1_xn = dist_x1_xn
         self.residuals = residuals
         self.active_cuts = active_cuts
+        self.images = images
 
     def __repr__(self) -> str:
         return f"IterationState(n={self.n})"
@@ -175,9 +180,10 @@ class IterationState:
 
 def initial_state(problem: Problem) -> IterationState:
     """State at n = 1: the iterate is the anchor, the region is the bare cap."""
-    return IterationState(1, problem.x1, None, problem.cap_region, (),
-                          distance(problem.x1, problem.x1),
-                          residuals(problem.family, problem.x1))
+    x1 = problem.x1
+    images = tuple([T.apply(x1) for T in problem.family.maps])
+    return IterationState(1, x1, None, problem.cap_region, (), distance(x1, x1),
+                          residuals(problem.family, x1, images), (), images)
 
 
 def _step(problem: Problem, state: IterationState, shrinking: bool) -> IterationState:
@@ -190,9 +196,10 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     fixed-point containment is checked: the convergence arguments put the
     fixed set inside every cut, so a violation means a wrong fixed set and
     raises FeasibilityViolated.  The projection then must not decrease
-    d(x1, x_n), and the record is written.  d(x1, x_{n+1}) and the
-    residuals at x_{n+1} are computed once and carried in the new state,
-    and so are the projection's active cuts.
+    d(x1, x_n), and the record is written.  d(x1, x_{n+1}), the images
+    T_i x_{n+1} and the residuals measured from them are computed once and
+    carried in the new state, and so are the projection's active cuts; the
+    next W-map takes T_1 x_{n+1} from the images.
 
     The projection starts from the previous step's active cuts.  CQ cuts
     keep their indices from step to step (fresh cut first, localization
@@ -203,10 +210,10 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     come out nonpositive; otherwise x_n is still optimal and its active
     cuts certify it.
     """
-    x_n, dist_n, res_n = state.x_n, state.dist_x1_xn, state.residuals
+    x_n, dist_n, res_n, images = state.x_n, state.dist_x1_xn, state.residuals, state.images
     if dist_n is None or res_n is None:
-        dist_n, res_n = distance(problem.x1, x_n), residuals(problem.family, x_n)
-    y = problem._w.apply(x_n, state.n)
+        dist_n, res_n = distance(problem.x1, x_n), residuals(problem.family, x_n, images)
+    y = problem._w.apply(x_n, state.n, images)
     cn = make_cn(x_n, y)
     if shrinking:
         base, cuts = state.region, (cn,)
@@ -225,16 +232,11 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     dist_new = distance(problem.x1, x_new)
     if dist_new < dist_n - FEJER_TOL:
         raise MonotonicityViolated(f"iteration {state.n}: d(x1, x_n) decreased")
-    rec = TraceRecord(
-        n=state.n,
-        dist_x1_xn=dist_n,
-        step_len=distance(x_n, x_new),
-        residuals=tuple(res_n),
-        constraint_count=len(region.normals),
-        solver_sweeps=stats.sweeps,
-    )
-    return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,),
-                          dist_new, residuals(problem.family, x_new), stats.active_cuts)
+    rec = TraceRecord(state.n, dist_n, distance(x_n, x_new), tuple(res_n),
+                      len(region.normals), stats.sweeps)
+    images = tuple([T.apply(x_new) for T in problem.family.maps])
+    return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,), dist_new,
+                          residuals(problem.family, x_new, images), stats.active_cuts, images)
 
 
 def cq_step(problem: Problem, state: IterationState) -> IterationState:

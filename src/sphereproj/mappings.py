@@ -79,8 +79,8 @@ class PlaneRotation:
                 f"rotation plane ({self.axis_i},{self.axis_j}) needs dim > {self.axis_j}"
             )
         v = x.coords.copy()
-        vi = v[self.axis_i]
-        vj = v[self.axis_j]
+        vi = v.item(self.axis_i)
+        vj = v.item(self.axis_j)
         v[self.axis_i] = self._cos * vi - self._sin * vj
         v[self.axis_j] = self._sin * vi + self._cos * vj
         return SpherePoint._wrap(v)
@@ -282,13 +282,28 @@ class WMapping:
             out.append(u)
         return tuple(out)
 
-    def apply(self, x: SpherePoint, n: int = 1) -> SpherePoint:
-        return self.stages(x, n)[-1]
+    def apply(self, x: SpherePoint, n: int = 1,
+              images: Sequence[SpherePoint] | None = None) -> SpherePoint:
+        """u_r at iteration n, the W value.  `images`, when given, holds
+        T_i x for each member in order (as `residuals` takes them); the
+        first stage reads T_1 x from it instead of applying T_1 again."""
+        maps = self.family.maps
+        alphas = self.family.alphas_at(n)
+        u = geodesic_combine(alphas[0], maps[0].apply(x) if images is None else images[0], x)
+        for T, a in zip(maps[1:], alphas[1:]):
+            u = geodesic_combine(a, T.apply(u), x)
+        return u
 
     def __repr__(self) -> str:
         return f"WMapping({self.family!r})"
 
 
-def residuals(family: MappingFamily, x: SpherePoint) -> np.ndarray:
-    """Displacements d(T_i x, x) for each family member, in order."""
-    return np.array([distance(T.apply(x), x) for T in family.maps])
+def residuals(family: MappingFamily, x: SpherePoint,
+              images: Sequence[SpherePoint] | None = None) -> np.ndarray:
+    """Displacements d(T_i x, x) for each family member, in order.
+
+    `images` holds the T_i x when the caller has them already; otherwise
+    they are computed here."""
+    if images is None:
+        images = [T.apply(x) for T in family.maps]
+    return np.array([distance(img, x) for img in images])

@@ -49,19 +49,52 @@ def _tangent_frame(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _ring(a: float, h: float) -> np.ndarray:
+    """The ring at polar angle a around e_z, sampled at arc step <= h."""
+    m = max(4, int(math.ceil(2.0 * math.pi * math.sin(a) / h)))
+    b = 2.0 * math.pi * np.arange(m) / m
+    return np.column_stack((math.sin(a) * np.cos(b), math.sin(a) * np.sin(b),
+                            np.full(m, math.cos(a))))
+
+
+# Per resolution h: the center e_z and the rings at polar angles h, 2h, ...
+# stacked as unit rows, and the row at which each ring starts.  Every grid
+# of resolution h shares them; only the frame and the last ring differ.
+_RINGS: dict[float, tuple[np.ndarray, list[int]]] = {}
+
+
+def _canonical_rings(h: float, count: int) -> np.ndarray:
+    """The center and rings 1 .. count - 1 of resolution h around e_z,
+    extending the cached stack when it holds fewer rings."""
+    rows, starts = _RINGS.get(h, (np.array([[0.0, 0.0, 1.0]]), [0, 1]))
+    if len(starts) <= count:
+        new = [_ring(k * h, h) for k in range(len(starts) - 1, count)]
+        for ring in new:
+            starts.append(starts[-1] + len(ring))
+        new = np.vstack(new)
+        new /= np.linalg.norm(new, axis=1)[:, None]
+        rows = np.vstack((rows, new))
+        rows.setflags(write=False)
+        _RINGS[h] = rows, starts
+    return rows[:starts[count]]
+
+
 def _cap_grid(c: np.ndarray, rho: float, h: float) -> np.ndarray:
+    """The center c, the rings at polar angles h, 2h, ... below rho and a
+    last ring at exactly rho: the canonical rings turned into the frame
+    (u, v, c), then the rho ring.  That ring lies on the cap boundary, so it
+    is computed in the frame directly and normalized: turning a canonical
+    ring moves its last bits, which flips some of its points across the
+    boundary and moved brute-force optima by up to 2.4e-4."""
     u, v = _tangent_frame(c)
-    rows = [c.copy()]
-    n_rings = int(math.ceil(rho / h))
-    for k in range(1, n_rings + 1):
-        a = min(k * h, rho)
-        m = max(4, int(math.ceil(2.0 * math.pi * math.sin(a) / h)))
-        b = 2.0 * math.pi * np.arange(m) / m
-        ring = (math.cos(a) * c
-                + math.sin(a) * (np.cos(b)[:, None] * u + np.sin(b)[:, None] * v))
-        rows.append(ring)
-    pts = np.vstack([r.reshape(-1, 3) for r in rows])
-    return pts / np.linalg.norm(pts, axis=1)[:, None]
+    inner = _canonical_rings(h, int(math.ceil(rho / h)))
+    m = max(4, int(math.ceil(2.0 * math.pi * math.sin(rho) / h)))
+    b = 2.0 * math.pi * np.arange(m) / m
+    edge = math.cos(rho) * c + math.sin(rho) * (np.cos(b)[:, None] * u + np.sin(b)[:, None] * v)
+    pts = np.empty((len(inner) + m, 3))
+    np.matmul(inner, np.array([u, v, c]), out=pts[:len(inner)])
+    pts[len(inner):] = edge / np.linalg.norm(edge, axis=1)[:, None]
+    return pts
 
 
 def _feasible_mask(pts: np.ndarray, region: Region) -> np.ndarray:

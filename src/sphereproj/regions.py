@@ -134,14 +134,20 @@ class Region:
         normals = np.array(rows, dtype=float).reshape(len(rows), cap.normal.size)
         self._set(cap, normals, witness)
 
-    def _set(self, cap: Halfspace, normals: np.ndarray, witness: SpherePoint) -> None:
+    def _set(self, cap: Halfspace, normals: np.ndarray, witness: SpherePoint,
+             unchecked: np.ndarray | None = None) -> None:
         # shared with `intersect`, which passes the normals already stacked
+        # and, when the witness is known to satisfy the cap and every other
+        # row, the rows left to check as `unchecked`
         normals.setflags(write=False)
         self.cap = cap
         self.normals = normals
         self.witness = witness
-        bad = min(cap.slack(witness),
-                  float(normals.dot(witness.coords).min(initial=math.inf)))
+        if unchecked is None:
+            bad = min(cap.slack(witness),
+                      float(normals.dot(witness.coords).min(initial=math.inf)))
+        else:
+            bad = float(unchecked.dot(witness.coords).min(initial=math.inf))
         # written as `not bad >= -tol` so that a NaN witness is rejected too
         if not bad >= -WITNESS_TOL:
             raise WitnessInfeasible(
@@ -191,7 +197,7 @@ def contains(region: Region, z: SpherePoint, tol: float) -> bool:
     # written as `not tol >= 0` so that NaN is rejected too
     if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
-    if region.cap.slack(z) < -tol:
+    if not region.cap.slack(z) >= -tol:
         return False
     return bool((region.normals.dot(z.coords) >= -tol).all())
 
@@ -235,13 +241,21 @@ def intersect(region: Region, cuts, new_witness: SpherePoint) -> Region:
 
     Every step of both methods builds its region this way.  The new witness
     must satisfy all the cuts and existing constraints with slack >= -1e-10
-    (WitnessInfeasible otherwise; one product checks them all).  None is no
-    cut and is not appended, so constraint counts only grow for real cuts.
+    (WitnessInfeasible otherwise; one product checks them all).  When the
+    new witness is the region's own, it already satisfies the cap and the
+    existing cuts, so only the fresh cuts are checked.  None is no cut and
+    is not appended, so constraint counts only grow for real cuts.
     """
     fresh = [a for a in cuts if a is not None]
-    normals = np.concatenate((region.normals, fresh)) if fresh else region.normals
+    old = region.normals
+    if not fresh:
+        normals, rows = old, old[:0]
+    else:
+        rows = np.array(fresh)
+        normals = np.concatenate((old, rows)) if len(old) else rows
     out = Region.__new__(Region)
-    out._set(region.cap, normals, new_witness)
+    out._set(region.cap, normals, new_witness,
+             rows if new_witness is region.witness else None)
     return out
 
 
@@ -405,49 +419,57 @@ def project(region: Region, x: SpherePoint,
 
     Raises NoConvergence if SOLVER_MAX_SWEEPS KKT sweeps pass without one that
     certifies optimality, or if the result violates the region beyond
-    RESULT_TOL; raises EmptyOrDegenerate if the cone projection collapses to
-    zero (x at least a quarter turn from the region, which the cap invariant
-    excludes for every query the iteration methods make).
+    RESULT_TOL; raises EmptyOrDegenerate if x is not finite or the cone
+    projection collapses to zero (x at least a quarter turn from the region,
+    which the cap invariant excludes for every query the iteration methods
+    make).
     """
-    if contains(region, x, 0.0):
-        return x, SolveStats(0)
-
     pole = region.cap.normal
     cos_r = region.cap.offset
     normals = region.normals
+    xc = x.coords
+    # the test of `contains` at tol = 0, inline; a NaN or infinite query
+    # has a non-finite cap slack and is never taken for a member
+    cap_slack = float(pole.dot(xc)) - cos_r
+    if not math.isfinite(cap_slack):
+        raise EmptyOrDegenerate("query point is not finite")
+    if cap_slack >= 0.0 and (normals.dot(xc) >= 0.0).all():
+        return x, SolveStats(0)
     cone = _CutCone(normals, start)
 
-    def solve(mu):
-        z, lam = cone.project(x.coords + mu * pole)
+    def solve(b):
+        z, lam = cone.project(b)
         norm = math.sqrt(float(z.dot(z)))
         return float(pole.dot(z)) - cos_r * norm, z, lam, norm
 
     mu = 0.0
-    cap_gap, z, lam, n = solve(mu)
+    cap_gap, z, lam, n = solve(xc)
     if cap_gap < 0.0:
         lo, hi = 0.0, 1.0
-        cap_gap, z, lam, n = solve(hi)
+        cap_gap, z, lam, n = solve(xc + hi * pole)
         while cap_gap < 0.0 and hi < MAX_CAP_MULTIPLIER:
             lo, hi = hi, 2.0 * hi
-            cap_gap, z, lam, n = solve(hi)
+            cap_gap, z, lam, n = solve(xc + hi * pole)
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            mid_gap, z_mid, lam_mid, n_mid = solve(mid)
+            mid_gap, z_mid, lam_mid, n_mid = solve(xc + mid * pole)
             if mid_gap >= 0.0:
                 hi, cap_gap, z, lam, n = mid, mid_gap, z_mid, lam_mid, n_mid
             else:
                 lo = mid
         mu = hi
 
-    if n <= 0.0 or float(x.coords.dot(z)) <= 1e-9 * n:
+    # written as `not a > b` so that NaN fails
+    if not n > 0.0 or not float(xc.dot(z)) > 1e-9 * n:
         raise EmptyOrDegenerate("cone projection collapsed to the zero vector")
-    result = SpherePoint._wrap(z / n)
-    slack = normals.dot(result.coords)
+    rc = z / n
+    slack = normals.dot(rc)
     min_slack = float(slack.min(initial=0.0))
-    cap_slack = region.cap.slack(result)
-    if cap_slack < -RESULT_TOL or not min_slack >= -RESULT_TOL:
+    cap_slack = float(pole.dot(rc)) - cos_r
+    if not cap_slack >= -RESULT_TOL or not min_slack >= -RESULT_TOL:
         raise NoConvergence("projection result violates the region beyond tolerance")
-    active = (lam > 0.0).nonzero()[0]
-    kkt = max(0.0, -min_slack, max([abs(v) for v in slack[active].tolist()], default=0.0),
+    # numpy scans every cut, Python only the active ones
+    active = (lam > 0.0).nonzero()[0].tolist()
+    kkt = max(0.0, -min_slack, max([abs(slack.item(i)) for i in active], default=0.0),
               abs(cap_slack) if mu > 0.0 else -cap_slack)
-    return result, SolveStats(cone.sweeps, tuple(active.tolist()), mu > 0.0, kkt)
+    return SpherePoint._wrap(rc), SolveStats(cone.sweeps, tuple(active), mu > 0.0, kkt)

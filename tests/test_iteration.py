@@ -1,7 +1,6 @@
 """Tests for the CQ and shrinking iteration drivers."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,9 +305,9 @@ class TestCachedFields:
         calls = {"n": 0}
         real = it.residuals
 
-        def counted(family, x):
+        def counted(family, x, images=None):
             calls["n"] += 1
-            return real(family, x)
+            return real(family, x, images)
 
         monkeypatch.setattr(it, "residuals", counted)
         prob = make_problem(random_point_in_cap(POLE, RHO, 15))
@@ -328,9 +327,34 @@ class TestCachedFields:
         assert _without_sweeps(a.trace) == _without_sweeps(b.trace)
         assert a.trace[-1].solver_sweeps <= b.trace[-1].solver_sweeps
 
+    @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
+    def test_carried_images_are_the_maps_applied(self, stepper):
+        """The images the state carries are T_i x_n, byte for byte."""
+        prob = make_problem(random_point_in_cap(POLE, RHO, 17))
+        s = initial_state(prob)
+        for _ in range(6):
+            assert [img.coords.tobytes() for img in s.images] == \
+                [T.apply(s.x_n).coords.tobytes() for T in prob.family.maps]
+            s = stepper(prob, s)
+
+    @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
+    def test_positional_five_field_state_steps_to_the_same_bytes(self, stepper):
+        """A state built from its first five fields alone, as outside
+        callers build one, steps to the same iterate and record bytes."""
+        prob = make_problem(random_point_in_cap(POLE, RHO, 18))
+        s = stepper(prob, stepper(prob, initial_state(prob)))
+        bare = IterationState(s.n, s.x_n, s.y_n, s.region, s.trace)
+        assert bare.images is None
+        a, b = stepper(prob, s), stepper(prob, bare)
+        assert a.x_n.coords.tobytes() == b.x_n.coords.tobytes()
+        assert a.y_n.coords.tobytes() == b.y_n.coords.tobytes()
+        assert repr(_without_sweeps(a.trace)) == repr(_without_sweeps(b.trace))
+        assert [img.coords.tobytes() for img in a.images] == \
+            [img.coords.tobytes() for img in b.images]
+
 
 def _without_sweeps(trace):
-    return [replace(rec, solver_sweeps=0) for rec in trace]
+    return [rec._replace(solver_sweeps=0) for rec in trace]
 
 
 def single_rotation_problem(anchor):

@@ -254,6 +254,10 @@ class TestWMapping:
             stages = w.stages(x)
             np.testing.assert_allclose(stages[0].coords, u1.coords, atol=1e-14)
             np.testing.assert_allclose(stages[1].coords, u2.coords, atol=1e-14)
+            # apply, with or without T_1 x given, is the last stage bit for bit
+            assert w.apply(x).coords.tobytes() == stages[-1].coords.tobytes()
+            assert w.apply(x, 1, (t1.apply(x), t2.apply(x))).coords.tobytes() == \
+                stages[-1].coords.tobytes()
 
     def test_fixed_points_are_exactly_common_fixed_points(self):
         """Points fixed by the staged average are the family's common fixed

@@ -77,6 +77,13 @@ class TestRegionAndContains:
         with pytest.raises(WitnessInfeasible):
             Region(Halfspace.cap(e(0), 0.6), (), SpherePoint._wrap(np.full(4, np.nan)))
 
+    @pytest.mark.parametrize("cuts", [(), (Halfspace([1.0, 0, 0, 0]),)])
+    def test_nan_point_not_contained(self, cuts):
+        # with no cuts only the cap test can reject it
+        r = Region(Halfspace.cap(e(0), 0.6), cuts, e(0))
+        z = SpherePoint._wrap(np.array([1.0, math.nan, 0.0, 0.0]))
+        assert not contains(r, z, 1e-10)
+
     @pytest.mark.parametrize("tol", [-1e-3, math.nan])
     def test_negative_or_nan_tolerance_rejected(self, tol):
         r = Region.from_cap(e(3), 0.6)
@@ -274,6 +281,17 @@ class TestProject:
         with pytest.raises(EmptyOrDegenerate):
             project(r, SpherePoint(-e(0).coords))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("cuts, start", [((), ()), ((Halfspace([0, 1.0, 0, 0]),), (0,))])
+    def test_non_finite_query_raises(self, bad, cuts, start):
+        """A NaN or infinite query is never returned as a member, nor left
+        to the solver: it raises a typed error."""
+        r = Region(Halfspace.cap(e(0), 0.6), cuts, e(0))
+        x = SpherePoint._wrap(np.array([1.0, bad, 0.0, 0.0]))
+        with pytest.raises(EmptyOrDegenerate):
+            project(r, x, start)
+
     def test_sweep_budget_exhaustion_raises(self, monkeypatch):
         """Exhausting the sweep budget surfaces as NoConvergence."""
         monkeypatch.setattr("sphereproj.regions.SOLVER_MAX_SWEEPS", 1)
@@ -425,6 +443,34 @@ class TestIntersect:
         assert h1.slack(bad) > 0.0 and r.cap.slack(bad) > 0.0 and h2.slack(bad) < 0.0
         with pytest.raises(WitnessInfeasible):
             intersect(r, (h1.normal, h2.normal), bad)
+
+    def test_own_witness_checked_against_fresh_cuts(self):
+        """Keeping the region's witness skips only the checks it has
+        passed: a fresh cut that excludes it still raises."""
+        w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
+        r = intersect(Region.from_cap(e(0), 0.6), (Halfspace([0.0, 1.0, 0, 0]).normal,), w)
+        ok = Halfspace([0.0, 0.0, 1.0, 0.0]).normal
+        assert intersect(r, (ok,), r.witness).normals.tobytes() == \
+            Region(r.cap, (Halfspace(r.normals[0]), Halfspace(ok)), w).normals.tobytes()
+        with pytest.raises(WitnessInfeasible):
+            intersect(r, (ok, Halfspace([0.0, -1.0, 0.5, 0]).normal), r.witness)
+
+    def test_other_witness_rechecks_old_cuts(self):
+        """A witness other than the region's own is checked against the
+        cap and every old cut, not only the fresh ones."""
+        w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
+        r = intersect(Region.from_cap(e(0), 0.6), (Halfspace([0.0, 1.0, 0, 0]).normal,), w)
+        fresh = Halfspace([0.0, 0.0, 1.0, 0.0]).normal
+        # satisfies the fresh cut, violates the old one
+        other = SpherePoint([math.cos(0.2), -0.1, 0.1, 0.0])
+        with pytest.raises(WitnessInfeasible):
+            intersect(r, (fresh,), other)
+        # satisfies both cuts, lies outside the cap
+        outside = SpherePoint([math.cos(0.8), 0.0, math.sin(0.8), 0.0])
+        with pytest.raises(WitnessInfeasible):
+            intersect(r, (fresh,), outside)
+        with pytest.raises(WitnessInfeasible):
+            intersect(r, (), outside)
 
     def test_nested_regions_monotone(self):
         """Membership in a later region implies membership in every earlier one."""

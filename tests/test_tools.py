@@ -20,6 +20,30 @@ def test_bench_walks_without_walks():
     assert report["walks"] == {} and report["perfbench"] == {}
 
 
+def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
+    # each copy is its own package, and both step the same iterates
+    spec = importlib.util.spec_from_file_location("bench_walks", ROOT / "tools" / "bench_walks.py")
+    bw = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bw)
+    monkeypatch.setattr(bw, "WALKS", {"cq": ("two-rotation", 20250801, "cq", 120),
+                                      "shrinking": ("single-rotation", 20250802, "shrinking", 120)})
+    monkeypatch.setattr(bw, "WARMUP_STEPS", 10)
+    before = set(sys.modules)
+    try:
+        walks = bw.compare_walks([ROOT / "src", ROOT / "src"], 2)
+        a, b = sys.modules["sphereproj_a"], sys.modules["sphereproj_b"]
+        assert a.cq_step is not b.cq_step
+        assert sys.modules["sphereproj_b_workloads"].sp is b
+    finally:
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
+    assert list(walks) == ["cq", "shrinking"]
+    for w in walks.values():
+        assert w["xn_identical"]
+        assert len(w["wall_s"]["before"]) == len(w["wall_s"]["after"]) == 2
+        assert w["speedup"] > 0.0
+
+
 def test_projections_arithmetic_ignores_sweeps(monkeypatch):
     # one more sweep per call moves `projections` and not its sweeps-free line
     import sphereproj as sp

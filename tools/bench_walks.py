@@ -1,39 +1,46 @@
 #!/usr/bin/env python3
-"""Time two long walks, and optionally the benchmark, on one or two source trees.
+"""Time three long walks, and optionally the benchmark, on one or two source trees.
 
     python3 tools/bench_walks.py src                       # one tree: print its walks
-    python3 tools/bench_walks.py OLD/src NEW/src --repeats 3 --pairs 3 \\
-        --out BENCH_warm_start.json                        # before/after file
+    python3 tools/bench_walks.py OLD/src NEW/src --repeats 5 --pairs 10 \\
+        --out BENCH_lean_step.json                         # before/after file
 
-The walks are the 3000-step two-rotation shrinking walk from the c05 anchor
-(20250801) and the 10,000-step single-rotation CQ walk from the c06 anchor
-(20250802), stepped through ``initial_state`` and ``shrink_step`` /
-``cq_step`` for a fixed number of steps.  For each walk the script reports
-the wall time of the steps alone, the mean solver sweeps per step, d(x_n,
-P_F x1) at the end, and a SHA-256 over the bytes of every iterate x_n:
-equal digests mean bitwise-equal iterates.  The machine's speed drifts
-between and during long walks, so reference slices of ``Speed`` from
-``perfbench/run.py`` run before and after each walk and, as in the
-benchmark's walks, between steps every ``SPEED_EVERY_S``, outside the timed
-span; ``speed_factor`` is their nominal over their mean time (above 1 when
-the machine is fast), and ``wall_s_corrected = wall_s * speed_factor`` is
-the wall time at nominal speed.
+The walks are the 3000-step two-rotation shrinking walk and the 10,000-step
+two-rotation CQ walk from the c05 anchor (20250801), and the 10,000-step
+single-rotation CQ walk from the c06 anchor (20250802), stepped through
+``initial_state`` and ``shrink_step`` / ``cq_step`` for a fixed number of
+steps.  For each walk the script reports the wall time of the steps alone,
+the mean solver sweeps per step, d(x_n, P_F x1) at the end, and a SHA-256
+over the bytes of every iterate x_n: equal digests mean bitwise-equal
+iterates.
 
-With two trees, every measurement runs in a fresh child process, and the two
-trees alternate: each repeat (and each benchmark pair) runs both, with the
-order swapped on every other one, so that a drift of the machine's speed
-falls on both sides.  ``speedup_median`` compares the medians of the
-corrected walls; the raw walls and their medians are kept as well, and with
-``--repeats 0`` no walk runs and ``walks`` stays empty.  ``--pairs
-N`` also runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace
-0`` from the checkout around each tree for each of the four workloads and
-keeps its end-to-end metrics.  ``--out`` writes everything to one JSON file.
+With two trees, both are imported into one process, each under a package
+name of its own (``sphereproj_a`` and ``sphereproj_b``; the package uses
+only relative imports), together with a copy of ``perfbench/workloads.py``
+bound to it, which builds its problems.  Every walk first runs a few
+hundred untimed steps on both trees.  Then each repeat runs every walk on
+both trees side by side: the two take turns for ``SLICE_STEPS`` steps at a
+time, the first turn alternating, so that a drift of the machine's speed
+falls on both alike.  (Whole walks in turn do not suffice: one walk's wall
+moves by up to 15 % from one run to the next on an idle 2-core machine.)
+``speedup`` is the summed wall of the first tree over that of the second,
+above 1 when the second is faster; the per-repeat walls are kept as well.
+One tree given twice reads 1.00 within a few percent: one repeat's ratio
+still moves by a few percent (0.96 to 1.08 seen for one tree against
+itself), which the sum over the repeats averages out.  With ``--repeats 0`` no walk runs and ``walks`` stays
+empty.  ``--pairs N`` also runs
+``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` from the
+checkout around each tree for each of the four workloads, in child
+processes alternating in the same way, and keeps its end-to-end metrics.
+``--out`` writes everything to one JSON file.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -46,48 +53,126 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WALKS = {
     "two-rotation/shrinking 3000": ("two-rotation", 20250801, "shrinking", 3000),
+    "two-rotation/cq 10000": ("two-rotation", 20250801, "cq", 10_000),
     "single-rotation/cq 10000": ("single-rotation", 20250802, "cq", 10_000),
 }
+WARMUP_STEPS = 300
+SLICE_STEPS = 50
 WORKLOADS = ("two-rotation-cq", "two-rotation-shrinking", "single-rotation", "cli-sweep")
 PERFBENCH_METRICS = ("steps_per_s", "step_ms.p50", "step_ms.p95", "config_ms.p50",
                      "config_ms.p95", "setup_s", "d_target.gmean", "residual.gmean",
                      "peak_rss_mb")
 
 
-def walks(src: Path) -> dict:
-    """Step both walks with the sphereproj found in src."""
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    import sphereproj as sp
-    import workloads as wl
-    from run import Speed
+def load_tree(src: Path, name: str):
+    """The sphereproj package in src, imported as `name`, and a copy of
+    perfbench's workloads module that builds its problems with it."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "sphereproj" / "__init__.py",
+        submodule_search_locations=[str(src / "sphereproj")])
+    sp = importlib.util.module_from_spec(spec)
+    sys.modules[name] = sp
+    spec.loader.exec_module(sp)
+    for sub in ("cli", "oracle"):
+        importlib.import_module(f"{name}.{sub}")
+    # workloads.py imports `sphereproj`: hand it this tree while it loads
+    saved = sys.modules.get("sphereproj")
+    sys.modules["sphereproj"] = sp
+    try:
+        spec = importlib.util.spec_from_file_location(f"{name}_workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        wl = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = wl   # its dataclasses look their module up
+        spec.loader.exec_module(wl)
+    finally:
+        if saved is None:
+            del sys.modules["sphereproj"]
+        else:
+            sys.modules["sphereproj"] = saved
+    return sp, wl
 
-    out = {}
-    for name, (fam, anchor, method, steps) in WALKS.items():
-        case = wl.Case(fam, 4, anchor)
-        problem = case.problem()
-        step = {"cq": sp.cq_step, "shrinking": sp.shrink_step}[method]
-        digest = hashlib.sha256()
-        speed = Speed()
-        speed.sample()
-        state = sp.initial_state(problem)
-        wall = 0.0
+
+class Walk:
+    """One walk on one tree, stepped a slice at a time; its wall covers the
+    steps alone."""
+
+    def __init__(self, tree, name: str):
+        self.sp, wl = tree
+        fam, anchor, method, self.budget = WALKS[name]
+        self.case = wl.Case(fam, 4, anchor)
+        self.problem = self.case.problem()
+        self.step = {"cq": self.sp.cq_step, "shrinking": self.sp.shrink_step}[method]
+        self.state = self.sp.initial_state(self.problem)
+        self.digest = hashlib.sha256()
+        self.wall = 0.0
+
+    def advance(self, steps: int) -> None:
+        problem, step, state = self.problem, self.step, self.state
         for _ in range(steps):
             t0 = time.perf_counter()
             state = step(problem, state)
-            wall += time.perf_counter() - t0
-            digest.update(state.x_n.coords.tobytes())
-            speed()
-        speed.sample()
-        factor = speed.factor()
+            self.wall += time.perf_counter() - t0
+            self.digest.update(state.x_n.coords.tobytes())
+        self.state = state
+
+    def result(self) -> dict:
+        trace = self.state.trace
+        return {
+            "wall_s": self.wall,
+            "mean_sweeps": sum(rec.solver_sweeps for rec in trace) / len(trace),
+            "d_target": self.sp.distance(self.state.x_n, self.case.target(self.problem.x1)),
+            "xn_sha256": self.digest.hexdigest(),
+        }
+
+
+def walk(tree, name: str) -> dict:
+    """Step one walk on one tree through its budget."""
+    w = Walk(tree, name)
+    w.advance(w.budget)
+    return w.result()
+
+
+def walk_pair(trees, name: str, steps: int | None = None) -> list[dict]:
+    """Step one walk on both trees side by side: they take turns for
+    SLICE_STEPS steps at a time, the first turn alternating."""
+    walks = [Walk(tree, name) for tree in trees]
+    steps = walks[0].budget if steps is None else steps
+    for k, done in enumerate(range(0, steps, SLICE_STEPS)):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            walks[side].advance(min(SLICE_STEPS, steps - done))
+    return [w.result() for w in walks]
+
+
+def _threads_to_one():
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+
+def compare_walks(srcs: list[Path], repeats: int) -> dict:
+    """Both trees in this process, alternating walk by walk."""
+    if not repeats:
+        return {}
+    _threads_to_one()
+    trees = [load_tree(src, f"sphereproj_{tag}") for src, tag in zip(srcs, "ab")]
+    for name in WALKS:
+        walk_pair(trees, name, WARMUP_STEPS)
+    runs = {name: ([], []) for name in WALKS}
+    for _ in range(repeats):
+        for name in WALKS:
+            for side, result in enumerate(walk_pair(trees, name)):
+                runs[name][side].append(result)
+    out = {}
+    for name, (before, after) in runs.items():
+        walls = {"before": [r["wall_s"] for r in before], "after": [r["wall_s"] for r in after]}
         out[name] = {
-            "wall_s": wall,
-            "speed_factor": factor,
-            "wall_s_corrected": wall * factor,
-            "mean_sweeps": sum(rec.solver_sweeps for rec in state.trace) / steps,
-            "d_target": sp.distance(state.x_n, case.target(problem.x1)),
-            "xn_sha256": digest.hexdigest(),
+            "wall_s": walls,
+            "wall_s_sum": {side: sum(v) for side, v in walls.items()},
+            "wall_s_median": {side: statistics.median(v) for side, v in walls.items()},
+            "speedup": sum(walls["before"]) / sum(walls["after"]),
+            "mean_sweeps": {"before": before[0]["mean_sweeps"], "after": after[0]["mean_sweeps"]},
+            "d_target": {"before": before[0]["d_target"], "after": after[0]["d_target"]},
+            "xn_sha256": {"before": before[0]["xn_sha256"], "after": after[0]["xn_sha256"]},
+            "xn_identical": len({r["xn_sha256"] for r in before + after}) == 1,
         }
     return out
 
@@ -120,35 +205,15 @@ def _alternate(count: int, run) -> list[list]:
 
 
 def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
-    me = str(Path(__file__).resolve())
-    walk_runs = _alternate(repeats, lambda side: json.loads(_child([me, str(srcs[side])])))
     report = {
         "command": " ".join(["tools/bench_walks.py", "BEFORE/src", "AFTER/src",
                              f"--repeats {repeats}", f"--pairs {pairs}",
                              f"--seconds {seconds:g}"]),
         "machine": {"nproc": len(os.sched_getaffinity(0)),
                     "python": platform.python_version(), "platform": platform.platform()},
-        "walks": {},
+        "walks": compare_walks(srcs, repeats),
         "perfbench": {},
     }
-    for name in WALKS if walk_runs else ():
-        before = [p[0][name] for p in walk_runs]
-        after = [p[1][name] for p in walk_runs]
-        series = {key: {"before": [r[key] for r in before], "after": [r[key] for r in after]}
-                  for key in ("wall_s", "speed_factor", "wall_s_corrected")}
-        medians = {key: {side: statistics.median(v) for side, v in series[key].items()}
-                   for key in ("wall_s", "wall_s_corrected")}
-        report["walks"][name] = {
-            **series,
-            "wall_s_median": medians["wall_s"],
-            "wall_s_corrected_median": medians["wall_s_corrected"],
-            "speedup_median": (medians["wall_s_corrected"]["before"]
-                               / medians["wall_s_corrected"]["after"]),
-            "mean_sweeps": {"before": before[0]["mean_sweeps"], "after": after[0]["mean_sweeps"]},
-            "d_target": {"before": before[0]["d_target"], "after": after[0]["d_target"]},
-            "xn_sha256": {"before": before[0]["xn_sha256"], "after": after[0]["xn_sha256"]},
-            "xn_identical": len({r["xn_sha256"] for r in before + after}) == 1,
-        }
     for workload in WORKLOADS if pairs else ():
         runs = _alternate(pairs, lambda side: perfbench(srcs[side], workload, seconds))
         report["perfbench"][workload] = {
@@ -163,7 +228,7 @@ def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="+", type=Path, help="one or two sphereproj source trees")
-    parser.add_argument("--repeats", type=int, default=3, help="walk runs per tree")
+    parser.add_argument("--repeats", type=int, default=5, help="walk runs per tree")
     parser.add_argument("--pairs", type=int, default=0, help="benchmark pairs per workload")
     parser.add_argument("--seconds", type=float, default=20.0, help="seconds per benchmark run")
     parser.add_argument("--out", type=Path, help="write the comparison here")
@@ -173,7 +238,9 @@ def main(argv=None) -> int:
         if not (src / "sphereproj" / "__init__.py").is_file():
             parser.error(f"no sphereproj sources at {src}")
     if len(srcs) == 1:
-        print(json.dumps(walks(srcs[0])))
+        _threads_to_one()
+        tree = load_tree(srcs[0], "sphereproj_a")
+        print(json.dumps({name: walk(tree, name) for name in WALKS}))
         return 0
     if len(srcs) != 2:
         parser.error("give one or two source trees")
