@@ -143,47 +143,46 @@ def _checked_basis(basis, dim: int) -> np.ndarray:
     return basis
 
 
-class IterationState:
+class IterationState(NamedTuple):
     """Immutable snapshot after n-1 steps: the current iterate, the last
     staged average, the region used for the last projection, the trace,
     and the per-iterate quantities every step reads: d(x1, x_n), the
     mapping residuals at x_n and the images T_i x_n they are measured
     from, which the next W-map's first stage reuses.  `initial_state` and
-    the step functions fill them; a state built without them gets them
-    computed by its next step.  `active_cuts` holds the active cuts of the
-    projection that gave x_n, from which the next projection starts; a
-    state built without them starts that projection cold, which costs
-    sweeps but changes no iterate.
+    the step functions fill them; a state built from its first five fields
+    alone gets them measured at the start of its next step.  `active_cuts`
+    holds the active cuts of the projection that gave x_n, from which the
+    next projection starts; a state built without them starts that
+    projection cold, which costs sweeps but changes no iterate.
     """
 
-    __slots__ = ("n", "x_n", "y_n", "region", "trace", "dist_x1_xn", "residuals",
-                 "active_cuts", "images")
-
-    def __init__(self, n: int, x_n: SpherePoint, y_n: SpherePoint | None,
-                 region: Region, trace: Trace, dist_x1_xn: float | None = None,
-                 residuals: np.ndarray | None = None,
-                 active_cuts: tuple[int, ...] = (),
-                 images: tuple[SpherePoint, ...] | None = None):
-        self.n = n
-        self.x_n = x_n
-        self.y_n = y_n
-        self.region = region
-        self.trace = trace
-        self.dist_x1_xn = dist_x1_xn
-        self.residuals = residuals
-        self.active_cuts = active_cuts
-        self.images = images
+    n: int
+    x_n: SpherePoint
+    y_n: SpherePoint | None
+    region: Region
+    trace: Trace
+    dist_x1_xn: float | None = None
+    residuals: np.ndarray | None = None
+    active_cuts: tuple[int, ...] = ()
+    images: tuple[SpherePoint, ...] | None = None
 
     def __repr__(self) -> str:
         return f"IterationState(n={self.n})"
 
 
+def _measure(problem: Problem,
+             x: SpherePoint) -> tuple[float, tuple[SpherePoint, ...], np.ndarray]:
+    """d(x1, x), the images T_i x and the residuals measured from them:
+    the per-iterate quantities a state carries."""
+    images = tuple([T.apply(x) for T in problem.family.maps])
+    return distance(problem.x1, x), images, residuals(problem.family, x, images)
+
+
 def initial_state(problem: Problem) -> IterationState:
     """State at n = 1: the iterate is the anchor, the region is the bare cap."""
     x1 = problem.x1
-    images = tuple([T.apply(x1) for T in problem.family.maps])
-    return IterationState(1, x1, None, problem.cap_region, (), distance(x1, x1),
-                          residuals(problem.family, x1, images), (), images)
+    dist, images, res = _measure(problem, x1)
+    return IterationState(1, x1, None, problem.cap_region, (), dist, res, (), images)
 
 
 def _step(problem: Problem, state: IterationState, shrinking: bool) -> IterationState:
@@ -196,10 +195,12 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     fixed-point containment is checked: the convergence arguments put the
     fixed set inside every cut, so a violation means a wrong fixed set and
     raises FeasibilityViolated.  The projection then must not decrease
-    d(x1, x_n), and the record is written.  d(x1, x_{n+1}), the images
-    T_i x_{n+1} and the residuals measured from them are computed once and
-    carried in the new state, and so are the projection's active cuts; the
-    next W-map takes T_1 x_{n+1} from the images.
+    d(x1, x_n) (MonotonicityViolated otherwise), and the record is written.
+    Both errors carry no iteration index; `iterate` adds it.  `_measure`
+    gives d(x1, x_{n+1}), the images T_i x_{n+1} and the residuals
+    measured from them once, and the new state carries them with the
+    projection's active cuts; the next W-map takes T_1 x_{n+1} from the
+    images.  A state that lacks them is measured first.
 
     The projection starts from the previous step's active cuts.  CQ cuts
     keep their indices from step to step (fresh cut first, localization
@@ -211,8 +212,8 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     cuts certify it.
     """
     x_n, dist_n, res_n, images = state.x_n, state.dist_x1_xn, state.residuals, state.images
-    if dist_n is None or res_n is None:
-        dist_n, res_n = distance(problem.x1, x_n), residuals(problem.family, x_n, images)
+    if dist_n is None or res_n is None or images is None:
+        dist_n, images, res_n = _measure(problem, x_n)
     y = problem._w.apply(x_n, state.n, images)
     cn = make_cn(x_n, y)
     if shrinking:
@@ -222,21 +223,18 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     try:
         region = intersect(base, cuts, problem.fixed_rep)
     except WitnessInfeasible:
-        raise FeasibilityViolated(
-            f"iteration {state.n}: known fixed point violates a generated cut"
-        ) from None
+        raise FeasibilityViolated("known fixed point violates a generated cut") from None
     start = state.active_cuts
     if shrinking and cn is not None and float(cn.dot(x_n.coords)) < 0.0:
         start += (len(region.normals) - 1,)
     x_new, stats = project(region, problem.x1, start)
-    dist_new = distance(problem.x1, x_new)
+    dist_new, images_new, res_new = _measure(problem, x_new)
     if dist_new < dist_n - FEJER_TOL:
-        raise MonotonicityViolated(f"iteration {state.n}: d(x1, x_n) decreased")
+        raise MonotonicityViolated("d(x1, x_n) decreased")
     rec = TraceRecord(state.n, dist_n, distance(x_n, x_new), tuple(res_n),
                       len(region.normals), stats.sweeps)
-    images = tuple([T.apply(x_new) for T in problem.family.maps])
     return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,), dist_new,
-                          residuals(problem.family, x_new, images), stats.active_cuts, images)
+                          res_new, stats.active_cuts, images_new)
 
 
 def cq_step(problem: Problem, state: IterationState) -> IterationState:
@@ -263,8 +261,11 @@ def iterate(problem: Problem, method: str = "cq") -> Iterator[IterationState]:
     """Step the method from `initial_state` and yield the state after each
     step, without end; the caller decides when to stop.
 
-    Raises ValueError for an unknown method.  Errors raised by a step are
-    re-raised with the iteration index prepended.
+    Raises ValueError for an unknown method.  This is the one place that
+    annotates a step error: every SphereProjError a step raises is
+    re-raised as the same type with "iteration N: " prepended, N being the
+    index of the state the step started from.  A direct caller of
+    `cq_step` or `shrink_step` sees the bare message.
     """
     if method not in _STEPS:
         raise ValueError(f"method must be one of {sorted(_STEPS)}, got {method!r}")
@@ -276,8 +277,6 @@ def iterate(problem: Problem, method: str = "cq") -> Iterator[IterationState]:
             try:
                 state = step(problem, state)
             except SphereProjError as e:
-                if str(e).startswith("iteration "):
-                    raise
                 raise type(e)(f"iteration {state.n}: {e}") from e
             yield state
 

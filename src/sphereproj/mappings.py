@@ -272,21 +272,12 @@ class WMapping:
     def __init__(self, family: MappingFamily):
         self.family = family
 
-    def stages(self, x: SpherePoint, n: int = 1) -> tuple[SpherePoint, ...]:
-        """All stage outputs u_1..u_r at iteration n (u_r is the W value)."""
-        alphas = self.family.alphas_at(n)
-        out = []
-        u = x
-        for T, a in zip(self.family.maps, alphas):
-            u = geodesic_combine(a, T.apply(u), x)
-            out.append(u)
-        return tuple(out)
-
     def apply(self, x: SpherePoint, n: int = 1,
               images: Sequence[SpherePoint] | None = None) -> SpherePoint:
         """u_r at iteration n, the W value.  `images`, when given, holds
-        T_i x for each member in order (as `residuals` takes them); the
-        first stage reads T_1 x from it instead of applying T_1 again."""
+        T_i x for each member in order (as `residuals` takes them, and as
+        the step kernel always passes them); the first stage reads T_1 x
+        from it instead of applying T_1 again."""
         maps = self.family.maps
         alphas = self.family.alphas_at(n)
         u = geodesic_combine(alphas[0], maps[0].apply(x) if images is None else images[0], x)
@@ -302,8 +293,8 @@ def residuals(family: MappingFamily, x: SpherePoint,
               images: Sequence[SpherePoint] | None = None) -> np.ndarray:
     """Displacements d(T_i x, x) for each family member, in order.
 
-    `images` holds the T_i x when the caller has them already; otherwise
-    they are computed here."""
+    `images` holds the T_i x when the caller has them already, as the
+    step kernel always does; otherwise they are computed here."""
     if images is None:
         images = [T.apply(x) for T in family.maps]
     return np.array([distance(img, x) for img in images])

@@ -353,6 +353,16 @@ class TestCachedFields:
             [img.coords.tobytes() for img in b.images]
 
 
+class TestIterationState:
+    def test_fields_cannot_be_assigned(self):
+        """The snapshot is immutable: a field cannot be rebound."""
+        s = initial_state(make_problem(random_point_in_cap(POLE, RHO, 19)))
+        for field in ("n", "x_n", "dist_x1_xn", "residuals", "images"):
+            with pytest.raises(AttributeError):
+                setattr(s, field, None)
+        assert repr(s) == "IterationState(n=1)"
+
+
 def _without_sweeps(trace):
     return [rec._replace(solver_sweeps=0) for rec in trace]
 
@@ -450,6 +460,16 @@ class TestStopRule:
         assert rule.reason(state(1e-9, 1e-7, 2)) is None
 
 
+def wrong_fixed_set_problem():
+    """A problem whose claimed fixed point the mappings do not fix."""
+    fake = np.zeros((4, 1))
+    fake[0, 0] = 0.3
+    fake[3, 0] = 1.0
+    fake /= np.linalg.norm(fake)
+    return Problem(4, POLE, RHO, MappingFamily([PlaneRotation(0, 1, 0.8)]),
+                   random_point_in_cap(POLE, RHO, 11), known_fixed_set=fake)
+
+
 class TestErrorSurfacing:
     def test_wrong_fixed_set_raises_feasibility_violated(self):
         """A claimed fixed point that the mappings do not actually fix must
@@ -457,13 +477,7 @@ class TestErrorSurfacing:
         methods; the region's own witness check is what catches it."""
         from sphereproj.errors import FeasibilityViolated
 
-        fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
-        x1 = random_point_in_cap(POLE, RHO, 11)
-        fake = np.zeros((4, 1))
-        fake[0, 0] = 0.3
-        fake[3, 0] = 1.0
-        fake /= np.linalg.norm(fake)
-        prob = Problem(4, POLE, RHO, fam, x1, known_fixed_set=fake)
+        prob = wrong_fixed_set_problem()
         for method in ("cq", "shrinking"):
             with pytest.raises(FeasibilityViolated, match=r"^iteration \d+:"):
                 run(prob, method, StopRule(1e-10, 1e-10, 50))
@@ -511,6 +525,47 @@ class TestErrorSurfacing:
                 pass
         assert str(info.value).startswith("iteration 3:")
         assert last.n == 3 and len(last.trace) == 2
+
+    @pytest.mark.parametrize("method", ["cq", "shrinking"])
+    def test_fejer_violation_annotated_once(self, method, monkeypatch):
+        """A projection that hands back the anchor x1 decreases d(x1, x_n):
+        the step's audit raises, and `iterate` adds the index once."""
+        from sphereproj import iteration as it
+        from sphereproj.errors import MonotonicityViolated
+
+        calls = {"n": 0}
+        real_project = it.project
+
+        def back_to_anchor(region, x, *rest):
+            calls["n"] += 1
+            z, stats = real_project(region, x, *rest)
+            return (x if calls["n"] == 3 else z), stats
+
+        monkeypatch.setattr(it, "project", back_to_anchor)
+        prob = make_problem(random_point_in_cap(POLE, RHO, 12))
+        with pytest.raises(MonotonicityViolated) as info:
+            run(prob, method, StopRule(1e-12, 1e-12, 50))
+        assert str(info.value) == "iteration 3: d(x1, x_n) decreased"
+
+    def test_direct_step_callers_see_the_bare_message(self, monkeypatch):
+        """Only `iterate` annotates: a step called directly raises the
+        audit errors without an iteration index."""
+        from sphereproj import iteration as it
+        from sphereproj.errors import FeasibilityViolated, MonotonicityViolated
+
+        prob = make_problem(random_point_in_cap(POLE, RHO, 12))
+        s = cq_step(prob, initial_state(prob))
+        monkeypatch.setattr(it, "project", lambda region, x, *rest: (x, None))
+        with pytest.raises(MonotonicityViolated) as info:
+            cq_step(prob, s)
+        assert str(info.value) == "d(x1, x_n) decreased"
+
+        bad = wrong_fixed_set_problem()
+        with pytest.raises(FeasibilityViolated) as info:
+            s = initial_state(bad)
+            for _ in range(50):
+                s = shrink_step(bad, s)
+        assert str(info.value) == "known fixed point violates a generated cut"
 
 
 class TestFejerAudit:

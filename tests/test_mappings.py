@@ -250,14 +250,10 @@ class TestWMapping:
             u1 = geodesic_combine(0.5, t1.apply(x), x)
             u2 = geodesic_combine(0.5, t2.apply(u1), x)
             w = WMapping(fam)
-            np.testing.assert_allclose(w.apply(x).coords, u2.coords, atol=1e-14)
-            stages = w.stages(x)
-            np.testing.assert_allclose(stages[0].coords, u1.coords, atol=1e-14)
-            np.testing.assert_allclose(stages[1].coords, u2.coords, atol=1e-14)
-            # apply, with or without T_1 x given, is the last stage bit for bit
-            assert w.apply(x).coords.tobytes() == stages[-1].coords.tobytes()
+            # apply, with or without T_i x given, is u2 bit for bit
+            assert w.apply(x).coords.tobytes() == u2.coords.tobytes()
             assert w.apply(x, 1, (t1.apply(x), t2.apply(x))).coords.tobytes() == \
-                stages[-1].coords.tobytes()
+                u2.coords.tobytes()
 
     def test_fixed_points_are_exactly_common_fixed_points(self):
         """Points fixed by the staged average are the family's common fixed

@@ -300,6 +300,16 @@ class TestProject:
         with pytest.raises(NoConvergence):
             project(r, SpherePoint([-0.6, 0.8, 0, 0]))
 
+    def test_passed_over_cut_cannot_leak_out(self, monkeypatch):
+        """If the solver passes over a violated cut (its entering
+        multiplier comes out nonpositive), the result breaks that cut, and
+        the final check must raise rather than return it."""
+        r = intersect(Region.from_cap(e(0), 0.6), (e(1).coords,), SpherePoint([1, 0.3, 0, 0]))
+        monkeypatch.setattr(_CutCone, "_solve", lambda self, b, idx: (b, [0.0] * len(idx)))
+        with pytest.raises(NoConvergence,
+                           match="^projection result violates the region beyond tolerance$"):
+            project(r, SpherePoint([1, -0.2, 0.1, 0]))
+
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_narrow_wedge_closed_form(self, eps):
         """Two cuts at angle eps, with x in the polar cone of their wedge:

@@ -38,9 +38,10 @@ hashes the same calls without ``sweeps``: the point, ``active_cuts``,
 the walks, it is the line a change that only saves solver work must keep.
 Floats are hashed by their exact hexadecimal form.
 
-With two source trees, each is digested in its own child process, both sets
-of digests are printed, and a last line says ``identical: yes`` or
-``identical: no``.  The exit status is 1 when any digest differs.
+With two source trees, each is digested in its own child process, the two
+children run at once, both sets of digests are printed in argument order,
+and a last line says ``identical: yes`` or ``identical: no``.  The exit
+status is 1 when any digest differs.
 """
 
 from __future__ import annotations
@@ -182,15 +183,18 @@ def projection_digest(sp) -> Digests:
 
 
 def compare(srcs: list[Path]) -> int:
-    """Digest each tree in a child process; 0 when all digests agree."""
+    """Digest the two trees in two child processes that run at once; 0 when
+    all digests agree.  Results are read and printed in argument order."""
+    children = [subprocess.Popen([sys.executable, str(Path(__file__).resolve()), str(src)],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                for src in srcs]
+    done = [child.communicate() for child in children]
     outputs = []
-    for src in srcs:
-        done = subprocess.run([sys.executable, str(Path(__file__).resolve()), str(src)],
-                              capture_output=True, text=True)
-        if done.returncode != 0:
-            print(f"error: digesting {src} failed:\n{done.stderr}", file=sys.stderr)
+    for src, child, (stdout, stderr) in zip(srcs, children, done):
+        if child.returncode != 0:
+            print(f"error: digesting {src} failed:\n{stderr}", file=sys.stderr)
             return 2
-        outputs.append(done.stdout.splitlines())
+        outputs.append(stdout.splitlines())
         print(src)
         for line in outputs[-1]:
             print(f"  {line}")
