@@ -29,12 +29,12 @@ iteration cap, 1 on errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
-
 
 from .errors import ConfigError, SphereProjError
 from .geometry import SpherePoint, basis_point, distance, random_point_in_cap
@@ -287,18 +287,21 @@ def _run_config(config_path: str, seed: int | None, out: str | None, compare: bo
     return 0 if all(r is StopReason.CONVERGED for r in reasons) else 2
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache   # one parser per process, reused by every `main` call
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="sphereproj",
-        description="Run projection-method iterations on the unit sphere.",
-    )
+        prog="sphereproj", description="Run projection-method iterations on the unit sphere.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "compare"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a run configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output path prefix")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         return _run_config(args.config, args.seed, args.out,

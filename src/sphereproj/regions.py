@@ -276,10 +276,11 @@ class _CutCone:
     over every call.  The first call starts from the `start` cuts (indices
     outside the region's cuts are ignored) and each later call from the
     previous call's active set.  Before its first sweep a call solves on
-    that set, deactivates every cut whose multiplier comes out nonpositive
-    and solves again, until the multipliers are all positive or no cut is
-    left: the simplest form of block principal pivoting (Judice and Pires,
-    1994), which changes several active cuts at once.  The start changes
+    that set, deactivates the cut with the most negative multiplier and
+    solves again, until the multipliers are all positive or no cut is left:
+    single principal pivoting (Murty, 1974).  Block pivoting (Judice and
+    Pires, 1994) drops every nonpositive cut at once, and with it cuts that
+    the optimum needs and later sweeps must add back.  The start changes
     only the number of sweeps: the returned point is always the solve on
     the final active set, in index order, and that set is the optimum's
     active set whatever the start, barring cuts tight at the optimum with a
@@ -322,7 +323,8 @@ class _CutCone:
             for row, x, y in zip(rows, c1.tolist(), c2.tolist()):
                 # summed from zero, as accumulating into a zeroed factor would
                 row.append(0.0 + x + y)
-            diag.append(math.sqrt(float(v.dot(v))))
+            # a cut in the span of those before it gets a zero multiplier
+            diag.append(math.sqrt(float(v.dot(v))) or math.inf)
             v /= diag[j]
         c = q.dot(b)
         cs = c.tolist()
@@ -342,15 +344,15 @@ class _CutCone:
         a, active = self.normals, self.active
         lam = np.zeros(len(a))
         z = b
-        # block pivoting: drop every cut of the start whose multiplier is
-        # nonpositive at once, until the rest are all positive
+        # single pivoting: drop the start's cut with the most negative
+        # multiplier (the first on a tie) until the rest are all positive
         idx = active.nonzero()[0]
         while len(idx):
             z_warm, s = self._solve(b, idx)
             if min(s) > 0.0:
                 z, lam[idx] = z_warm, s
                 break
-            active[idx[np.array(s) <= 0.0]] = False
+            active[idx[s.index(min(s))]] = False
             idx = active.nonzero()[0]
         # cuts that may not enter: the active ones and those passed over
         blocked = active.copy()
@@ -409,9 +411,9 @@ def project(region: Region, x: SpherePoint,
     adjacent floats.  Points already in the region are returned unchanged
     with zero solver effort.  `start` names cuts expected to be active,
     such as the previous projection's `SolveStats.active_cuts`; it seeds
-    the active set, from which the solver first drops every cut with a
-    nonpositive multiplier, and changes only `SolveStats.sweeps`.  Indices
-    outside the region's cuts are ignored.  Dykstra's alternating
+    the active set, which loses its most negative multiplier's cut per
+    solve until all are positive, and changes only `SolveStats.sweeps`.
+    Indices outside the region's cuts are ignored.  Dykstra's alternating
     projections (Boyle & Dykstra, 1986) would avoid the dual, but their
     error shrinks per sweep only by a factor set by the angle between
     active cuts, so they stall on the nearly parallel cuts both methods

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sphereproj.errors import EmptyOrDegenerate, NoConvergence, WitnessInfeasible
 from sphereproj.geometry import (
@@ -332,9 +332,9 @@ class TestWarmStart:
     """A start set seeds the solver's active set and changes only its sweep
     count.  In the region below the optimum has cut 0 active alone: x breaks
     cuts 0 and 1, projecting onto cut 0 also satisfies cut 1, and x already
-    satisfies cut 2.  The solver drops every cut of a start whose multiplier
-    comes out nonpositive, and solves again on the rest, until all of them
-    are positive."""
+    satisfies cut 2.  While a solve on the start gives a nonpositive
+    multiplier, the solver drops the one cut with the most negative
+    multiplier and solves again on the rest."""
 
     X = SpherePoint([-0.3, -0.1, 0.05, 0.95])
     CUTS = (Halfspace([1.0, 0, 0, 0]), Halfspace([1.0, -1.0, 0, 0]),
@@ -344,7 +344,7 @@ class TestWarmStart:
         "negative multiplier": (2,),   # x satisfies cut 2 strictly
         "non-binding cut": (1,),       # positive alone, then stepped back
         "mixed": (1, 2, 7),
-        "two dropped at once": (0, 1, 2),   # multipliers +, -, -
+        "two dropped at once": (0, 1, 2),   # multipliers +, -, -: two solves drop them
     }
 
     def region(self, radius):
@@ -364,10 +364,11 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("radius, cap_binds", [(0.6, False), (0.4, True)])
     def test_drops_in_rounds(self, radius, cap_binds, monkeypatch):
-        """A start whose first solve has two nonpositive multipliers, and
-        whose second solve, on the other two cuts, has one more: the solver
-        drops cuts 0 and 3, then cut 2, keeps cut 1 and still gives the cold
-        answer bit for bit.  At radius 0.4 the cap binds next to cut 1."""
+        """A start whose first solve has two nonpositive multipliers.  The
+        solver drops one cut per solve, the most negative: cut 3, then cut 0,
+        then cut 2, whose multiplier turns negative once cut 0 is gone.  It
+        keeps cut 1 and still gives the cold answer bit for bit.  At radius
+        0.4 the cap binds next to cut 1."""
         cuts = [Halfspace(a) for a in ([-0.7, 0.6, -0.1, 0.7], [0.4, 0.8, -1.6, 0.4],
                                        [-1.0, -0.2, -1.3, 0.1], [0.0, -0.3, -1.0, 0.5])]
         r = Region(Halfspace.cap(e(3), radius), cuts, e(3))
@@ -378,18 +379,31 @@ class TestWarmStart:
 
         def spy(cone, b, idx):
             z, s = real_solve(cone, b, idx)
-            solves.append((tuple(idx.tolist()), [v > 0.0 for v in s]))
+            solves.append((tuple(idx.tolist()), s))
             return z, s
 
         monkeypatch.setattr(_CutCone, "_solve", spy)
         p, warm = project(r, x, (0, 1, 2, 3))
-        assert solves[:3] == [((0, 1, 2, 3), [False, True, True, False]),
-                              ((1, 2), [True, False]), ((1,), [True])]
+        assert [idx for idx, _ in solves[:4]] == [(0, 1, 2, 3), (0, 1, 2), (1, 2), (1,)]
+        for (idx, s), (after, _) in zip(solves[:3], solves[1:4]):
+            dropped = idx[s.index(min(s))]
+            assert min(s) <= 0.0 and after == tuple(i for i in idx if i != dropped)
+        assert min(solves[3][1]) > 0.0
         assert cold.active_cuts == (1,) and cold.cap_active is cap_binds
         assert p.coords.tobytes() == p_cold.coords.tobytes()
         assert warm.active_cuts == cold.active_cuts
         assert warm.cap_active == cold.cap_active
         assert warm.kkt_residual == cold.kkt_residual
+
+    @pytest.mark.parametrize("radius", [0.6, 0.1])
+    def test_duplicate_cuts_in_start(self, radius):
+        # two copies of cut 0 are linearly dependent: the second gets a zero
+        # multiplier and is dropped, instead of dividing by zero
+        r = Region(Halfspace.cap(e(3), radius), self.CUTS + (self.CUTS[0],), e(3))
+        p_cold, cold = project(r, self.X)
+        p, warm = project(r, self.X, (0, 3))
+        assert p.coords.tobytes() == p_cold.coords.tobytes()
+        assert warm._replace(sweeps=0) == cold._replace(sweeps=0)
 
     @pytest.mark.parametrize("radius", [0.6, 0.1])
     def test_negative_index_is_ignored(self, radius):
@@ -407,6 +421,52 @@ class TestWarmStart:
         p, warm = project(r, self.X, cold.active_cuts)
         assert p.coords.tobytes() == p_cold.coords.tobytes()
         assert warm.sweeps == cold.sweeps - 1
+
+
+class TestStartSetProperty:
+    """Any start set gives the cold call's answer bit for bit: the point,
+    `active_cuts`, `cap_active` and `kkt_residual`; only the sweeps may
+    differ.  The region has d to d + 4 cuts, some nearly parallel to the one
+    before, all facing the pole, which witnesses the region.  A query inside
+    the cap leaves the cap free (the pole lies in the cut cone); one well
+    outside it usually makes the cap bind.  Starts mix valid and past-the-end
+    indices, and may name more than d cuts, which are linearly dependent;
+    the second start names exactly d cuts, one more than a nonzero
+    projection can keep active."""
+
+    @pytest.mark.parametrize("cap_binds", [False, True])
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_start_gives_the_cold_answer(self, cap_binds, seed, data):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 7))
+        pole = rng.standard_normal(d)
+        pole /= np.linalg.norm(pole)
+        radius = float(rng.uniform(0.05, 0.75))
+        normals = []
+        for _ in range(int(rng.integers(d, d + 5))):
+            if normals and rng.random() < 0.3:
+                a = normals[-1] + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(d)
+            else:
+                a = rng.standard_normal(d)
+                a -= a.dot(pole) * pole
+                a += rng.uniform(0.0, 0.3) * np.linalg.norm(a) * pole
+            normals.append(a if a.dot(pole) >= 0.0 else -a)
+        g = rng.standard_normal(d)
+        g -= g.dot(pole) * pole
+        t = radius * (rng.uniform(1.2, 2.0) if cap_binds else rng.uniform(0.0, 1.0))
+        x = SpherePoint(math.cos(t) * pole + math.sin(t) * g / np.linalg.norm(g))
+        r = Region(Halfspace.cap(SpherePoint(pole), radius),
+                   [Halfspace(a) for a in normals], SpherePoint(pole))
+        m = len(normals)
+        p_cold, cold = project(r, x)
+        assume(cold.cap_active is cap_binds)
+        starts = [data.draw(st.lists(st.integers(0, m + 1), max_size=m + 2)),
+                  data.draw(st.permutations(range(m)))[:d]]
+        for start in starts:
+            p, warm = project(r, x, tuple(start))
+            assert p.coords.tobytes() == p_cold.coords.tobytes()
+            assert warm._replace(sweeps=0) == cold._replace(sweeps=0)
 
 
 class TestIntersect:

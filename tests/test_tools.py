@@ -66,7 +66,8 @@ def test_projections_arithmetic_ignores_sweeps(monkeypatch):
 
 
 def test_trace_digest_same_tree_twice():
-    # two fresh processes on one tree: the same walks, CLI bytes and projections
+    # two fresh processes on one tree: the same walks, CLI bytes and
+    # projections, and the lines pinned in tools/DIGESTS
     src = str(ROOT / "src")
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "trace_digest.py"), src, src],
                           capture_output=True, text=True, timeout=300)
@@ -77,3 +78,6 @@ def test_trace_digest_same_tree_twice():
     digests = [line.split() for line in lines if line.startswith("  ")]
     assert [d[0] for d in digests] == names * 2
     assert digests[:4] == digests[4:]
+    pinned = [line.split() for line in (ROOT / "tools" / "DIGESTS").read_text().splitlines()
+              if line and not line.startswith("#")]
+    assert digests[:4] == pinned

@@ -38,6 +38,9 @@ hashes the same calls without ``sweeps``: the point, ``active_cuts``,
 the walks, it is the line a change that only saves solver work must keep.
 Floats are hashed by their exact hexadecimal form.
 
+``tools/DIGESTS`` holds the four lines of this checkout, with the platform
+they were read on; ``tests/test_tools.py`` compares a run on ``src`` with them.
+
 With two source trees, each is digested in its own child process, the two
 children run at once, both sets of digests are printed in argument order,
 and a last line says ``identical: yes`` or ``identical: no``.  The exit
