@@ -227,7 +227,7 @@ def write_trace_csv(path: str, trace: Trace, r: int) -> None:
 
 
 def _summarize(problem: Problem, method: str, final: SpherePoint, trace: Trace,
-               reason: StopReason) -> dict:
+               reason: StopReason, pf: SpherePoint | None) -> dict:
     summary = {
         "method": method,
         "stop_reason": reason.value,
@@ -235,8 +235,7 @@ def _summarize(problem: Problem, method: str, final: SpherePoint, trace: Trace,
         "final_point": [float(c) for c in final.coords],
         "final_residuals": [float(v) for v in residuals(problem.family, final)],
     }
-    pf = nearest_fixed_point(problem.known_fixed_set, problem.x1)
-    if pf is not None and distance(pf, problem.cap_pole) <= problem.cap_radius + 1e-9:
+    if pf is not None:
         summary["dist_to_known_PF"] = distance(final, pf)
     return summary
 
@@ -266,13 +265,17 @@ def _run_config(config_path: str, seed: int | None, out: str | None, compare: bo
         raise ConfigError("method: compare requires method = both")
     problem, stop = build_problem(cfg)
     _ensure_outdir(cfg.out)
+    # P_F x1, the methods' limit; each summary reports it only inside the cap
+    pf = nearest_fixed_point(problem.known_fixed_set, problem.x1)
+    if pf is not None and distance(pf, problem.cap_pole) > problem.cap_radius + 1e-9:
+        pf = None
 
     methods = ["cq", "shrinking"] if cfg.method == "both" else [cfg.method]
     payload, finals, reasons = {}, [], []
     for method in methods:
         final, trace, reason = run(problem, method, stop)
         write_trace_csv(f"{cfg.out}_{method}_trace.csv", trace, problem.family.r)
-        summary = _summarize(problem, method, final, trace, reason)
+        summary = _summarize(problem, method, final, trace, reason, pf)
         if compare:
             summary["total_solver_sweeps"] = sum(rec.solver_sweeps for rec in trace)
         else:

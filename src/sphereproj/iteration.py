@@ -62,7 +62,7 @@ class StopRule:
         if (state.trace[-1].step_len <= self.eps_step
                 and float(state.residuals.max()) <= self.eps_residual):
             return StopReason.CONVERGED
-        if len(state.trace) >= self.max_iter:
+        if state.n > self.max_iter:
             return StopReason.ITERATION_CAP
         return None
 
@@ -86,20 +86,19 @@ class Problem:
     """A cap-constrained common-fixed-point problem.
 
     known_fixed_set is an orthonormal basis (columns) of the common fixed
-    subspace, used for oracle checks and as the region witness.  None (the
-    default) derives it with `common_fixed_basis`; an explicit set must be
-    a finite (dim, k) array with orthonormal columns (ValueError otherwise).
-    fixed_rep, its point nearest the cap pole, must lie in the cap
-    (ValueError otherwise).  cap_region is the bare cap, witnessed by
-    fixed_rep: the initial region, to which each CQ step appends its cuts.
+    subspace, derived from the maps with `common_fixed_basis`; it is used
+    for oracle checks and gives the region witness.  fixed_rep, its point
+    nearest the cap pole, must lie in the cap (ValueError otherwise).
+    cap_region is the bare cap, witnessed by fixed_rep: the initial region,
+    to which each CQ step appends its cuts.  The family must map the cap
+    into itself (ValueError otherwise; see `check_preserves_cap`).
     """
 
     __slots__ = ("dim", "cap_pole", "cap_radius", "family", "x1",
                  "known_fixed_set", "fixed_rep", "cap_region", "_w")
 
     def __init__(self, dim: int, cap_pole: SpherePoint, cap_radius: float,
-                 family: MappingFamily, x1: SpherePoint,
-                 known_fixed_set=None):
+                 family: MappingFamily, x1: SpherePoint):
         if cap_pole.dim != dim or x1.dim != dim:
             raise ValueError("cap pole and start point must match the ambient dimension")
         cap = Halfspace.cap(cap_pole, cap_radius)
@@ -107,10 +106,7 @@ class Problem:
             raise ValueError("x1 must lie in the ambient cap")
         family.check_preserves_cap(cap_pole, cap_radius)
 
-        if known_fixed_set is None:
-            known_fixed_set = common_fixed_basis(family.maps, dim)
-        else:
-            known_fixed_set = _checked_basis(known_fixed_set, dim)
+        known_fixed_set = common_fixed_basis(family.maps, dim)
         rep = nearest_fixed_point(known_fixed_set, cap_pole)
         if rep is None or distance(rep, cap_pole) > cap_radius + 1e-9:
             raise ValueError("the common fixed set does not meet the ambient cap")
@@ -128,19 +124,6 @@ class Problem:
     def __repr__(self) -> str:
         return (f"Problem(dim={self.dim}, cap_radius={self.cap_radius:.6g}, "
                 f"r={self.family.r})")
-
-
-def _checked_basis(basis, dim: int) -> np.ndarray:
-    """An explicit known fixed set as a float array; ValueError unless it is
-    finite, has dim rows and has orthonormal columns to 1e-9."""
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != dim:
-        raise ValueError(f"known fixed set must be a ({dim}, k) array, got shape {basis.shape}")
-    if not np.isfinite(basis).all():
-        raise ValueError("known fixed set must be finite")
-    if np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) > 1e-9:
-        raise ValueError("known fixed set must have orthonormal columns")
-    return basis
 
 
 class IterationState(NamedTuple):
@@ -190,9 +173,10 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
 
     One `intersect` call builds the region from the cut normals: CQ appends
     the fresh cut and the localization cut through x_n to the bare cap,
-    shrinking appends the fresh cut to the accumulated region.  The region
-    is built around the problem's known fixed point, which is where
-    fixed-point containment is checked: the convergence arguments put the
+    shrinking appends the fresh cut to the accumulated region.  Both keep
+    the witness of `Problem.cap_region`, the problem's known fixed point,
+    and `intersect` checks it against the fresh cuts: that is where
+    fixed-point containment is checked.  The convergence arguments put the
     fixed set inside every cut, so a violation means a wrong fixed set and
     raises FeasibilityViolated.  The projection then must not decrease
     d(x1, x_n) (MonotonicityViolated otherwise), and the record is written.
@@ -221,7 +205,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     else:
         base, cuts = problem.cap_region, (cn, make_qn(problem.x1, x_n))
     try:
-        region = intersect(base, cuts, problem.fixed_rep)
+        region = intersect(base, cuts)
     except WitnessInfeasible:
         raise FeasibilityViolated("known fixed point violates a generated cut") from None
     start = state.active_cuts
@@ -250,7 +234,7 @@ def shrink_step(problem: Problem, state: IterationState) -> IterationState:
     """One shrinking step: append the fresh cut to the accumulated region.
 
     Nestedness of the regions holds by construction; constraint counts grow
-    by at most one per step (trivial cuts are skipped)."""
+    by at most one per step (a vanishing cut is skipped)."""
     return _step(problem, state, shrinking=True)
 
 

@@ -36,7 +36,7 @@ from .geometry import SpherePoint, inner
 # cos(radius) stays above cos(pi/4).
 MAX_CAP_RADIUS = math.pi / 4
 
-# Vector differences below this norm give no cut (the trivial halfspace).
+# Vector differences below this norm give no cut, and no Halfspace normal.
 DEGENERATE_TOL = 1e-12
 
 # Witnesses must satisfy every constraint with at least this slack.
@@ -61,9 +61,9 @@ RESULT_TOL = 1e-8
 class Halfspace:
     """A linear constraint <normal, z> >= offset on the ambient space.
 
-    The normal is unit length, or the zero vector for the trivial constraint
-    (which then requires offset <= 0 so it is always satisfied).  The cap
-    has offset cos(radius); outside input gives cuts with offset 0.
+    The normal is normalized to unit length; a (near-)zero normal raises
+    ValueError, as it does for a SpherePoint.  The cap has offset
+    cos(radius); outside input gives cuts with offset 0.
     """
 
     __slots__ = ("normal", "offset")
@@ -79,11 +79,8 @@ class Halfspace:
             raise ValueError(f"halfspace offset must be in [-1, 1), got {offset}")
         n = float(np.linalg.norm(v))
         if n <= DEGENERATE_TOL:
-            if offset > 0.0:
-                raise ValueError("trivial halfspace requires offset <= 0")
-            v = np.zeros(v.size)
-        else:
-            v /= n
+            raise ValueError("halfspace normal must not be (near-)zero")
+        v /= n
         v.setflags(write=False)
         self.normal = v
         self.offset = offset
@@ -94,10 +91,6 @@ class Halfspace:
         if not 0.0 < radius < MAX_CAP_RADIUS:
             raise ValueError(f"cap radius must be in (0, pi/4), got {radius}")
         return cls(pole.coords, math.cos(radius))
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.normal.any()
 
     def slack(self, z: SpherePoint) -> float:
         """<normal, z> - offset; nonnegative iff z satisfies the constraint."""
@@ -114,14 +107,13 @@ class Region:
     `normals`, so that every membership test is one product.  The witness
     is a sphere point known to satisfy every constraint; it certifies
     nonemptiness.  The constructor, for outside input, takes the cuts as
-    homogeneous Halfspaces and drops trivial ones, as `intersect` does.
+    homogeneous Halfspaces and checks the witness against every constraint.
     Regions are immutable values: `intersect` returns a new region.
     """
 
     __slots__ = ("cap", "normals", "witness")
 
     def __init__(self, cap: Halfspace, halfspaces=(), witness: SpherePoint = None):
-        # a positive offset also excludes a zero normal (see Halfspace)
         if cap.offset <= math.cos(MAX_CAP_RADIUS):
             raise ValueError("region cap must have radius in (0, pi/4)")
         halfspaces = tuple(halfspaces)
@@ -130,24 +122,19 @@ class Region:
                 raise ValueError("linear region constraints must be homogeneous")
         if witness is None:
             raise ValueError("a region requires a feasibility witness")
-        rows = [h.normal for h in halfspaces if not h.is_trivial]
+        rows = [h.normal for h in halfspaces]
         normals = np.array(rows, dtype=float).reshape(len(rows), cap.normal.size)
-        self._set(cap, normals, witness)
+        self._set(cap, normals, witness,
+                  min(cap.slack(witness), float(normals.dot(witness.coords).min(initial=math.inf))))
 
     def _set(self, cap: Halfspace, normals: np.ndarray, witness: SpherePoint,
-             unchecked: np.ndarray | None = None) -> None:
-        # shared with `intersect`, which passes the normals already stacked
-        # and, when the witness is known to satisfy the cap and every other
-        # row, the rows left to check as `unchecked`
+             bad: float) -> None:
+        # shared with `intersect`, which passes the normals already stacked;
+        # bad is the witness's least slack over the constraints it has not passed
         normals.setflags(write=False)
         self.cap = cap
         self.normals = normals
         self.witness = witness
-        if unchecked is None:
-            bad = min(cap.slack(witness),
-                      float(normals.dot(witness.coords).min(initial=math.inf)))
-        else:
-            bad = float(unchecked.dot(witness.coords).min(initial=math.inf))
         # written as `not bad >= -tol` so that a NaN witness is rejected too
         if not bad >= -WITNESS_TOL:
             raise WitnessInfeasible(
@@ -236,26 +223,23 @@ def _cut(v: np.ndarray) -> np.ndarray | None:
     return v
 
 
-def intersect(region: Region, cuts, new_witness: SpherePoint) -> Region:
-    """Append a sequence of cut normals to the region in order, replacing the witness.
+def intersect(region: Region, cuts) -> Region:
+    """Append a sequence of cut normals to the region in order, keeping its witness.
 
-    Every step of both methods builds its region this way.  The new witness
-    must satisfy all the cuts and existing constraints with slack >= -1e-10
-    (WitnessInfeasible otherwise; one product checks them all).  When the
-    new witness is the region's own, it already satisfies the cap and the
-    existing cuts, so only the fresh cuts are checked.  None is no cut and
-    is not appended, so constraint counts only grow for real cuts.
+    Every step of both methods builds its region this way.  The witness
+    already satisfies the cap and the existing cuts, so one product checks
+    it against the fresh cuts alone (slack >= -1e-10, WitnessInfeasible
+    otherwise).  None is no cut and is not appended, so constraint counts
+    only grow for real cuts; with no real cut the region itself is returned.
     """
     fresh = [a for a in cuts if a is not None]
-    old = region.normals
     if not fresh:
-        normals, rows = old, old[:0]
-    else:
-        rows = np.array(fresh)
-        normals = np.concatenate((old, rows)) if len(old) else rows
+        return region
+    rows = np.array(fresh)
+    old = region.normals
     out = Region.__new__(Region)
-    out._set(region.cap, normals, new_witness,
-             rows if new_witness is region.witness else None)
+    out._set(region.cap, np.concatenate((old, rows)) if len(old) else rows, region.witness,
+             float(rows.dot(region.witness.coords).min()))
     return out
 
 

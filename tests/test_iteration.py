@@ -74,47 +74,22 @@ class TestProblemValidation:
         assert p.known_fixed_set.shape == (4, 1)
         np.testing.assert_allclose(p.fixed_rep.coords, POLE.coords, atol=1e-12)
 
-    def test_explicit_fixed_set_must_meet_cap(self):
-        basis = np.zeros((4, 1))
-        basis[0, 0] = 1.0  # span{e0}: orthogonal to the cap pole
-        fam = MappingFamily([PlaneRotation(0, 1, 0.0)])  # identity rotation
-        with pytest.raises(ValueError):
-            Problem(4, POLE, RHO, fam, POLE, known_fixed_set=basis)
+    def test_fixed_set_must_meet_cap(self):
+        """A rotation of (e0, e3) by 5e-10 moves the pole e3 within the cap
+        check's tolerance, but the fixed set is read as span{e1, e2},
+        which is orthogonal to the pole."""
+        fam = MappingFamily([PlaneRotation(0, 3, 5e-10)])
+        with pytest.raises(ValueError, match="the common fixed set does not meet the ambient cap"):
+            Problem(4, POLE, RHO, fam, POLE)
 
-    def test_explicit_fixed_set_must_be_finite(self):
-        """A NaN would make the fixed point NaN, and a NaN witness would
-        switch the containment audit off."""
-        fake = np.zeros((4, 1))
-        fake[0, 0], fake[1, 0], fake[3, 0] = 0.3, math.nan, 1.0
-        fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
-        with pytest.raises(ValueError, match="finite"):
-            Problem(4, POLE, RHO, fam, POLE, known_fixed_set=fake)
-
-    def test_explicit_fixed_set_must_be_two_dimensional(self):
-        fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
-        with pytest.raises(ValueError, match="array"):
-            Problem(4, POLE, RHO, fam, POLE, known_fixed_set=POLE.coords)
-
-    def test_explicit_fixed_set_must_be_orthonormal(self):
-        """The right span with non-orthonormal columns would give a wrong
-        nearest fixed point."""
-        pole = SpherePoint([0.0, 0.0, 1.0, 1.0])
-        fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
-        basis = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="orthonormal"):
-            Problem(4, pole, RHO, fam, pole, known_fixed_set=basis)
-        p = Problem(4, pole, RHO, fam, pole, known_fixed_set=np.eye(4)[:, 2:])
-        np.testing.assert_allclose(p.fixed_rep.coords, pole.coords, atol=1e-15)
-
-    def test_none_fixed_set_is_the_default(self):
-        """known_fixed_set=None derives the same basis and fixed point as
-        leaving it out, bit for bit."""
-        x1 = random_point_in_cap(POLE, RHO, 3)
-        default = make_problem(x1)
-        derived = Problem(4, POLE, RHO, two_rotation_family(), x1, known_fixed_set=None)
-        assert derived.known_fixed_set.tobytes() == default.known_fixed_set.tobytes()
-        assert derived.known_fixed_set.shape == default.known_fixed_set.shape
-        assert derived.fixed_rep.coords.tobytes() == default.fixed_rep.coords.tobytes()
+    def test_family_must_fix_the_pole(self):
+        """A rotation that moves the pole by 1e-4 pushes cap boundary points
+        out of the cap, although its fixed set meets the cap at e2 and the
+        sampled cap points all stay inside."""
+        pole = SpherePoint([0.0, 0.0, 1.0, 0.1])
+        fam = MappingFamily([PlaneRotation(0, 3, 1e-3)])
+        with pytest.raises(ValueError, match="moves the cap pole"):
+            Problem(4, pole, 0.6, fam, pole)
 
 
 class TestInitialState:
@@ -460,24 +435,26 @@ class TestStopRule:
         assert rule.reason(state(1e-9, 1e-7, 2)) is None
 
 
-def wrong_fixed_set_problem():
-    """A problem whose claimed fixed point the mappings do not fix."""
+def wrong_fixed_set_problem(monkeypatch):
+    """A problem whose claimed fixed point the mappings do not fix: the
+    fixed set is derived by a stand-in for `common_fixed_basis`."""
     fake = np.zeros((4, 1))
     fake[0, 0] = 0.3
     fake[3, 0] = 1.0
     fake /= np.linalg.norm(fake)
+    monkeypatch.setattr("sphereproj.iteration.common_fixed_basis", lambda maps, dim: fake)
     return Problem(4, POLE, RHO, MappingFamily([PlaneRotation(0, 1, 0.8)]),
-                   random_point_in_cap(POLE, RHO, 11), known_fixed_set=fake)
+                   random_point_in_cap(POLE, RHO, 11))
 
 
 class TestErrorSurfacing:
-    def test_wrong_fixed_set_raises_feasibility_violated(self):
+    def test_wrong_fixed_set_raises_feasibility_violated(self, monkeypatch):
         """A claimed fixed point that the mappings do not actually fix must
         fall outside some generated cut and abort the run, under both
         methods; the region's own witness check is what catches it."""
         from sphereproj.errors import FeasibilityViolated
 
-        prob = wrong_fixed_set_problem()
+        prob = wrong_fixed_set_problem(monkeypatch)
         for method in ("cq", "shrinking"):
             with pytest.raises(FeasibilityViolated, match=r"^iteration \d+:"):
                 run(prob, method, StopRule(1e-10, 1e-10, 50))
@@ -560,7 +537,7 @@ class TestErrorSurfacing:
             cq_step(prob, s)
         assert str(info.value) == "d(x1, x_n) decreased"
 
-        bad = wrong_fixed_set_problem()
+        bad = wrong_fixed_set_problem(monkeypatch)
         with pytest.raises(FeasibilityViolated) as info:
             s = initial_state(bad)
             for _ in range(50):

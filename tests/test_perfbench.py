@@ -1,7 +1,9 @@
 """The benchmark's self-test must keep passing against this checkout's
 library: it builds states, regions and cuts through the public API, so a
-library change that breaks what it reads shows here first."""
+library change that breaks what it reads shows here first.  So must the
+per-layer tracer's list of the library names it wraps."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -22,3 +24,21 @@ def test_perfbench_selftest(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "self-test passed" in proc.stdout
+
+
+# Traced names that the library does not define; the benchmark counts them
+# in trace.absent.
+ABSENT_TRACED = ["sphereproj.iteration.contains", "sphereproj.iteration.geodesic_combine"]
+
+
+def test_traced_names_present():
+    # A library name the per-layer tracer wraps that disappears would zero
+    # its metric silently; so the absent list is pinned.  The child imports
+    # perfbench/layers.py in place, writing no bytecode there.
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; import layers; "
+            "t = layers.Tracer(); t.install(); t.uninstall(); print(json.dumps(t.absent))")
+    proc = subprocess.run([sys.executable, "-B", "-c", code, str(ROOT / "src"),
+                           str(ROOT / "perfbench")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ABSENT_TRACED

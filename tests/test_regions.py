@@ -39,10 +39,10 @@ class TestHalfspace:
         with pytest.raises(ValueError):
             Halfspace(np.zeros(4), 0.5)
 
-    def test_trivial_always_satisfied(self):
-        h = Halfspace(np.zeros(4))
-        assert h.is_trivial
-        assert h.slack(e(2)) == 0.0
+    def test_zero_normal_rejected(self):
+        for normal in (np.zeros(4), np.full(4, 1e-13)):
+            with pytest.raises(ValueError, match="normal must not be"):
+                Halfspace(normal)
 
     def test_offset_range(self):
         with pytest.raises(ValueError):
@@ -96,17 +96,6 @@ class TestRegionAndContains:
         with pytest.raises(ValueError):
             Region(Halfspace.cap(e(0), 0.6), (h,), e(0))
 
-    def test_trivial_halfspace_dropped(self):
-        """The constructor drops a trivial halfspace, as `intersect` does: a
-        zero row among the normals would break the solver's warm start."""
-        r = Region(Halfspace.cap(e(0), 0.6),
-                   (Halfspace(np.zeros(4)), Halfspace([0, 1.0, 0, 0])), e(0))
-        assert r.normals.shape == (1, 4)
-        x = SpherePoint([math.cos(0.3), -math.sin(0.3), 0, 0])
-        p_cold, _ = project(r, x)
-        for start in [(0,), (1,), (0, 1)]:
-            p, _ = project(r, x, start)
-            assert p.coords.tobytes() == p_cold.coords.tobytes()
 
 
 class TestMakeCn:
@@ -304,7 +293,8 @@ class TestProject:
         """If the solver passes over a violated cut (its entering
         multiplier comes out nonpositive), the result breaks that cut, and
         the final check must raise rather than return it."""
-        r = intersect(Region.from_cap(e(0), 0.6), (e(1).coords,), SpherePoint([1, 0.3, 0, 0]))
+        base = Region(Halfspace.cap(e(0), 0.6), (), SpherePoint([1, 0.3, 0, 0]))
+        r = intersect(base, (e(1).coords,))
         monkeypatch.setattr(_CutCone, "_solve", lambda self, b, idx: (b, [0.0] * len(idx)))
         with pytest.raises(NoConvergence,
                            match="^projection result violates the region beyond tolerance$"):
@@ -472,75 +462,53 @@ class TestStartSetProperty:
 class TestIntersect:
     def test_trivial_halfspace_not_appended(self):
         r = Region.from_cap(e(0), 0.6)
-        r2 = intersect(r, (None,), e(0))
+        r2 = intersect(r, (None,))
         assert len(r2.normals) == len(r.normals)
 
     def test_appended_constraint_holds_for_witness(self):
-        r = Region.from_cap(e(0), 0.6)
         h = Halfspace([0.0, 1.0, 0, 0], 0.0)
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
-        r2 = intersect(r, (h.normal,), w)
+        r2 = intersect(Region(Halfspace.cap(e(0), 0.6), (), w), (h.normal,))
+        assert r2.witness is w
         assert contains(r2, w, 1e-10)
         assert len(r2.normals) == 1
 
     def test_infeasible_new_witness_rejected(self):
-        r = Region.from_cap(e(0), 0.6)
         h = Halfspace([0.0, -1.0, 0, 0], 0.0)
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
         with pytest.raises(WitnessInfeasible):
-            intersect(r, (h.normal,), w)
+            intersect(Region(Halfspace.cap(e(0), 0.6), (), w), (h.normal,))
 
     def test_several_cuts_append_in_order(self):
         """One call appends every non-trivial cut in order, exactly as the
         constructor stacks them, and checks the witness against all of them."""
-        r = Region.from_cap(e(0), 0.6)
+        cap = Halfspace.cap(e(0), 0.6)
         h1 = Halfspace([0.0, 1.0, 0.0, 0.0], 0.0)
         h2 = Halfspace([0.0, 0.3, 1.0, 0.0], 0.0)
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
-        r2 = intersect(r, (h1.normal, None, h2.normal), w)
-        built = Region(r.cap, (h1, h2), w)
+        r2 = intersect(Region(cap, (), w), (h1.normal, None, h2.normal))
+        built = Region(cap, (h1, h2), w)
         assert r2.normals.tobytes() == built.normals.tobytes()
         assert r2.normals.shape == built.normals.shape
         assert len(r2.normals) == 2
 
-        w2 = SpherePoint([math.cos(0.1), 0.0, math.sin(0.1), 0.0])
-        r3 = intersect(r2, (), w2)
-        assert r3.normals.tobytes() == r2.normals.tobytes()
-        assert r3.witness is w2
-
         # inside the cap and h1, outside h2 only
         bad = SpherePoint([math.cos(0.2), 0.1, -0.15, 0.0])
-        assert h1.slack(bad) > 0.0 and r.cap.slack(bad) > 0.0 and h2.slack(bad) < 0.0
+        assert h1.slack(bad) > 0.0 and cap.slack(bad) > 0.0 and h2.slack(bad) < 0.0
         with pytest.raises(WitnessInfeasible):
-            intersect(r, (h1.normal, h2.normal), bad)
+            intersect(Region(cap, (), bad), (h1.normal, h2.normal))
 
     def test_own_witness_checked_against_fresh_cuts(self):
         """Keeping the region's witness skips only the checks it has
         passed: a fresh cut that excludes it still raises."""
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
-        r = intersect(Region.from_cap(e(0), 0.6), (Halfspace([0.0, 1.0, 0, 0]).normal,), w)
+        base = Region(Halfspace.cap(e(0), 0.6), (), w)
+        r = intersect(base, (Halfspace([0.0, 1.0, 0, 0]).normal,))
         ok = Halfspace([0.0, 0.0, 1.0, 0.0]).normal
-        assert intersect(r, (ok,), r.witness).normals.tobytes() == \
+        assert intersect(r, (ok,)).normals.tobytes() == \
             Region(r.cap, (Halfspace(r.normals[0]), Halfspace(ok)), w).normals.tobytes()
         with pytest.raises(WitnessInfeasible):
-            intersect(r, (ok, Halfspace([0.0, -1.0, 0.5, 0]).normal), r.witness)
-
-    def test_other_witness_rechecks_old_cuts(self):
-        """A witness other than the region's own is checked against the
-        cap and every old cut, not only the fresh ones."""
-        w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
-        r = intersect(Region.from_cap(e(0), 0.6), (Halfspace([0.0, 1.0, 0, 0]).normal,), w)
-        fresh = Halfspace([0.0, 0.0, 1.0, 0.0]).normal
-        # satisfies the fresh cut, violates the old one
-        other = SpherePoint([math.cos(0.2), -0.1, 0.1, 0.0])
-        with pytest.raises(WitnessInfeasible):
-            intersect(r, (fresh,), other)
-        # satisfies both cuts, lies outside the cap
-        outside = SpherePoint([math.cos(0.8), 0.0, math.sin(0.8), 0.0])
-        with pytest.raises(WitnessInfeasible):
-            intersect(r, (fresh,), outside)
-        with pytest.raises(WitnessInfeasible):
-            intersect(r, (), outside)
+            intersect(r, (ok, Halfspace([0.0, -1.0, 0.5, 0]).normal))
 
     def test_nested_regions_monotone(self):
         """Membership in a later region implies membership in every earlier one."""
@@ -552,7 +520,7 @@ class TestIntersect:
             a = rng.standard_normal(4)
             if a @ w.coords < 0:
                 a = -a
-            regions.append(intersect(regions[-1], (Halfspace(a, 0.0).normal,), w))
+            regions.append(intersect(regions[-1], (Halfspace(a, 0.0).normal,)))
         zs = rng.standard_normal((1000, 4))
         zs /= np.linalg.norm(zs, axis=1)[:, None]
         for row in zs:
