@@ -22,8 +22,8 @@ Axis and plane indices are 0-based.  Every run writes
 constraint_count, solver_sweeps; floats with 17 significant digits) and
 ``<out>_<method>_summary.json``; ``compare`` writes both traces plus
 ``<out>_compare.json``.  Outputs are byte-deterministic for a fixed config
-and seed.  Exit codes: 0 when every run converged, 2 when any run hit the
-iteration cap, 1 on errors.
+and seed.  Exit codes: 0 when every run converged (and for ``--help``), 2
+when any run hit the iteration cap, 1 on errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -290,9 +290,18 @@ def _run_config(config_path: str, seed: int | None, out: str | None, compare: bo
     return 0 if all(r is StopReason.CONVERGED for r in reasons) else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, as every other error does:
+    argparse's own code, 2, is the iteration cap's."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache   # one parser per process, reused by every `main` call
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sphereproj", description="Run projection-method iterations on the unit sphere.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "compare"):

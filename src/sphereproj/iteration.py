@@ -198,7 +198,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     x_n, dist_n, res_n, images = state.x_n, state.dist_x1_xn, state.residuals, state.images
     if dist_n is None or res_n is None or images is None:
         dist_n, images, res_n = _measure(problem, x_n)
-    y = problem._w.apply(x_n, state.n, images)
+    y = problem._w.apply(x_n, images=images)
     cn = make_cn(x_n, y)
     if shrinking:
         base, cuts = state.region, (cn,)

@@ -21,7 +21,7 @@ fixed points are exactly the common fixed points of the T_i.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -202,50 +202,36 @@ def _pivoted_basis(vectors: np.ndarray, fixed: np.ndarray, cut: float,
 
 
 class MappingFamily:
-    """An ordered family of self-mappings with stage weights.
+    """An ordered family of self-mappings with one row of stage weights.
 
-    alphas holds the base weight row (each in the open interval (0, 1), so
-    some margin [a, 1-a] with 0 < a < 1/2 contains them all); an optional
-    schedule callback supplies a per-iteration row and is validated on use.
-    Every member must be a certified isometry (is_linear set; ValueError
+    alphas holds the weight row, one per member, each in the open interval
+    (0, 1), so some margin [a, 1-a] with 0 < a < 1/2 contains them all.
+    It is checked once, here, and every step uses it as it stands.  Every
+    member must be a certified isometry (is_linear set; ValueError
     otherwise).
     """
 
-    __slots__ = ("maps", "alphas", "schedule")
+    __slots__ = ("maps", "alphas")
 
-    def __init__(self, maps: Sequence, alphas: Sequence[float] | None = None,
-                 schedule: Callable[[int], Sequence[float]] | None = None):
+    def __init__(self, maps: Sequence, alphas: Sequence[float] | None = None):
         maps = tuple(maps)
         if not maps:
             raise ValueError("a mapping family needs at least one mapping")
         for T in maps:
             if not getattr(T, "is_linear", False):
                 raise ValueError(f"{T!r} is not a certified isometry")
-        if alphas is None:
-            alphas = (0.5,) * len(maps)
-        alphas = self._check_row(tuple(float(a) for a in alphas), len(maps))
-        self.maps = maps
-        self.alphas = alphas
-        self.schedule = schedule
-
-    @staticmethod
-    def _check_row(row: tuple[float, ...], r: int) -> tuple[float, ...]:
-        if len(row) != r:
-            raise ValueError(f"expected {r} stage weights, got {len(row)}")
-        for a in row:
+        alphas = (0.5,) * len(maps) if alphas is None else tuple(float(a) for a in alphas)
+        if len(alphas) != len(maps):
+            raise ValueError(f"expected {len(maps)} stage weights, got {len(alphas)}")
+        for a in alphas:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"stage weights must lie strictly in (0, 1), got {a}")
-        return row
+        self.maps = maps
+        self.alphas = alphas
 
     @property
     def r(self) -> int:
         return len(self.maps)
-
-    def alphas_at(self, n: int) -> tuple[float, ...]:
-        """Weight row for iteration n (the base row unless a schedule is set)."""
-        if self.schedule is None:
-            return self.alphas
-        return self._check_row(tuple(float(a) for a in self.schedule(n)), self.r)
 
     def check_preserves_cap(self, pole: SpherePoint, radius: float) -> None:
         """Check that every member maps the cap into itself: a linear isometry
@@ -271,21 +257,21 @@ class MappingFamily:
 
 
 class WMapping:
-    """Staged geodesic averaging of a mapping family (the W-mapping)."""
+    """Staged geodesic averaging of a mapping family (the W-mapping), a function of x alone."""
 
     __slots__ = ("family",)
 
     def __init__(self, family: MappingFamily):
         self.family = family
 
-    def apply(self, x: SpherePoint, n: int = 1,
+    def apply(self, x: SpherePoint, *,
               images: Sequence[SpherePoint] | None = None) -> SpherePoint:
-        """u_r at iteration n, the W value.  `images`, when given, holds
-        T_i x for each member in order (as `residuals` takes them, and as
-        the step kernel always passes them); the first stage reads T_1 x
-        from it instead of applying T_1 again."""
+        """u_r, the W value at x, under the family's one weight row.
+        `images`, when given, holds T_i x for each member in order (as
+        `residuals` takes them, and as the step kernel always passes them);
+        the first stage reads T_1 x from it instead of applying T_1 again."""
         maps = self.family.maps
-        alphas = self.family.alphas_at(n)
+        alphas = self.family.alphas
         u = geodesic_combine(alphas[0], maps[0].apply(x) if images is None else images[0], x)
         for T, a in zip(maps[1:], alphas[1:]):
             u = geodesic_combine(a, T.apply(u), x)

@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sphereproj.cli import _PARSERS, RunConfig, main
 
@@ -214,6 +215,25 @@ class TestBadInputs:
     def test_weight_count(self, tmp_path, capsys):
         cfg = self.half_turn_with(tmp_path, "alphas = 0.5", "alphas = 0.5 0.5")
         self.exits_one(capsys, ["run", cfg], "alphas: expected 1 stage weights, got 2")
+
+
+    def test_usage_errors_exit_one(self, capsys):
+        """argparse's usage errors exit 1 too, not argparse's own 2, which
+        is the iteration cap's code; --help still exits 0."""
+        for argv, cause in (([], "required: command"),
+                            (["run"], "required: config"),
+                            (["bogus", "x.cfg"], "invalid choice: 'bogus'"),
+                            (["run", "x.cfg", "--seed", "abc"], "invalid int value: 'abc'")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert "usage: sphereproj" in err and cause in err
+        for argv in (["--help"], ["run", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert "usage: sphereproj" in capsys.readouterr().out
 
 
 def test_parsers_cover_run_config():

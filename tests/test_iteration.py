@@ -233,23 +233,6 @@ class TestRun:
         assert distance(x, target) <= 5e-3
         assert fejer_audit(trace)
 
-    def test_scheduled_weights_drive_the_run(self):
-        """An iteration-dependent weight row flows through every step."""
-        rows = []
-
-        def schedule(n):
-            row = [0.5 + 0.2 * math.sin(n)]
-            rows.append(n)
-            return row
-
-        fam = MappingFamily([PlaneRotation(0, 1, math.pi)], schedule=schedule)
-        x1 = random_point_in_cap(POLE, RHO, 13)
-        prob = make_problem(x1, fam)
-        _, trace, reason = run(prob, "cq", StopRule(1e-3, 1e-3, 50))
-        assert reason is StopReason.CONVERGED
-        assert fejer_audit(trace)
-        assert rows[: len(trace)] == list(range(1, len(trace) + 1))
-
 
 class TestCachedFields:
     """The state carries d(x1, x_n) and the residuals at x_n, so that each
@@ -328,6 +311,29 @@ class TestCachedFields:
             [img.coords.tobytes() for img in b.images]
 
 
+class TestStepIgnoresIndex:
+    """A step is a function of x_n, the region and the active cuts alone:
+    the iteration index only labels the record.  So a bitwise repeat of
+    x_n repeats the step."""
+
+    @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
+    @pytest.mark.parametrize("alphas", [(0.5, 0.5), (0.3, 0.8)])
+    def test_shifted_index_steps_to_the_same_bytes(self, stepper, alphas):
+        fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)], alphas)
+        prob = make_problem(random_point_in_cap(POLE, RHO, 21), fam)
+        s = initial_state(prob)
+        for _ in range(5):
+            s = stepper(prob, s)
+            a, b = stepper(prob, s), stepper(prob, s._replace(n=s.n + 1000))
+            assert b.n == a.n + 1000
+            assert a.x_n.coords.tobytes() == b.x_n.coords.tobytes()
+            assert a.y_n.coords.tobytes() == b.y_n.coords.tobytes()
+            assert a.region.normals.tobytes() == b.region.normals.tobytes()
+            assert a.active_cuts == b.active_cuts
+            assert b.trace[-1].n == a.trace[-1].n + 1000
+            assert repr(a.trace[-1]._replace(n=0)) == repr(b.trace[-1]._replace(n=0))
+
+
 class TestIterationState:
     def test_fields_cannot_be_assigned(self):
         """The snapshot is immutable: a field cannot be rebound."""
@@ -399,7 +405,7 @@ class TestWarmStart:
         branches = set()
         for _ in range(80):
             prev = s
-            a = make_cn(s.x_n, prob._w.apply(s.x_n, s.n))
+            a = make_cn(s.x_n, prob._w.apply(s.x_n))
             cut_off = a is not None and float(a.dot(s.x_n.coords)) < 0.0
             s = shrink_step(prob, s)
             m, start = starts[-1]

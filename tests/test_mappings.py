@@ -212,12 +212,6 @@ class TestMappingFamily:
         with pytest.raises(TypeError):
             MappingFamily([Uncertified()], allow_experimental=True)
 
-    def test_schedule_rows_validated(self):
-        fam = MappingFamily([Identity()], schedule=lambda n: [1.0 / (n + 1)])
-        assert fam.alphas_at(1) == (0.5,)
-        with pytest.raises(ValueError):
-            MappingFamily([Identity()], schedule=lambda n: [0.0]).alphas_at(1)
-
     def test_cap_preservation_check(self):
         fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
         fam.check_preserves_cap(e(3), math.pi / 5)  # pole fixed: passes
@@ -240,20 +234,28 @@ class TestWMapping:
 
     def test_two_stage_hand_unrolled(self):
         """The staged recursion matches an independent unrolling, and the
-        second combination argument is the original point at every stage."""
+        second combination argument is the original point at every stage.
+        The unequal row tells alpha_k from 1 - alpha_k."""
         t1 = PlaneRotation(0, 1, 0.8)
         t2 = PlaneRotation(0, 2, 0.5)
-        fam = MappingFamily([t1, t2], alphas=[0.5, 0.5])
         rng = np.random.default_rng(23)
-        for _ in range(50):
-            x = SpherePoint(sample_cap(e(3).coords, math.pi / 5, 1, rng)[0])
-            u1 = geodesic_combine(0.5, t1.apply(x), x)
-            u2 = geodesic_combine(0.5, t2.apply(u1), x)
-            w = WMapping(fam)
-            # apply, with or without T_i x given, is u2 bit for bit
-            assert w.apply(x).coords.tobytes() == u2.coords.tobytes()
-            assert w.apply(x, 1, (t1.apply(x), t2.apply(x))).coords.tobytes() == \
-                u2.coords.tobytes()
+        for a1, a2 in ((0.5, 0.5), (0.3, 0.8)):
+            w = WMapping(MappingFamily([t1, t2], alphas=[a1, a2]))
+            for _ in range(50):
+                x = SpherePoint(sample_cap(e(3).coords, math.pi / 5, 1, rng)[0])
+                u1 = geodesic_combine(a1, t1.apply(x), x)
+                u2 = geodesic_combine(a2, t2.apply(u1), x)
+                # apply, with or without T_i x given, is u2 bit for bit
+                assert w.apply(x).coords.tobytes() == u2.coords.tobytes()
+                assert w.apply(x, images=(t1.apply(x), t2.apply(x))).coords.tobytes() == \
+                    u2.coords.tobytes()
+
+    def test_images_keyword_only(self):
+        """A positional second argument (the old iteration index) is refused,
+        not taken for the images."""
+        w = WMapping(MappingFamily([PlaneRotation(0, 1, 0.8)]))
+        with pytest.raises(TypeError):
+            w.apply(e(0), 1)
 
     def test_fixed_points_are_exactly_common_fixed_points(self):
         """Points fixed by the staged average are the family's common fixed
