@@ -50,7 +50,6 @@ from .mappings import (
     Identity,
     MappingFamily,
     PlaneRotation,
-    RotationProduct,
     WMapping,
     common_fixed_basis,
     nearest_fixed_point,
@@ -80,8 +79,8 @@ __all__ = [
     "IterationState", "Problem", "StopReason", "StopRule", "Trace",
     "TraceRecord", "cq_step", "fejer_audit", "initial_state", "iterate", "run",
     "shrink_step",
-    "Identity", "MappingFamily", "PlaneRotation", "RotationProduct",
-    "WMapping", "common_fixed_basis", "nearest_fixed_point", "residuals",
+    "Identity", "MappingFamily", "PlaneRotation", "WMapping",
+    "common_fixed_basis", "nearest_fixed_point", "residuals",
     "Halfspace", "Region", "SolveStats", "contains", "intersect", "make_cn",
     "make_qn", "project",
     "__version__",

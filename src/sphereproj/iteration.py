@@ -58,8 +58,10 @@ class StopRule:
             raise ValueError("stop rule fields must be positive")
 
     def reason(self, state: "IterationState") -> StopReason | None:
-        """Why to stop after the step that produced state, or None to go on."""
-        if (state.trace[-1].step_len <= self.eps_step
+        """Why to stop after the step that produced state, or None to go on.
+        A state with no record yet has no step length, so only the cap
+        applies to it."""
+        if (state.trace and state.trace[-1].step_len <= self.eps_step
                 and float(state.residuals.max()) <= self.eps_residual):
             return StopReason.CONVERGED
         if state.n > self.max_iter:

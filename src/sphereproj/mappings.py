@@ -1,12 +1,12 @@
 """Nonexpansive mappings of the sphere and their staged geodesic averaging.
 
-The certified zoo consists of linear isometries: plane rotations, products
-of plane rotations, and the identity.  For these, nonexpansiveness is exact,
-fixed-point sets are null spaces, read from apply on the axes the maps move
-(every other axis is fixed as it stands), and invariance of a cap follows
-whenever the cap pole is fixed.  apply is the only description of a map,
-and is_linear is the one certification marker: a family admits only
-members that carry it, so every problem has a known common fixed set.
+The certified zoo is closed: coordinate-plane rotations and the identity.
+These are linear isometries, so nonexpansiveness is exact, each one fixes
+exactly the axes outside its plane, and invariance of a cap follows
+whenever the cap pole is fixed.  The common fixed set of a family is
+therefore the span of the axes that no member moves, read from apply on
+each axis.  apply is the only description of a map; a family admits only
+members of the zoo, so every problem has a known common fixed set.
 
 A family (T_1..T_r, alpha_1..alpha_r) combines into a single self-mapping by
 the staged recursion
@@ -21,14 +21,15 @@ fixed points are exactly the common fixed points of the T_i.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import SpherePoint, basis_point, distance, geodesic_combine, sample_cap
 
-# Row remainders below this (relative) threshold count as zero when
-# extracting fixed subspaces.
+# An axis that no map moves by more than this, relative to the largest
+# move (at least 1), counts as fixed when building the common fixed set.
 NULLSPACE_TOL = 1e-10
 
 # The cap check: how many cap points are sampled, from which generator seed,
@@ -41,8 +42,6 @@ CAP_CHECK_TOL = 1e-9
 class Identity:
     """The identity mapping."""
 
-    is_linear = True
-
     def apply(self, x: SpherePoint) -> SpherePoint:
         return x
 
@@ -53,16 +52,16 @@ class Identity:
 class PlaneRotation:
     """Rotation of the (axis_i, axis_j) coordinate plane by a fixed angle.
 
-    Indices are 0-based with axis_i < axis_j; all other coordinates are
-    fixed.  Plane rotations are isometries of the sphere, hence nonexpansive
-    with equality.
+    Indices are 0-based integers with axis_i < axis_j (a float raises
+    TypeError; numpy integers and bools become int); all other coordinates
+    are fixed.  Plane rotations are isometries of the sphere, hence
+    nonexpansive with equality.
     """
-
-    is_linear = True
 
     __slots__ = ("axis_i", "axis_j", "angle", "_cos", "_sin")
 
     def __init__(self, axis_i: int, axis_j: int, angle: float):
+        axis_i, axis_j = operator.index(axis_i), operator.index(axis_j)
         if not 0 <= axis_i < axis_j:
             raise ValueError("need 0 <= axis_i < axis_j")
         if not -math.pi < angle <= math.pi:
@@ -89,61 +88,34 @@ class PlaneRotation:
         return f"PlaneRotation({self.axis_i}, {self.axis_j}, {self.angle})"
 
 
-class RotationProduct:
-    """Composition of plane rotations, applied first-to-last."""
-
-    is_linear = True
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: Sequence[PlaneRotation]):
-        factors = tuple(factors)
-        if not factors:
-            raise ValueError("a rotation product needs at least one factor")
-        if not all(isinstance(f, PlaneRotation) for f in factors):
-            raise TypeError("rotation product factors must be plane rotations")
-        self.factors = factors
-
-    def apply(self, x: SpherePoint) -> SpherePoint:
-        for f in self.factors:
-            x = f.apply(x)
-        return x
-
-    def __repr__(self) -> str:
-        return f"RotationProduct({list(self.factors)})"
+# The closed zoo: the only classes a family admits.
+_ZOO = (PlaneRotation, Identity)
 
 
 def common_fixed_basis(maps: Sequence, dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the intersection of fixed subspaces.
 
-    Only defined for linear maps (TypeError otherwise), and each is read
-    only through apply: row j of its moves is T(e_j) - e_j, built one axis
-    at a time and kept only where it is nonzero.  An axis that no map moves
-    is fixed as it stands and enters the basis unchanged, in index order;
-    the null space of the stacked moves, taken on the moved axes alone,
-    follows.
+    Only defined for the zoo's plane rotations and identities (TypeError
+    otherwise), and each map is read only through apply, on every axis:
+    it moves e_j by |T(e_j) - e_j|.  A member fixes exactly the axes
+    outside its plane, and on its plane both singular values of T - I equal
+    that move, so the common fixed set is spanned by the axes that no map
+    moves by more than NULLSPACE_TOL * max(1, largest move).  The basis is
+    those unit columns, in index order; with no map it is the identity.
     """
     for T in maps:
-        if not getattr(T, "is_linear", False):
+        if not isinstance(T, _ZOO):
             raise TypeError(f"{T!r} is not linear; cannot derive a fixed basis")
-    moves = [{} for _ in maps]
+    moves = np.zeros(dim)  # the largest move of each axis
     for j in range(dim):
         axis = basis_point(j, dim)
-        for T, rows in zip(maps, moves):
+        for T in maps:
             row = T.apply(axis).coords - axis.coords
             if row.any():
-                rows[j] = row
-    moved = set().union(*moves)
-    if not moved:
-        return np.eye(dim)
-    still = [j for j in range(dim) if j not in moved]
-    shifted = sorted(moved)
-    zero = np.zeros(dim)
-    null = _null_space(np.vstack([np.array([rows.get(j, zero) for j in shifted]).T
-                                  for rows in moves]))
-    basis = np.zeros((dim, len(still) + null.shape[1]))
+                moves[j] = max(moves[j], math.sqrt(float(row.dot(row))))
+    still = np.flatnonzero(moves <= NULLSPACE_TOL * max(1.0, float(moves.max(initial=0.0))))
+    basis = np.zeros((dim, len(still)))
     basis[still, np.arange(len(still))] = 1.0
-    basis[shifted, len(still):] = null
     return basis
 
 
@@ -162,53 +134,14 @@ def nearest_fixed_point(basis: np.ndarray, x: SpherePoint) -> SpherePoint | None
     return SpherePoint._wrap(comp / n)
 
 
-def _null_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of m.
-
-    Pivoted Gram-Schmidt (QR with column pivoting on m^T) spans the row
-    space, stopping once no remaining row exceeds NULLSPACE_TOL times the
-    largest row norm; the coordinate axes, with that span projected out,
-    complete it the same way.  Plain numpy rather than an SVD: the
-    matrices have one column per moved axis, and keeping LAPACK unloaded
-    saves about 1 MB of resident memory in every process that builds a
-    Problem.
-    """
-    dim = m.shape[1]
-    scale = max(1.0, float(np.sqrt((m * m).sum(axis=1)).max(initial=0.0)))
-    rows = _pivoted_basis(m, np.empty((0, dim)), NULLSPACE_TOL * scale, dim)
-    return _pivoted_basis(np.eye(dim), rows, 0.0, dim - len(rows)).T
-
-
-def _pivoted_basis(vectors: np.ndarray, fixed: np.ndarray, cut: float,
-                   limit: int) -> np.ndarray:
-    """Orthonormal rows spanning `vectors` modulo the orthonormal rows of
-    `fixed`: repeatedly take the largest remainder, until `limit` rows or
-    no remainder above `cut`.  Every projection is applied twice, which
-    keeps the rows orthogonal to working precision."""
-    rest = np.array(vectors, dtype=float)
-    out = []
-    for _ in range(2):
-        rest -= (rest @ fixed.T) @ fixed
-    while len(out) < limit and len(rest):
-        norms = np.sqrt((rest * rest).sum(axis=1))
-        i = int(np.argmax(norms))
-        if norms[i] <= cut:
-            break
-        q = rest[i] / norms[i]
-        for _ in range(2):
-            rest -= np.outer(rest @ q, q)
-        out.append(q)
-    return np.array(out).reshape(len(out), rest.shape[1])
-
-
 class MappingFamily:
     """An ordered family of self-mappings with one row of stage weights.
 
     alphas holds the weight row, one per member, each in the open interval
     (0, 1), so some margin [a, 1-a] with 0 < a < 1/2 contains them all.
     It is checked once, here, and every step uses it as it stands.  Every
-    member must be a certified isometry (is_linear set; ValueError
-    otherwise).
+    member must be a certified isometry, a PlaneRotation or the Identity
+    (ValueError otherwise).
     """
 
     __slots__ = ("maps", "alphas")
@@ -218,7 +151,7 @@ class MappingFamily:
         if not maps:
             raise ValueError("a mapping family needs at least one mapping")
         for T in maps:
-            if not getattr(T, "is_linear", False):
+            if not isinstance(T, _ZOO):
                 raise ValueError(f"{T!r} is not a certified isometry")
         alphas = (0.5,) * len(maps) if alphas is None else tuple(float(a) for a in alphas)
         if len(alphas) != len(maps):

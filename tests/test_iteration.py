@@ -440,6 +440,14 @@ class TestStopRule:
         assert rule.reason(state(1e-7, 1e-9, 2)) is None
         assert rule.reason(state(1e-9, 1e-7, 2)) is None
 
+    def test_reason_before_any_step(self):
+        """The initial state has no record, so its step-length clause is
+        unmet even at a common fixed point, and only the cap can stop it."""
+        start = initial_state(make_problem(POLE))
+        assert start.trace == () and float(start.residuals.max()) == 0.0
+        assert StopRule().reason(start) is None
+        assert StopRule(1e-8, 1e-8, 1).reason(start._replace(n=2)) is StopReason.ITERATION_CAP
+
 
 def wrong_fixed_set_problem(monkeypatch):
     """A problem whose claimed fixed point the mappings do not fix: the

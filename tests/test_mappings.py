@@ -14,10 +14,10 @@ from sphereproj.geometry import (
     sample_cap,
 )
 from sphereproj.mappings import (
+    NULLSPACE_TOL,
     Identity,
     MappingFamily,
     PlaneRotation,
-    RotationProduct,
     WMapping,
     common_fixed_basis,
     nearest_fixed_point,
@@ -30,10 +30,16 @@ def e(i, dim=4):
 
 
 class Uncertified:
-    """A map with apply but no is_linear marker."""
+    """A map with apply, outside the zoo."""
 
     def apply(self, x):
         return x
+
+
+class MarkedLinear(Uncertified):
+    """A map outside the zoo that carries the old is_linear marker."""
+
+    is_linear = True
 
 
 class TestApplyMap:
@@ -53,18 +59,24 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             PlaneRotation(0, 1, 3.5)
 
-    def test_rotation_product_order(self):
-        rp = RotationProduct([PlaneRotation(0, 1, math.pi / 2),
-                              PlaneRotation(1, 2, math.pi / 2)])
-        img = rp.apply(e(0))
-        np.testing.assert_allclose(img.coords, e(2).coords, atol=1e-15)
+    def test_rotation_axes_are_integers(self):
+        """A float axis raises when the rotation is built; numpy integers
+        and bools become int and rotate as the plain ints would."""
+        for bad in ((0, 1.5), (0.0, 2)):
+            with pytest.raises(TypeError):
+                PlaneRotation(*bad, 0.3)
+        for i, j in ((np.int64(1), np.int32(2)), (True, 2)):
+            t = PlaneRotation(i, j, 0.3)
+            assert type(t.axis_i) is int and type(t.axis_j) is int
+            x = SpherePoint([0.1, 0.2, 0.3, 0.4])
+            assert t.apply(x).coords.tobytes() == \
+                PlaneRotation(1, 2, 0.3).apply(x).coords.tobytes()
 
     def test_isometry_random_pairs(self):
         """Rotations preserve the metric exactly, hence are nonexpansive."""
         rng = np.random.default_rng(21)
         maps = [PlaneRotation(0, 1, 0.8),
-                PlaneRotation(1, 3, -2.0),
-                RotationProduct([PlaneRotation(0, 2, 0.5), PlaneRotation(1, 2, 1.1)])]
+                PlaneRotation(1, 3, -2.0)]
         for T in maps:
             for _ in range(300):
                 x = SpherePoint(rng.standard_normal(4))
@@ -97,25 +109,11 @@ class TestFixedSetBasis:
     def test_identity_full_basis(self):
         b = common_fixed_basis([Identity()], 4)
         assert b.shape == (4, 4)
+        assert np.array_equal(common_fixed_basis([], 4), np.eye(4))
 
     def test_zero_angle_rotation_full_basis(self):
         b = common_fixed_basis([PlaneRotation(0, 1, 0.0)], 4)
         assert b.shape == (4, 4)
-
-    def test_composition_basis(self):
-        """A product of two rotations sharing axis 0 restricts to an SO(3)
-        element on coords 0..2, which always has a rotation axis (Euler), so
-        the fixed subspace is two-dimensional: span{axis, e3}."""
-        rp = RotationProduct([PlaneRotation(0, 1, 0.7), PlaneRotation(0, 2, 0.4)])
-        b = common_fixed_basis([rp], 4)
-        assert b.shape == (4, 2)
-        for col in b.T:
-            np.testing.assert_allclose(rp.apply(SpherePoint(col)).coords, col,
-                                       atol=1e-12)
-        np.testing.assert_allclose(b.T @ b, np.eye(2), atol=1e-12)
-        # e3 lies in the span
-        proj = b @ (b.T @ np.array([0.0, 0, 0, 1]))
-        np.testing.assert_allclose(proj, [0, 0, 0, 1], atol=1e-12)
 
     def test_nonlinear_rejected(self):
         with pytest.raises(TypeError):
@@ -127,27 +125,28 @@ class TestFixedSetBasis:
         np.testing.assert_allclose(np.abs(b[:, 0]), [0, 0, 0, 1], atol=1e-12)
 
     def test_agrees_with_svd_null_space(self):
-        """Seeded families of 1 to 3 maps in d = 4..8: b b^T is the projector
+        """Seeded families of 1 to 3 zoo members in d = 4..8, with angles
+        of every size and on both sides of the cut: b b^T is the projector
         onto the SVD null space of the stacked T - I, each T - I read from
         apply on the axes, and every column is fixed by every map."""
         rng = np.random.default_rng(27)
 
-        def rotation(dim):
-            i, j = sorted(rng.choice(dim, 2, replace=False).tolist())
-            return PlaneRotation(i, j, float(rng.uniform(-math.pi, math.pi)))
+        def angle():
+            kind = int(rng.integers(4))
+            if kind == 0:
+                return float(rng.uniform(-math.pi, math.pi))
+            if kind == 1:
+                return 0.0
+            sign = float(rng.choice([-1.0, 1.0]))
+            if kind == 2:  # at most a quarter of the cut: still
+                return sign * 10 ** float(rng.uniform(-12.0, -10.6))
+            return sign * 10 ** float(rng.uniform(-9.4, -8.0))  # over twice the cut: moved
 
         def draw(dim):
-            kind = int(rng.integers(5))
-            if kind == 0:
-                return rotation(dim)
-            if kind == 1:
-                return RotationProduct([rotation(dim) for _ in range(int(rng.integers(2, 4)))])
-            if kind == 2:
+            if rng.integers(5) == 0:
                 return Identity()
-            if kind == 3:
-                return PlaneRotation(0, int(rng.integers(1, dim)), 0.0)
-            theta = float(rng.uniform(0.1, 3.0))
-            return RotationProduct([PlaneRotation(0, 1, theta), PlaneRotation(0, 1, -theta)])
+            i, j = sorted(rng.choice(dim, 2, replace=False).tolist())
+            return PlaneRotation(i, j, angle())
 
         for _ in range(200):
             dim = int(rng.integers(4, 9))
@@ -157,20 +156,42 @@ class TestFixedSetBasis:
             stacked = np.vstack([np.array([T.apply(a).coords - a.coords for a in axes]).T
                                  for T in maps])
             _, sv, vt = np.linalg.svd(stacked)
-            null = vt[int((sv > 1e-8).sum()):].T
+            null = vt[int((sv > NULLSPACE_TOL).sum()):].T
             np.testing.assert_allclose(b @ b.T, null @ null.T, rtol=0, atol=1e-12)
             np.testing.assert_allclose(b.T @ b, np.eye(b.shape[1]), rtol=0, atol=1e-12)
             for T in maps:
                 for col in b.T:
+                    # a still axis moves by at most the cut
                     np.testing.assert_allclose(T.apply(SpherePoint(col)).coords, col,
-                                               rtol=0, atol=1e-12)
+                                               rtol=0, atol=NULLSPACE_TOL)
             with pytest.raises(ValueError):
                 common_fixed_basis(maps + [PlaneRotation(1, dim, 0.3)], dim)
 
+    def test_sub_threshold_rotation_counts_as_still(self):
+        """An axis is still when no map moves it by more than the cut,
+        NULLSPACE_TOL times the largest move (at least 1), and the basis
+        lists the still axes in index order."""
+        b = common_fixed_basis([PlaneRotation(0, 1, 1e-12), PlaneRotation(0, 2, 0.5)], 4)
+        assert np.array_equal(b, np.eye(4)[:, [1, 3]])
+        # a move of 1.5e-10 is past the bare cut of 1e-10 ...
+        b = common_fixed_basis([PlaneRotation(0, 1, 1.5e-10)], 4)
+        assert np.array_equal(b, np.eye(4)[:, [2, 3]])
+        # ... but within it beside a move of 2 sin(1.25) = 1.90
+        b = common_fixed_basis([PlaneRotation(0, 1, 1.5e-10), PlaneRotation(2, 3, 2.5)], 4)
+        assert np.array_equal(b, np.eye(4)[:, [0, 1]])
+
+    def test_marked_linear_class_rejected(self):
+        """The zoo is closed: a class of one's own with apply and the old
+        is_linear marker joins neither a family nor a fixed-set basis."""
+        with pytest.raises(ValueError, match="not a certified isometry"):
+            MappingFamily([PlaneRotation(0, 1, 0.8), MarkedLinear()])
+        with pytest.raises(TypeError):
+            common_fixed_basis([PlaneRotation(0, 1, 0.8), MarkedLinear()], 4)
+
     def test_memory_at_high_dimension(self):
-        """The two-rotation family at d = 1024: only the moved rows of each
-        map are held, so the peak is about the returned d x (d - 3) basis
-        (8.4 MB) and not r dense d x d arrays of moves."""
+        """The two-rotation family at d = 1024: one move per axis is held and
+        the basis is written into a zeros array, so the peak is about the
+        returned d x (d - 3) basis (8.4 MB), not a d x d identity as well."""
         maps = [PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)]
         tracemalloc.start()
         try:
