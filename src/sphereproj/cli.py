@@ -17,11 +17,12 @@ Config files are flat ``key = value`` text (comments start with ``#``)::
     seed = 42
     out = runs/bench
 
-Axis and plane indices are 0-based.  Every run writes
-``<out>_<method>_trace.csv`` (columns: n, dist_x1_xn, step_len, res_1..res_r,
-constraint_count, solver_sweeps; floats with 17 significant digits) and
-``<out>_<method>_summary.json``; ``compare`` writes both traces plus
-``<out>_compare.json``.  Outputs are byte-deterministic for a fixed config
+Every key but ``mapping`` may appear once; ``_GRAMMAR`` gives each its
+parser and its default.  Axis and plane indices are 0-based.  Every run
+writes ``<out>_<method>_trace.csv`` (columns: n, dist_x1_xn, step_len,
+res_1..res_r, constraint_count, solver_sweeps; floats with 17 significant
+digits) and ``<out>_<method>_summary.json``; ``compare`` writes both traces
+plus ``<out>_compare.json``.  Outputs are byte-deterministic for a fixed config
 and seed.  Exit codes: 0 when every run converged (and for ``--help``), 2
 when any run hit the iteration cap, 1 on errors, usage errors included.
 """
@@ -34,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import types
 
 from .errors import ConfigError, SphereProjError
 from .geometry import SpherePoint, basis_point, distance, random_point_in_cap
@@ -46,6 +47,7 @@ from .mappings import (
     nearest_fixed_point,
     residuals,
 )
+from .regions import MAX_CAP_RADIUS
 
 _METHODS = ("cq", "shrinking", "both")
 
@@ -57,43 +59,29 @@ def _method(value: str) -> str:
 
 
 # The grammar: each key that may appear once, with the function that reads
-# its value.  `mapping` may repeat and fills `RunConfig.mappings`.
-_PARSERS = {
-    "dim": int,
-    "cap_pole": str.split,
-    "cap_radius": float,
-    "alphas": lambda value: [float(tok) for tok in value.split()],
-    "x1": str.split,
-    "method": _method,
-    "eps_step": float,
-    "eps_residual": float,
-    "max_iter": int,
-    "seed": int,
-    "out": str,
+# its value and the value it takes when the file leaves it out.  `mapping`
+# may repeat and fills the list `mappings`.
+_GRAMMAR = {
+    "dim": (int, 0),
+    "cap_pole": (str, ""),
+    "cap_radius": (float, math.nan),
+    "alphas": (lambda value: [float(tok) for tok in value.split()], None),
+    "x1": (str, "random"),
+    "method": (_method, ""),
+    "eps_step": (float, 1e-8),
+    "eps_residual": (float, 1e-8),
+    "max_iter": (int, 10_000),
+    "seed": (int, 0),
+    "out": (str, "run"),
 }
 
 
-@dataclass
-class RunConfig:
-    """Parsed, not-yet-validated configuration."""
-
-    dim: int = 0
-    cap_pole: list[str] = field(default_factory=list)
-    cap_radius: float = math.nan
-    mappings: list[list[str]] = field(default_factory=list)
-    alphas: list[float] | None = None
-    x1: list[str] = field(default_factory=lambda: ["random"])
-    method: str = ""
-    eps_step: float = 1e-8
-    eps_residual: float = 1e-8
-    max_iter: int = 10_000
-    seed: int = 0
-    out: str = "run"
-
-
-def parse_config(path: str) -> RunConfig:
-    """Parse the flat key = value grammar, rejecting unknown or duplicate keys."""
-    cfg = RunConfig()
+def parse_config(path: str) -> types.SimpleNamespace:
+    """Parse the flat key = value grammar, rejecting unknown or duplicate keys,
+    into one attribute per `_GRAMMAR` key (its default where the file leaves
+    it out) and `mappings`, the tokens of each `mapping` line; not validated."""
+    cfg = types.SimpleNamespace(mappings=[],
+                                **{key: default for key, (_, default) in _GRAMMAR.items()})
     seen: set[str] = set()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,27 +99,25 @@ def parse_config(path: str) -> RunConfig:
         if key == "mapping":
             cfg.mappings.append(value.split())
             continue
-        if key not in _PARSERS:
+        if key not in _GRAMMAR:
             raise ConfigError(f"line {ln}: unknown field {key!r}")
         if key in seen:
             raise ConfigError(f"line {ln}: duplicate field {key!r}")
         seen.add(key)
         try:
-            setattr(cfg, key, _PARSERS[key](value))
+            setattr(cfg, key, _GRAMMAR[key][0](value))
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"line {ln}: {key}: {e}") from e
     return cfg
 
 
-def _parse_point(tokens: list[str], dim: int, fieldname: str) -> SpherePoint:
+def _parse_point(text: str, dim: int, fieldname: str) -> SpherePoint:
+    tokens = text.split()
     if len(tokens) == 1:
         try:
-            axis = int(tokens[0])
+            return basis_point(int(tokens[0]), dim)
         except ValueError as e:
-            raise ConfigError(f"{fieldname}: expected an axis index, got {tokens[0]!r}") from e
-        if not 0 <= axis < dim:
-            raise ConfigError(f"{fieldname}: axis {axis} out of range for dim {dim}")
-        return basis_point(axis, dim)
+            raise ConfigError(f"{fieldname}: {e}") from e
     if len(tokens) != dim:
         raise ConfigError(
             f"{fieldname}: expected an axis index or {dim} coordinates, got {len(tokens)}"
@@ -155,19 +141,16 @@ def _build_mapping(tokens: list[str], dim: int):
             raise ConfigError("mapping: rotation needs 'rotation <i> <j> <angle>'")
         try:
             i, j = int(tokens[1]), int(tokens[2])
-            angle = float(tokens[3])
+            rotation = PlaneRotation(i, j, float(tokens[3]))
         except ValueError as e:
             raise ConfigError(f"mapping: {e}") from e
-        if not 0 <= i < j < dim:
+        if j >= dim:
             raise ConfigError(f"mapping: plane ({i},{j}) invalid for dim {dim}")
-        try:
-            return PlaneRotation(i, j, angle)
-        except ValueError as e:
-            raise ConfigError(f"mapping: {e}") from e
+        return rotation
     raise ConfigError(f"mapping: unknown type {kind!r}")
 
 
-def build_problem(cfg: RunConfig) -> tuple[Problem, StopRule]:
+def build_problem(cfg: types.SimpleNamespace) -> tuple[Problem, StopRule]:
     """Validate the parsed config and materialize the problem and stop rule."""
     if cfg.dim < 2:
         raise ConfigError("dim: must be an integer >= 2")
@@ -175,8 +158,9 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, StopRule]:
         raise ConfigError("mapping: at least one mapping block is required")
     if not cfg.method:
         raise ConfigError("method: required field")
-    if not 0.0 < cfg.cap_radius < math.pi / 4:
-        raise ConfigError(f"cap_radius: must be in (0, {math.pi / 4}), got {cfg.cap_radius}")
+    # before `random_point_in_cap`, whose own bound is pi/2
+    if not 0.0 < cfg.cap_radius < MAX_CAP_RADIUS:
+        raise ConfigError(f"cap_radius: must be in (0, {MAX_CAP_RADIUS}), got {cfg.cap_radius}")
     if not cfg.cap_pole:
         raise ConfigError("cap_pole: required field")
 
@@ -188,15 +172,13 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, StopRule]:
     except ValueError as e:
         raise ConfigError(f"alphas: {e}") from e
 
-    if cfg.x1 == ["random"]:
+    if cfg.x1 == "random":
         try:
             x1 = random_point_in_cap(pole, cfg.cap_radius, cfg.seed)
         except ValueError as e:
             raise ConfigError(f"seed: {e}") from e
     else:
         x1 = _parse_point(cfg.x1, cfg.dim, "x1")
-        if distance(x1, pole) > cfg.cap_radius + 1e-12:
-            raise ConfigError("x1: explicit start point lies outside the cap")
 
     try:
         problem = Problem(cfg.dim, pole, cfg.cap_radius, family, x1)

@@ -15,6 +15,7 @@ drift off the sphere.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -67,12 +68,14 @@ class SpherePoint:
 
 
 def basis_point(axis: int, dim: int) -> SpherePoint:
-    """The standard basis vector e_axis as a sphere point (0-based index)."""
+    """The standard basis vector e_axis as a sphere point, checked as any
+    is; the 0-based axis is an integer (a float raises TypeError)."""
+    axis = operator.index(axis)
     if not 0 <= axis < dim:
         raise ValueError(f"axis {axis} out of range for dimension {dim}")
     v = np.zeros(dim)
     v[axis] = 1.0
-    return SpherePoint._wrap(v)
+    return SpherePoint(v)
 
 
 def inner(x: SpherePoint, y: SpherePoint) -> float:

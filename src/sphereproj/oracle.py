@@ -3,8 +3,8 @@
 Nothing here is called from the algorithm modules.  The brute-force grid
 projection re-derives feasibility and distances from raw dot products so
 that it shares no code path with the active-set projection it validates.
-Closed forms (great-circle projection, subspace projection) extend the
-oracle to dimensions where a grid is intractable.
+The closed-form subspace projection (a great circle for a coordinate
+plane) extends the oracle to dimensions where a grid is intractable.
 """
 
 from __future__ import annotations
@@ -191,28 +191,11 @@ def _active_set_candidates(region: Region, x: SpherePoint):
             yield z
 
 
-def circle_project(x: SpherePoint, kept_axes: tuple[int, int]) -> SpherePoint:
-    """Metric projection onto the great circle of a coordinate plane.
-
-    Zeroing every other coordinate and renormalizing is the nearest point of
-    the circle (a right spherical triangle argument); it is the closed-form
-    fixed-set projection for a single plane rotation.
-    """
-    i, j = kept_axes
-    if i == j or not (0 <= i < x.dim and 0 <= j < x.dim):
-        raise ValueError(f"kept_axes {kept_axes} invalid for dimension {x.dim}")
-    v = np.zeros(x.dim)
-    v[i] = x.coords[i]
-    v[j] = x.coords[j]
-    n = float(np.linalg.norm(v))
-    if n <= 1e-12:
-        raise DegenerateInput("point has no component in the kept plane")
-    return SpherePoint._wrap(v / n)
-
-
 def subspace_project(x: SpherePoint, basis: np.ndarray) -> SpherePoint:
     """Metric projection onto the unit sphere of a subspace (orthonormal
-    columns); the closed-form nearest-fixed-point oracle for linear maps."""
+    columns): its renormalized component, the closed-form nearest-fixed-
+    point oracle for linear maps.  For columns e_i, e_j it zeroes every
+    other coordinate: the projection onto a great circle."""
     comp = basis @ (basis.T @ x.coords)
     n = float(np.linalg.norm(comp))
     if n <= 1e-12:

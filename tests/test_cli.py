@@ -1,6 +1,5 @@
 """Tests for the batch-runner CLI: config parsing, outputs, exit codes."""
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphereproj.cli import _PARSERS, RunConfig, main
+from sphereproj import cli
+from sphereproj.cli import _GRAMMAR, build_problem, main, parse_config
 
 PI5 = math.pi / 5
 
@@ -236,11 +236,18 @@ class TestBadInputs:
             assert "usage: sphereproj" in capsys.readouterr().out
 
 
-def test_parsers_cover_run_config():
-    """The parser table and the dataclass name the same keys; `mapping`
-    lines fill the `mappings` list."""
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert set(_PARSERS) | {"mappings"} == fields
+def test_documented_configs_match_the_grammar(tmp_path):
+    """The README's config block and the module docstring's example each
+    parse, build a problem, and name exactly the grammar's keys plus
+    `mapping`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = {"README": readme.split("```ini\n", 1)[1].split("```", 1)[0],
+                "docstring": cli.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]}
+    for name, text in examples.items():
+        build_problem(parse_config(write_config(tmp_path / f"{name}.cfg", text)))
+        lines = (raw.split("#", 1)[0] for raw in text.splitlines())
+        keys = {line.split("=", 1)[0].strip() for line in lines if line.strip()}
+        assert keys == set(_GRAMMAR) | {"mapping"}, name
 
 
 class TestCompareCommand:

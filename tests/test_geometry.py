@@ -51,6 +51,18 @@ class TestSpherePoint:
         with pytest.raises(ValueError):
             p.coords[0] = 2.0
 
+    def test_basis_point_is_a_sphere_point(self):
+        """Bools and numpy integers are axes, a float is not, and d >= 2
+        holds as for any sphere point."""
+        for axis, j in ((True, 1), (False, 0), (np.int64(2), 2)):
+            assert basis_point(axis, 4).coords.tolist() == np.eye(4)[j].tolist()
+        with pytest.raises(TypeError):
+            basis_point(1.5, 4)
+        with pytest.raises(ValueError, match="d >= 2"):
+            basis_point(0, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            basis_point(4, 4)
+
 
 class TestInnerAndDistance:
     def test_inner_identical(self):

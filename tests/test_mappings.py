@@ -226,8 +226,9 @@ class TestMappingFamily:
         with pytest.raises(ValueError):
             MappingFamily([Identity()], alphas=[1.0])
 
-    def test_experimental_gate(self):
-        """Only certified isometries join a family, and there is no opt-out."""
+    def test_member_outside_zoo_rejected(self):
+        """A member outside the closed zoo is rejected, and there is no
+        opt-out: `allow_experimental` is not a parameter."""
         with pytest.raises(ValueError, match="not a certified isometry"):
             MappingFamily([Identity(), Uncertified()])
         with pytest.raises(TypeError):

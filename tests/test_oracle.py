@@ -10,7 +10,6 @@ from sphereproj.geometry import SpherePoint, basis_point, distance, sample_cap
 from sphereproj.oracle import (
     GeodesicGrid,
     brute_project,
-    circle_project,
     sin_lemma_check,
     subspace_project,
 )
@@ -127,23 +126,26 @@ class TestBruteProject:
             assert distance(fast, slow) <= 1e-3
 
 
+def plane(i, j, dim):
+    """Orthonormal columns e_i, e_j: a coordinate plane's great circle."""
+    return np.eye(dim)[:, [i, j]]
+
+
 class TestCircleProject:
+    """subspace_project onto the great circle of a coordinate plane."""
+
     def test_zero_out_and_renormalize(self):
-        p = circle_project(SpherePoint([0.6, 0.0, 0.8, 0.0]), (2, 3))
+        p = subspace_project(SpherePoint([0.6, 0.0, 0.8, 0.0]), plane(2, 3, 4))
         np.testing.assert_allclose(p.coords, [0, 0, 1, 0], atol=1e-15)
 
     def test_point_on_circle_fixed(self):
         x = SpherePoint([0.0, 0.0, math.cos(0.4), math.sin(0.4)])
-        p = circle_project(x, (2, 3))
+        p = subspace_project(x, plane(2, 3, 4))
         np.testing.assert_allclose(p.coords, x.coords, atol=1e-15)
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInput):
-            circle_project(basis_point(0, 4), (2, 3))
-
-    def test_axis_validation(self):
-        with pytest.raises(ValueError):
-            circle_project(basis_point(0, 4), (1, 1))
+            subspace_project(basis_point(0, 4), plane(2, 3, 4))
 
     def test_distance_is_arccos_of_plane_component(self):
         """Right spherical triangle: d(x, P x) = arccos ||x restricted to the
@@ -158,7 +160,7 @@ class TestCircleProject:
             comp = math.hypot(x.coords[0], x.coords[1])
             if comp <= 1e-6:
                 continue
-            p = circle_project(x, (0, 1))
+            p = subspace_project(x, plane(0, 1, 3))
             assert distance(x, p) == pytest.approx(math.acos(min(comp, 1.0)),
                                                    abs=1e-12)
             best = float(np.arccos(np.clip(circle @ x.coords, -1, 1)).min())
@@ -166,17 +168,6 @@ class TestCircleProject:
 
 
 class TestSubspaceProject:
-    def test_matches_circle_project_on_coordinate_plane(self):
-        basis = np.zeros((4, 2))
-        basis[2, 0] = 1.0
-        basis[3, 1] = 1.0
-        rng = np.random.default_rng(33)
-        for _ in range(50):
-            x = SpherePoint(rng.standard_normal(4))
-            a = subspace_project(x, basis)
-            b = circle_project(x, (2, 3))
-            np.testing.assert_allclose(a.coords, b.coords, atol=1e-14)
-
     def test_degenerate(self):
         basis = np.zeros((4, 1))
         basis[3, 0] = 1.0

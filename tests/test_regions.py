@@ -35,10 +35,6 @@ class TestHalfspace:
         h = Halfspace([2.0, 0, 0, 0], 0.0)
         np.testing.assert_allclose(h.normal, [1, 0, 0, 0])
 
-    def test_trivial_requires_nonpositive_offset(self):
-        with pytest.raises(ValueError):
-            Halfspace(np.zeros(4), 0.5)
-
     def test_zero_normal_rejected(self):
         for normal in (np.zeros(4), np.full(4, 1e-13)):
             with pytest.raises(ValueError, match="normal must not be"):

@@ -8,11 +8,11 @@
 The walks are the 3000-step two-rotation shrinking walk and the 10,000-step
 two-rotation CQ walk from the c05 anchor (20250801), and the 10,000-step
 single-rotation CQ walk from the c06 anchor (20250802), stepped through
-``initial_state`` and ``shrink_step`` / ``cq_step`` for a fixed number of
-steps.  For each walk the script reports the wall time of the steps alone,
-the mean solver sweeps per step, d(x_n, P_F x1) at the end, and a SHA-256
-over the bytes of every iterate x_n: equal digests mean bitwise-equal
-iterates.
+the library's run loop ``iterate`` for a fixed number of steps.  For each
+walk the script reports the wall time of the steps alone (the first of them
+includes ``initial_state``), the mean solver sweeps per step, d(x_n, P_F x1)
+at the end, and a SHA-256 over the bytes of every iterate x_n: equal digests
+mean bitwise-equal iterates.
 
 With two trees, both are imported into one process, each under a package
 name of its own (``sphereproj_a`` and ``sphereproj_b``; the package uses
@@ -101,16 +101,16 @@ class Walk:
         fam, anchor, method, self.budget = WALKS[name]
         self.case = wl.Case(fam, 4, anchor)
         self.problem = self.case.problem()
-        self.step = {"cq": self.sp.cq_step, "shrinking": self.sp.shrink_step}[method]
-        self.state = self.sp.initial_state(self.problem)
+        self.states = self.sp.iterate(self.problem, method)
+        self.state = None
         self.digest = hashlib.sha256()
         self.wall = 0.0
 
     def advance(self, steps: int) -> None:
-        problem, step, state = self.problem, self.step, self.state
+        states, state = self.states, self.state
         for _ in range(steps):
             t0 = time.perf_counter()
-            state = step(problem, state)
+            state = next(states)
             self.wall += time.perf_counter() - t0
             self.digest.update(state.x_n.coords.tobytes())
         self.state = state

@@ -9,10 +9,10 @@ Imports ``sphereproj`` from the given source directory and the job panels
 from ``perfbench/workloads.py`` next to this directory (read only).  The
 digest covers, in panel order:
 
-* every walk of the three walk workloads, stepped through ``initial_state``
-  and ``cq_step`` / ``shrink_step`` until its budget, the benchmark's stop
-  rule or an error: per step, the iterate's bytes and every field of its
-  ``TraceRecord``; per walk, how it stopped;
+* every walk of the three walk workloads, stepped through the library's run
+  loop ``iterate`` until its budget, the benchmark's stop rule or an error:
+  per step, the iterate's bytes and every field of its ``TraceRecord``; per
+  walk, how it stopped (an error as ``iterate`` annotates it);
 * every ``cli-sweep`` call (``sphereproj compare``): the exit code, the
   printed lines and the bytes of the three files it writes
   (``_cq_trace.csv``, ``_shrinking_trace.csv`` and ``_compare.json``).
@@ -91,13 +91,12 @@ def _field(value) -> bytes:
 
 def walk_digest(h, sp, wl, walk) -> None:
     problem = walk.case.problem()
-    step = {"cq": sp.cq_step, "shrinking": sp.shrink_step}[walk.method]
-    state = sp.initial_state(problem)
+    states = sp.iterate(problem, walk.method)
     h.update(walk.label.encode())
     stop = "budget"
     for _ in range(walk.budget):
         try:
-            state = step(problem, state)
+            state = next(states)
         except sp.SphereProjError as e:
             stop = f"{type(e).__name__}: {e}"
             break
