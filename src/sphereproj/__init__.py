@@ -52,7 +52,6 @@ from .mappings import (
     PlaneRotation,
     WMapping,
     common_fixed_basis,
-    nearest_fixed_point,
     residuals,
 )
 from .regions import (
@@ -80,7 +79,7 @@ __all__ = [
     "TraceRecord", "cq_step", "fejer_audit", "initial_state", "iterate", "run",
     "shrink_step",
     "Identity", "MappingFamily", "PlaneRotation", "WMapping",
-    "common_fixed_basis", "nearest_fixed_point", "residuals",
+    "common_fixed_basis", "residuals",
     "Halfspace", "Region", "SolveStats", "contains", "intersect", "make_cn",
     "make_qn", "project",
     "__version__",

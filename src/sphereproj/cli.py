@@ -40,13 +40,7 @@ import types
 from .errors import ConfigError, SphereProjError
 from .geometry import SpherePoint, basis_point, distance, random_point_in_cap
 from .iteration import Problem, StopReason, StopRule, Trace, run
-from .mappings import (
-    Identity,
-    MappingFamily,
-    PlaneRotation,
-    nearest_fixed_point,
-    residuals,
-)
+from .mappings import Identity, MappingFamily, PlaneRotation, residuals
 from .regions import MAX_CAP_RADIUS
 
 _METHODS = ("cq", "shrinking", "both")
@@ -209,17 +203,15 @@ def write_trace_csv(path: str, trace: Trace, r: int) -> None:
 
 
 def _summarize(problem: Problem, method: str, final: SpherePoint, trace: Trace,
-               reason: StopReason, pf: SpherePoint | None) -> dict:
-    summary = {
+               reason: StopReason) -> dict:
+    return {
         "method": method,
         "stop_reason": reason.value,
         "iterations": len(trace),
         "final_point": [float(c) for c in final.coords],
         "final_residuals": [float(v) for v in residuals(problem.family, final)],
+        "dist_to_known_PF": distance(final, problem.target),
     }
-    if pf is not None:
-        summary["dist_to_known_PF"] = distance(final, pf)
-    return summary
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -247,17 +239,13 @@ def _run_config(config_path: str, seed: int | None, out: str | None, compare: bo
         raise ConfigError("method: compare requires method = both")
     problem, stop = build_problem(cfg)
     _ensure_outdir(cfg.out)
-    # P_F x1, the methods' limit; each summary reports it only inside the cap
-    pf = nearest_fixed_point(problem.known_fixed_set, problem.x1)
-    if pf is not None and distance(pf, problem.cap_pole) > problem.cap_radius + 1e-9:
-        pf = None
 
     methods = ["cq", "shrinking"] if cfg.method == "both" else [cfg.method]
     payload, finals, reasons = {}, [], []
     for method in methods:
         final, trace, reason = run(problem, method, stop)
         write_trace_csv(f"{cfg.out}_{method}_trace.csv", trace, problem.family.r)
-        summary = _summarize(problem, method, final, trace, reason, pf)
+        summary = _summarize(problem, method, final, trace, reason)
         if compare:
             summary["total_solver_sweeps"] = sum(rec.solver_sweeps for rec in trace)
         else:

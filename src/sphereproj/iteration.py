@@ -12,8 +12,8 @@ region with `intersect`, and projects the anchor onto the result:
 
 Every step records diagnostics and enforces the observable invariants the
 convergence arguments provide, each with one check where it is established:
-the known common fixed point satisfies every generated constraint (it is
-the region's witness, which the region checks on construction), and the
+the cap pole, a common fixed point, satisfies every generated constraint
+(the region's witness, which the region checks on construction), and the
 anchored distance d(x1, x_n) never decreases (compared when x_{n+1} is
 computed).  `iterate` yields the state after each step; `run` and any other
 caller loop over it.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import FeasibilityViolated, MonotonicityViolated, SphereProjError, WitnessInfeasible
 from .geometry import SpherePoint, distance
-from .mappings import MappingFamily, WMapping, common_fixed_basis, nearest_fixed_point, residuals
+from .mappings import MappingFamily, WMapping, common_fixed_basis, residuals
 from .regions import Halfspace, Region, intersect, make_cn, make_qn, project
 
 # Tolerance of the per-step monotonicity check.
@@ -88,16 +88,16 @@ class Problem:
     """A cap-constrained common-fixed-point problem.
 
     known_fixed_set is an orthonormal basis (columns) of the common fixed
-    subspace, derived from the maps with `common_fixed_basis`; it is used
-    for oracle checks and gives the region witness.  fixed_rep, its point
-    nearest the cap pole, must lie in the cap (ValueError otherwise).
-    cap_region is the bare cap, witnessed by fixed_rep: the initial region,
-    to which each CQ step appends its cuts.  The family must map the cap
-    into itself (ValueError otherwise; see `check_preserves_cap`).
+    subspace F, the span of the axes no map moves (`common_fixed_basis`).
+    The maps fix the cap pole exactly when it has no coordinate off F
+    (ValueError otherwise); then the family must pass the sampled cap check
+    (`check_preserves_cap`).  cap_region is the bare cap, witnessed by the
+    pole: the initial region, to which each CQ step appends its cuts.
+    target is P_F x1, the methods' limit, in the cap since the pole is in F.
     """
 
     __slots__ = ("dim", "cap_pole", "cap_radius", "family", "x1",
-                 "known_fixed_set", "fixed_rep", "cap_region", "_w")
+                 "known_fixed_set", "target", "cap_region", "_w")
 
     def __init__(self, dim: int, cap_pole: SpherePoint, cap_radius: float,
                  family: MappingFamily, x1: SpherePoint):
@@ -106,12 +106,13 @@ class Problem:
         cap = Halfspace.cap(cap_pole, cap_radius)
         if distance(x1, cap_pole) > cap_radius + 1e-12:
             raise ValueError("x1 must lie in the ambient cap")
-        family.check_preserves_cap(cap_pole, cap_radius)
-
         known_fixed_set = common_fixed_basis(family.maps, dim)
-        rep = nearest_fixed_point(known_fixed_set, cap_pole)
-        if rep is None or distance(rep, cap_pole) > cap_radius + 1e-9:
-            raise ValueError("the common fixed set does not meet the ambient cap")
+        off = cap_pole.coords[~known_fixed_set.any(axis=1)]  # on the moved axes
+        if off.any():
+            raise ValueError(f"the maps move the cap pole: it lies "
+                             f"{float(np.linalg.norm(off)):.3e} off their common fixed set")
+        family.check_preserves_cap(cap_pole, cap_radius)
+        comp = known_fixed_set @ (known_fixed_set.T @ x1.coords)
 
         self.dim = dim
         self.cap_pole = cap_pole
@@ -119,8 +120,8 @@ class Problem:
         self.family = family
         self.x1 = x1
         self.known_fixed_set = known_fixed_set
-        self.fixed_rep = rep
-        self.cap_region = Region(cap, (), rep)
+        self.target = SpherePoint._wrap(comp / float(np.linalg.norm(comp)))
+        self.cap_region = Region(cap, (), cap_pole)
         self._w = WMapping(family)
 
     def __repr__(self) -> str:
@@ -176,7 +177,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     One `intersect` call builds the region from the cut normals: CQ appends
     the fresh cut and the localization cut through x_n to the bare cap,
     shrinking appends the fresh cut to the accumulated region.  Both keep
-    the witness of `Problem.cap_region`, the problem's known fixed point,
+    the witness of `Problem.cap_region`, the cap pole, a known fixed point,
     and `intersect` checks it against the fresh cuts: that is where
     fixed-point containment is checked.  The convergence arguments put the
     fixed set inside every cut, so a violation means a wrong fixed set and

@@ -87,9 +87,12 @@ class Halfspace:
 
     @classmethod
     def cap(cls, pole: SpherePoint, radius: float) -> "Halfspace":
-        """The cap {z : <pole, z> >= cos(radius)} of radius < pi/4."""
+        """The cap {z : <pole, z> >= cos(radius)} of radius < pi/4, with
+        cos(radius) < 1: below about 1.05e-8 it rounds to 1.0."""
         if not 0.0 < radius < MAX_CAP_RADIUS:
             raise ValueError(f"cap radius must be in (0, pi/4), got {radius}")
+        if math.cos(radius) == 1.0:
+            raise ValueError(f"cap radius is too small for cos to resolve, got {radius}")
         return cls(pole.coords, math.cos(radius))
 
     def slack(self, z: SpherePoint) -> float:

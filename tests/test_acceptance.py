@@ -72,8 +72,8 @@ def _walk(problem: Problem, method: str, stop: StopRule):
     try:
         for state in iterate(problem, method):
             region = state.region
-            slacks.append(min(region.cap.slack(problem.fixed_rep),
-                              float((region.normals @ problem.fixed_rep.coords)
+            slacks.append(min(region.cap.slack(problem.cap_pole),
+                              float((region.normals @ problem.cap_pole.coords)
                                     .min(initial=math.inf))))
             reason = stop.reason(state)
             if reason is not None:

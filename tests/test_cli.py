@@ -216,6 +216,12 @@ class TestBadInputs:
         cfg = self.half_turn_with(tmp_path, "alphas = 0.5", "alphas = 0.5 0.5")
         self.exits_one(capsys, ["run", cfg], "alphas: expected 1 stage weights, got 2")
 
+    def test_radius_cos_cannot_resolve(self, tmp_path, capsys):
+        cfg = self.half_turn_with(tmp_path, f"cap_radius = {PI5}", "cap_radius = 1e-9")
+        self.exits_one(capsys, ["run", cfg],
+                       "config error: problem: cap radius is too small for cos to resolve, "
+                       "got 1e-09")
+
 
     def test_usage_errors_exit_one(self, capsys):
         """argparse's usage errors exit 1 too, not argparse's own 2, which
@@ -276,6 +282,21 @@ class TestCompareCommand:
             a = (tmp_path / f"p1_{suffix}").read_bytes()
             b = (tmp_path / f"p2_{suffix}").read_bytes()
             assert a == b
+
+    def test_every_summary_has_the_target_distance(self, tmp_path):
+        """dist_to_known_PF, the distance to Problem.target, is written by
+        every `run` summary and every `compare` entry."""
+        for method in ("cq", "shrinking", "both"):
+            cfg = half_turn_config(tmp_path, tmp_path / method, method=method)
+            assert main(["run", cfg]) == 0
+            for m in ("cq", "shrinking") if method == "both" else (method,):
+                summary = json.loads((tmp_path / f"{method}_{m}_summary.json").read_text())
+                assert 0.0 <= summary["dist_to_known_PF"] <= 5e-3
+        cfg = half_turn_config(tmp_path, tmp_path / "cmp")
+        assert main(["compare", cfg]) == 0
+        payload = json.loads((tmp_path / "cmp_compare.json").read_text())
+        for m in ("cq", "shrinking"):
+            assert 0.0 <= payload[m]["dist_to_known_PF"] <= 5e-3
 
     def test_seed_changes_trace(self, tmp_path):
         cfg = half_turn_config(tmp_path, tmp_path / "d2")

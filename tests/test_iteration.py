@@ -72,24 +72,75 @@ class TestProblemValidation:
         p = make_problem(POLE)
         assert p.known_fixed_set is not None
         assert p.known_fixed_set.shape == (4, 1)
-        np.testing.assert_allclose(p.fixed_rep.coords, POLE.coords, atol=1e-12)
+        assert p.cap_region.witness is p.cap_pole
 
     def test_fixed_set_must_meet_cap(self):
-        """A rotation of (e0, e3) by 5e-10 moves the pole e3 within the cap
-        check's tolerance, but the fixed set is read as span{e1, e2},
-        which is orthogonal to the pole."""
+        """A rotation of (e0, e3) by 5e-10 moves e0 and e3 above the fixed
+        set's tolerance, so the fixed set is span{e1, e2}, and the pole e3
+        lies wholly on a moved axis."""
         fam = MappingFamily([PlaneRotation(0, 3, 5e-10)])
-        with pytest.raises(ValueError, match="the common fixed set does not meet the ambient cap"):
+        with pytest.raises(ValueError, match=r"^the maps move the cap pole: it lies 1\.000e\+00 off"):
             Problem(4, POLE, RHO, fam, POLE)
 
     def test_family_must_fix_the_pole(self):
         """A rotation that moves the pole by 1e-4 pushes cap boundary points
         out of the cap, although its fixed set meets the cap at e2 and the
-        sampled cap points all stay inside."""
+        sampled cap points all stay inside: the pole's coordinate on the
+        moved axis e3 rejects it."""
         pole = SpherePoint([0.0, 0.0, 1.0, 0.1])
         fam = MappingFamily([PlaneRotation(0, 3, 1e-3)])
-        with pytest.raises(ValueError, match="moves the cap pole"):
+        with pytest.raises(ValueError, match=r"^the maps move the cap pole: it lies 9\.950e-02 off"):
             Problem(4, pole, 0.6, fam, pole)
+
+
+def random_zoo_problem(seed):
+    """A seeded random closed-zoo problem: d = 2..8, one to three plane
+    rotations, half of them by 3e-11 to 3e-9 (near the fixed-set tolerance),
+    a pole on one to two axes, three in ten of them with a coordinate of
+    1e-14 to 1e-8 added on one more axis, and a radius of 0.2 to 0.75."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 9))
+    maps = []
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = sorted(int(a) for a in rng.choice(dim, 2, replace=False))
+        angle = min(3.0, 10 ** (rng.uniform(-10.5, -8.5) if rng.random() < 0.5
+                                else rng.uniform(-1, 0.5)))
+        maps.append(PlaneRotation(i, j, angle if rng.random() < 0.5 else -angle))
+    coords = np.zeros(dim)
+    axes = rng.choice(dim, int(rng.integers(1, 3)), replace=False)
+    coords[axes] = 1.0, *rng.uniform(0.05, 0.6, len(axes) - 1)
+    if rng.random() < 0.3:
+        coords[rng.integers(dim)] += 10 ** rng.uniform(-14, -8)
+    pole = SpherePoint(coords)
+    radius = float(rng.uniform(0.2, 0.75))
+    return Problem(dim, pole, radius, MappingFamily(maps), random_point_in_cap(pole, radius, seed))
+
+
+class TestPolePanel:
+    def test_built_problems_fix_the_pole(self):
+        """On a seeded panel of random problems, each one that builds has the
+        pole as its witness, every member moves the pole by at most
+        NULLSPACE_TOL * max(1, largest move) <= 2e-10, and target is the
+        oracle's P_F x1 bit for bit.  The rest fail at the pole test, at the
+        sampled cap check or at x1; a pole with a tiny coordinate on a moved
+        axis is among those rejected."""
+        built, pole_rejects = 0, 0
+        for seed in range(120):
+            try:
+                prob = random_zoo_problem(seed)
+            except ValueError as e:
+                pole_rejects += str(e).startswith("the maps move the cap pole")
+                continue
+            built += 1
+            pole = prob.cap_pole
+            assert prob.cap_region.witness is pole
+            for T in prob.family.maps:
+                assert float(np.linalg.norm(T.apply(pole).coords - pole.coords)) <= 2e-10
+            oracle = subspace_project(prob.x1, prob.known_fixed_set)
+            assert prob.target.coords.tobytes() == oracle.coords.tobytes()
+        assert built >= 20 and pole_rejects >= 20
+        with pytest.raises(ValueError, match=r"^the maps move the cap pole: it lies 1\.000e-12 off"):
+            Problem(4, SpherePoint([1e-12, 0.0, 0.0, 1.0]), RHO, two_rotation_family(), POLE)
 
 
 class TestInitialState:
@@ -97,7 +148,7 @@ class TestInitialState:
         p = make_problem(random_point_in_cap(POLE, RHO, 3))
         s = initial_state(p)
         assert s.region is p.cap_region
-        assert s.region.witness is p.fixed_rep
+        assert s.region.witness is p.cap_pole
         assert s.region.normals.shape == (0, 4)
 
 
@@ -178,7 +229,7 @@ class TestSingleSteps:
             s = initial_state(prob)
             for _ in range(15):
                 s = stepper(prob, s)
-                assert contains(s.region, prob.fixed_rep, 1e-8)
+                assert contains(s.region, prob.cap_pole, 1e-8)
 
     def test_anchored_distance_monotone(self):
         x1 = random_point_in_cap(POLE, RHO, 8)
@@ -450,14 +501,13 @@ class TestStopRule:
 
 
 def wrong_fixed_set_problem(monkeypatch):
-    """A problem whose claimed fixed point the mappings do not fix: the
-    fixed set is derived by a stand-in for `common_fixed_basis`."""
-    fake = np.zeros((4, 1))
-    fake[0, 0] = 0.3
-    fake[3, 0] = 1.0
-    fake /= np.linalg.norm(fake)
+    """A problem whose claimed fixed point the mappings do not fix: a
+    stand-in for `common_fixed_basis` claims span{e3}, which holds the pole
+    e3, but the rotation of (e0, e3) by 1e-3 moves it, too little for the
+    sampled cap check to see."""
+    fake = np.eye(4)[:, [3]]
     monkeypatch.setattr("sphereproj.iteration.common_fixed_basis", lambda maps, dim: fake)
-    return Problem(4, POLE, RHO, MappingFamily([PlaneRotation(0, 1, 0.8)]),
+    return Problem(4, POLE, RHO, MappingFamily([PlaneRotation(0, 3, 1e-3)]),
                    random_point_in_cap(POLE, RHO, 11))
 
 
@@ -552,6 +602,7 @@ class TestErrorSurfacing:
         assert str(info.value) == "d(x1, x_n) decreased"
 
         bad = wrong_fixed_set_problem(monkeypatch)
+        monkeypatch.undo()  # the stepping below needs the real projection
         with pytest.raises(FeasibilityViolated) as info:
             s = initial_state(bad)
             for _ in range(50):

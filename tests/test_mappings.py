@@ -13,6 +13,7 @@ from sphereproj.geometry import (
     geodesic_combine,
     sample_cap,
 )
+from sphereproj.iteration import Problem
 from sphereproj.mappings import (
     NULLSPACE_TOL,
     Identity,
@@ -20,7 +21,6 @@ from sphereproj.mappings import (
     PlaneRotation,
     WMapping,
     common_fixed_basis,
-    nearest_fixed_point,
     residuals,
 )
 
@@ -203,14 +203,11 @@ class TestFixedSetBasis:
         assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_nearest_fixed_point(self):
-        b = common_fixed_basis([PlaneRotation(0, 1, 0.7)], 4)
+        """Problem.target is P_F x1: the fixed set of a (0, 1) rotation is
+        span{e2, e3}, so it drops x1's e0 coordinate and renormalizes."""
         x = SpherePoint([0.6, 0.0, 0.8, 0.0])
-        p = nearest_fixed_point(b, x)
-        np.testing.assert_allclose(p.coords, [0, 0, 1, 0], atol=1e-12)
-
-    def test_nearest_fixed_point_orthogonal_returns_none(self):
-        b = common_fixed_basis([PlaneRotation(0, 1, 0.7)], 4)
-        assert nearest_fixed_point(b, e(0)) is None
+        prob = Problem(4, e(2), 0.7, MappingFamily([PlaneRotation(0, 1, 0.7)]), x)
+        np.testing.assert_array_equal(prob.target.coords, [0, 0, 1, 0])
 
 
 class TestMappingFamily:

@@ -48,6 +48,14 @@ class TestHalfspace:
         with pytest.raises(ValueError):
             Halfspace.cap(e(0), math.pi / 4)
 
+    def test_cap_radius_cos_cannot_resolve(self):
+        """Below about 1.05e-8, cos(radius) rounds to 1.0: the message names
+        the radius, not the offset it would give."""
+        assert math.cos(1.1e-8) < 1.0 == math.cos(1e-9)
+        Halfspace.cap(e(0), 1.1e-8)
+        with pytest.raises(ValueError, match=r"^cap radius is too small .*, got 1e-09$"):
+            Halfspace.cap(e(0), 1e-9)
+
 
 class TestRegionAndContains:
     def test_witness_invariant(self):
