@@ -24,7 +24,8 @@ res_1..res_r, constraint_count, solver_sweeps; floats with 17 significant
 digits) and ``<out>_<method>_summary.json``; ``compare`` writes both traces
 plus ``<out>_compare.json``.  Outputs are byte-deterministic for a fixed config
 and seed.  Exit codes: 0 when every run converged (and for ``--help``), 2
-when any run hit the iteration cap, 1 on errors, usage errors included.
+when any run stopped without converging (``stalled`` or ``iteration-cap``),
+1 on errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def _run_config(config_path: str, seed: int | None, out: str | None, compare: bo
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with usage errors exiting 1, as every other error does:
-    argparse's own code, 2, is the iteration cap's."""
+    argparse's own code, 2, is that of a run that did not converge."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

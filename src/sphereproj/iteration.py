@@ -16,7 +16,9 @@ the cap pole, a common fixed point, satisfies every generated constraint
 (the region's witness, which the region checks on construction), and the
 anchored distance d(x1, x_n) never decreases (compared when x_{n+1} is
 computed).  `iterate` yields the state after each step; `run` and any other
-caller loop over it.
+caller loop over it.  A step that gives its iterate back bit for bit marks
+its state stalled: every later step repeats it, so the kernel returns the
+repeat without recomputing it and `run` stops there.
 """
 
 from __future__ import annotations
@@ -40,13 +42,15 @@ FEJER_TOL = 1e-10
 
 class StopReason(enum.Enum):
     CONVERGED = "converged"
+    STALLED = "stalled"
     ITERATION_CAP = "iteration-cap"
 
 
 @dataclass(frozen=True)
 class StopRule:
     """Stopping thresholds: both the step length and the worst mapping
-    residual must fall below their epsilons, or the iteration cap fires."""
+    residual must fall below their epsilons; otherwise a stalled walk or
+    the iteration cap stops the run."""
 
     eps_step: float = 1e-8
     eps_residual: float = 1e-8
@@ -59,11 +63,19 @@ class StopRule:
 
     def reason(self, state: "IterationState") -> StopReason | None:
         """Why to stop after the step that produced state, or None to go on.
+
+        CONVERGED first, then STALLED: the state is a floating-point fixed
+        point of its step (`IterationState.stalled`), so every later step
+        repeats it and no later state can meet the epsilons either.  A
+        still iterate need not meet eps_step = 1e-8: the arccos metric
+        reads d(x, x) as 0, 1.49e-8 or 2.1e-8.  Then the iteration cap.
         A state with no record yet has no step length, so only the cap
         applies to it."""
         if (state.trace and state.trace[-1].step_len <= self.eps_step
                 and float(state.residuals.max()) <= self.eps_residual):
             return StopReason.CONVERGED
+        if state.stalled:
+            return StopReason.STALLED
         if state.n > self.max_iter:
             return StopReason.ITERATION_CAP
         return None
@@ -140,6 +152,14 @@ class IterationState(NamedTuple):
     holds the active cuts of the projection that gave x_n, from which the
     next projection starts; a state built without them starts that
     projection cold, which costs sweeps but changes no iterate.
+
+    `stalled` is set by the step kernel alone, on a state whose step
+    repeated its predecessor's: the same iterate bit for bit, the same
+    d(x1, x_n), the same active cuts and, for shrinking, the same region.
+    The next step then reads bitwise-equal inputs, so it gives the same
+    state with n one higher, and the kernel returns that without
+    recomputing it.  The mark speaks for the method whose step set it, so
+    a walk keeps one method, as `iterate` does.
     """
 
     n: int
@@ -151,6 +171,7 @@ class IterationState(NamedTuple):
     residuals: np.ndarray | None = None
     active_cuts: tuple[int, ...] = ()
     images: tuple[SpherePoint, ...] | None = None
+    stalled: bool = False
 
     def __repr__(self) -> str:
         return f"IterationState(n={self.n})"
@@ -197,7 +218,21 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     cuts plus the fresh cut, and the solver drops those whose multipliers
     come out nonpositive; otherwise x_n is still optimal and its active
     cuts certify it.
+
+    A step whose projection gives x_n back bit for bit, with the same
+    d(x1, x_n) and active cuts, and for shrinking the same region (the
+    regenerated cut is not appended again), marks the new state stalled.
+    A step from a stalled state reads only inputs it repeats: x_n, its
+    images, the region and the start set.  So it would give the same
+    state with n one higher, and it returns that without computing
+    anything, with the last record repeated under the new index (the
+    trace is copied, as on every step).  Nothing it skips could raise:
+    the witness already passed the same cuts, d(x1, x_n) does not change
+    and the projection already met its tolerance.
     """
+    if state.stalled:
+        return state._replace(n=state.n + 1,
+                              trace=state.trace + (state.trace[-1]._replace(n=state.n),))
     x_n, dist_n, res_n, images = state.x_n, state.dist_x1_xn, state.residuals, state.images
     if dist_n is None or res_n is None or images is None:
         dist_n, images, res_n = _measure(problem, x_n)
@@ -220,8 +255,12 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         raise MonotonicityViolated("d(x1, x_n) decreased")
     rec = TraceRecord(state.n, dist_n, distance(x_n, x_new), tuple(res_n),
                       len(region.normals), stats.sweeps)
+    # the distance test is free and fails on every step that moves
+    stalled = (dist_new == dist_n and stats.active_cuts == state.active_cuts
+               and (region is state.region or not shrinking)
+               and x_new.coords.tobytes() == x_n.coords.tobytes())
     return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,), dist_new,
-                          res_new, stats.active_cuts, images_new)
+                          res_new, stats.active_cuts, images_new, stalled)
 
 
 def cq_step(problem: Problem, state: IterationState) -> IterationState:
@@ -237,7 +276,7 @@ def shrink_step(problem: Problem, state: IterationState) -> IterationState:
     """One shrinking step: append the fresh cut to the accumulated region.
 
     Nestedness of the regions holds by construction; constraint counts grow
-    by at most one per step (a vanishing cut is skipped)."""
+    by at most one per step (a vanishing or repeated cut is skipped)."""
     return _step(problem, state, shrinking=True)
 
 
@@ -273,8 +312,9 @@ def iterate(problem: Problem, method: str = "cq") -> Iterator[IterationState]:
 def run(problem: Problem, method: str = "cq",
         stop: StopRule = StopRule()) -> tuple[SpherePoint, Trace, StopReason]:
     """Iterate until the stop rule gives a reason: both the step length and
-    the worst residual at the new iterate fall below it, or the iteration
-    cap is reached.
+    the worst residual at the new iterate fall below it, the walk stalls
+    at a floating-point fixed point of its step, or the iteration cap is
+    reached.
 
     Returns the final iterate, the full trace (one record per step), and
     the stop reason.

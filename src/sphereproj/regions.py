@@ -232,10 +232,18 @@ def intersect(region: Region, cuts) -> Region:
     Every step of both methods builds its region this way.  The witness
     already satisfies the cap and the existing cuts, so one product checks
     it against the fresh cuts alone (slack >= -1e-10, WitnessInfeasible
-    otherwise).  None is no cut and is not appended, so constraint counts
-    only grow for real cuts; with no real cut the region itself is returned.
+    otherwise).  None is no cut and is not appended, and neither is a cut
+    bitwise equal to the row before it (the region's last row, or the cut
+    appended before it in the same call): a repeated cut adds nothing, so
+    constraint counts only grow for new cuts.  A stalled shrinking walk
+    regenerates its last cut at every step and so keeps its region.  With
+    nothing appended the region itself is returned.
     """
-    fresh = [a for a in cuts if a is not None]
+    fresh, last = [], region.normals[-1].tobytes() if len(region.normals) else None
+    for a in cuts:
+        if a is not None and (row := a.tobytes()) != last:
+            fresh.append(a)
+            last = row
     if not fresh:
         return region
     rows = np.array(fresh)

@@ -91,6 +91,31 @@ out = {tmp_path / "cap"}
         assert summary["stop_reason"] == "iteration-cap"
         assert summary["iterations"] == 5
 
+    def test_stalled_exit_two(self, tmp_path, capsys):
+        """The single-rotation shrinking walk from this seed stops moving
+        after 52 steps, far from eps_step: the run stops stalled, exit 2."""
+        s = math.sqrt(2) / 2
+        cfg = write_config(tmp_path / "stall.cfg", f"""
+dim = 4
+cap_pole = 0.0 0.0 {s!r} {s!r}
+cap_radius = {PI5!r}
+mapping = rotation 0 1 0.8
+x1 = random
+method = shrinking
+eps_step = 1e-8
+eps_residual = 1e-8
+max_iter = 100
+seed = 20250803
+out = {tmp_path / "stall"}
+""")
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().out == "[shrinking] stalled after 52 iterations\n"
+        summary = json.loads((tmp_path / "stall_shrinking_summary.json").read_text())
+        assert summary["stop_reason"] == "stalled"
+        assert summary["iterations"] == 52
+        rows = (tmp_path / "stall_shrinking_trace.csv").read_text().splitlines()
+        assert len(rows) == 1 + 52
+
     def test_malformed_cap_radius_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.cfg", f"""
 dim = 4
@@ -225,7 +250,7 @@ class TestBadInputs:
 
     def test_usage_errors_exit_one(self, capsys):
         """argparse's usage errors exit 1 too, not argparse's own 2, which
-        is the iteration cap's code; --help still exits 0."""
+        is the code of a run that did not converge; --help still exits 0."""
         for argv, cause in (([], "required: command"),
                             (["run"], "required: config"),
                             (["bogus", "x.cfg"], "invalid choice: 'bogus'"),

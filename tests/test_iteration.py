@@ -268,6 +268,26 @@ class TestRun:
         with pytest.raises(ValueError):
             iterate(prob, "unknown")  # raised on the call, before any step
 
+    def test_stalled_walk_stops_stalled(self, monkeypatch):
+        """The c05 shrinking walk stops moving after 2162 steps; under the
+        default rule it stops there, its last two iterates bitwise equal."""
+        from sphereproj import iteration as it
+
+        last = [None]
+        real = it._STEPS["shrinking"]
+
+        def step(problem, state):
+            last[0] = state
+            return real(problem, state)
+
+        monkeypatch.setitem(it._STEPS, "shrinking", step)
+        prob = make_problem(random_point_in_cap(POLE, RHO, 20250801))
+        x, trace, reason = run(prob, "shrinking", StopRule())
+        assert reason is StopReason.STALLED
+        assert len(trace) == 2162
+        assert x.coords.tobytes() == last[0].x_n.coords.tobytes()
+        assert trace[-1].constraint_count == 2161
+
     @pytest.mark.parametrize("method", ["cq", "shrinking"])
     def test_half_turn_family_converges(self, method):
         """A half-turn rotation's staged average points straight at its fixed
@@ -465,6 +485,67 @@ class TestWarmStart:
         assert branches == {True, False}
 
 
+def _fields(state):
+    """Every field of a state, in a form that compares bit for bit, but of
+    the trace only its length and last record."""
+    return (state.n, state.x_n.coords.tobytes(), state.y_n.coords.tobytes(),
+            state.region.normals.tobytes(), state.region.witness.coords.tobytes(),
+            len(state.trace), repr(state.trace[-1]), state.dist_x1_xn.hex(),
+            state.residuals.tobytes(), state.active_cuts,
+            [img.coords.tobytes() for img in state.images], state.stalled)
+
+
+class TestStalledStep:
+    """A state whose step repeated its predecessor's is marked stalled, and
+    the kernel steps it in O(1): the shortcut must give what the full
+    kernel gives on the same state unmarked, field by field, bit for bit."""
+
+    @pytest.mark.parametrize("anchor, stepper, first, budget", [
+        (20250803, shrink_step, 53, 100),    # perfbench single-rotation shrinking walk
+        (20250802, cq_step, 8668, 20),       # c06 CQ walk
+    ])
+    def test_shortcut_is_the_full_kernel(self, anchor, stepper, first, budget):
+        prob = single_rotation_problem(anchor)
+        s = initial_state(prob)
+        while not s.stalled:
+            prev, s = s, stepper(prob, s)
+        assert s.n == first
+        assert s.x_n.coords.tobytes() == prev.x_n.coords.tobytes()
+        for _ in range(budget):
+            fast, full = stepper(prob, s), stepper(prob, s._replace(stalled=False))
+            assert fast.stalled and fast.n == s.n + 1
+            assert _fields(fast) == _fields(full)
+            assert fast.trace[:-1] == full.trace[:-1] == s.trace
+            if stepper is shrink_step:
+                assert fast.region is full.region is s.region
+            s = fast
+
+    def test_stalled_step_does_no_kernel_work(self, monkeypatch):
+        from sphereproj import iteration as it
+
+        prob = single_rotation_problem(20250803)
+        s = initial_state(prob)
+        while not s.stalled:
+            s = shrink_step(prob, s)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a stalled step recomputed its state")
+
+        for name in ("project", "intersect", "make_cn", "residuals", "distance"):
+            monkeypatch.setattr(it, name, forbidden)
+        after = shrink_step(prob, shrink_step(prob, s))
+        assert after.n == s.n + 2 and after.x_n is s.x_n
+        assert [rec.n for rec in after.trace[-3:]] == [s.n - 1, s.n, s.n + 1]
+
+    @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
+    def test_moving_steps_are_not_stalled(self, stepper):
+        prob = make_problem(random_point_in_cap(POLE, RHO, 20250801))
+        s = initial_state(prob)
+        for _ in range(100):
+            s = stepper(prob, s)
+            assert not s.stalled
+
+
 class TestStopRule:
     def test_fields_positive(self):
         # NaN too: it fails every comparison, so it could never stop a run
@@ -490,6 +571,21 @@ class TestStopRule:
         assert rule.reason(state(1e-9, 1e-7, 4)) is StopReason.ITERATION_CAP
         assert rule.reason(state(1e-7, 1e-9, 2)) is None
         assert rule.reason(state(1e-9, 1e-7, 2)) is None
+
+    def test_stalled_after_converged_before_cap(self):
+        rule = StopRule(1e-8, 1e-8, 3)
+        region = initial_state(make_problem(POLE)).region
+
+        def state(step_len, steps, stalled):
+            rec = TraceRecord(steps, 0.0, step_len, (0.0,), 0, 0)
+            return IterationState(steps + 1, POLE, POLE, region, (rec,) * steps,
+                                  0.0, np.array([0.0, 0.0]), (), None, stalled)
+
+        assert rule.reason(state(1e-9, 2, True)) is StopReason.CONVERGED
+        assert rule.reason(state(2.1e-8, 2, True)) is StopReason.STALLED
+        assert rule.reason(state(2.1e-8, 5, True)) is StopReason.STALLED
+        assert rule.reason(state(2.1e-8, 5, False)) is StopReason.ITERATION_CAP
+        assert rule.reason(state(2.1e-8, 2, False)) is None
 
     def test_reason_before_any_step(self):
         """The initial state has no record, so its step-length clause is

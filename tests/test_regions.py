@@ -514,6 +514,37 @@ class TestIntersect:
         with pytest.raises(WitnessInfeasible):
             intersect(r, (ok, Halfspace([0.0, -1.0, 0.5, 0]).normal))
 
+    def test_repeated_last_row_not_appended(self):
+        """A cut bitwise equal to the row before it adds nothing: the region
+        itself comes back, and a repeat inside one call is appended once."""
+        w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
+        a = Halfspace([0.0, 1.0, 0.0, 0.0]).normal
+        b = Halfspace([0.0, 0.3, 1.0, 0.0]).normal
+        r = intersect(Region(Halfspace.cap(e(0), 0.6), (), w), (a, b))
+        assert intersect(r, (r.normals[-1],)) is r
+        assert intersect(r, (None, b.copy(), None)) is r
+        c = Halfspace([0.0, 0.2, 0.0, 1.0]).normal
+        for cuts in ((c, c), (b, c, c), (c, None, c)):
+            r2 = intersect(r, cuts)
+            assert r2.normals.tobytes() == np.concatenate((r.normals, [c])).tobytes()
+        bare = Region(Halfspace.cap(e(0), 0.6), (), w)
+        assert len(intersect(bare, (a, a)).normals) == 1
+
+    def test_older_or_one_ulp_off_repeat_appended(self):
+        """Only the row just before counts, and only bit for bit."""
+        w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
+        a = Halfspace([0.0, 1.0, 0.0, 0.0]).normal
+        b = Halfspace([0.0, 0.3, 1.0, 0.0]).normal
+        r = intersect(Region(Halfspace.cap(e(0), 0.6), (), w), (a, b))
+        older = intersect(r, (r.normals[0],))
+        assert len(older.normals) == 3
+        assert older.normals[2].tobytes() == a.tobytes()
+        ulp = b.copy()
+        ulp[2] = np.nextafter(ulp[2], 2.0)
+        off = intersect(r, (ulp,))
+        assert len(off.normals) == 3
+        assert off.normals[2].tobytes() == ulp.tobytes() != b.tobytes()
+
     def test_nested_regions_monotone(self):
         """Membership in a later region implies membership in every earlier one."""
         rng = np.random.default_rng(16)

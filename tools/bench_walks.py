@@ -11,8 +11,10 @@ single-rotation CQ walk from the c06 anchor (20250802), stepped through
 the library's run loop ``iterate`` for a fixed number of steps.  For each
 walk the script reports the wall time of the steps alone (the first of them
 includes ``initial_state``), the mean solver sweeps per step, d(x_n, P_F x1)
-at the end, and a SHA-256 over the bytes of every iterate x_n: equal digests
-mean bitwise-equal iterates.
+at the end, a SHA-256 over the bytes of every iterate x_n (equal digests
+mean bitwise-equal iterates), and ``first_stalled``: the index n of the
+first state the step kernel marked stalled, or null when none was, or when
+the tree's states carry no such mark.
 
 With two trees, both are imported into one process, each under a package
 name of its own (``sphereproj_a`` and ``sphereproj_b``; the package uses
@@ -105,6 +107,7 @@ class Walk:
         self.state = None
         self.digest = hashlib.sha256()
         self.wall = 0.0
+        self.first_stalled = None
 
     def advance(self, steps: int) -> None:
         states, state = self.states, self.state
@@ -113,6 +116,9 @@ class Walk:
             state = next(states)
             self.wall += time.perf_counter() - t0
             self.digest.update(state.x_n.coords.tobytes())
+            # a tree older than the mark has no such field
+            if self.first_stalled is None and getattr(state, "stalled", False):
+                self.first_stalled = state.n
         self.state = state
 
     def result(self) -> dict:
@@ -122,6 +128,7 @@ class Walk:
             "mean_sweeps": sum(rec.solver_sweeps for rec in trace) / len(trace),
             "d_target": self.sp.distance(self.state.x_n, self.case.target(self.problem.x1)),
             "xn_sha256": self.digest.hexdigest(),
+            "first_stalled": self.first_stalled,
         }
 
 
@@ -173,6 +180,8 @@ def compare_walks(srcs: list[Path], repeats: int) -> dict:
             "d_target": {"before": before[0]["d_target"], "after": after[0]["d_target"]},
             "xn_sha256": {"before": before[0]["xn_sha256"], "after": after[0]["xn_sha256"]},
             "xn_identical": len({r["xn_sha256"] for r in before + after}) == 1,
+            "first_stalled": {"before": before[0]["first_stalled"],
+                              "after": after[0]["first_stalled"]},
         }
     return out
 
