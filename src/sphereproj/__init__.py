@@ -11,12 +11,10 @@ projection of their anchor.
 from .errors import (
     AntipodalPoints,
     ConfigError,
-    DegenerateInput,
     EmptyOrDegenerate,
     FeasibilityViolated,
     MonotonicityViolated,
     NoConvergence,
-    NoFeasibleGridPoint,
     PerimeterTooLarge,
     SphereProjError,
     WitnessInfeasible,
@@ -68,9 +66,8 @@ from .regions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntipodalPoints", "ConfigError", "DegenerateInput", "EmptyOrDegenerate",
-    "FeasibilityViolated", "MonotonicityViolated", "NoConvergence",
-    "NoFeasibleGridPoint", "PerimeterTooLarge", "SphereProjError",
+    "AntipodalPoints", "ConfigError", "EmptyOrDegenerate", "FeasibilityViolated",
+    "MonotonicityViolated", "NoConvergence", "PerimeterTooLarge", "SphereProjError",
     "WitnessInfeasible",
     "SpherePoint", "basis_point", "distance", "geodesic_combine", "inner",
     "pal_inequality_gap", "pal_inequality_gaps", "random_point_in_cap",

@@ -190,9 +190,10 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_trace_csv(path: str, trace: Trace, r: int) -> None:
+def write_trace_csv(path: str, trace: Trace) -> None:
+    """Write the trace CSV; its residual columns follow the first record's."""
     header = ["n", "dist_x1_xn", "step_len"]
-    header += [f"res_{i}" for i in range(1, r + 1)]
+    header += [f"res_{i}" for i in range(1, len(trace[0].residuals) + 1)]
     header += ["constraint_count", "solver_sweeps"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -245,7 +246,7 @@ def _run_config(config_path: str, seed: int | None, out: str | None, compare: bo
     payload, finals, reasons = {}, [], []
     for method in methods:
         final, trace, reason = run(problem, method, stop)
-        write_trace_csv(f"{cfg.out}_{method}_trace.csv", trace, problem.family.r)
+        write_trace_csv(f"{cfg.out}_{method}_trace.csv", trace)
         summary = _summarize(problem, method, final, trace, reason)
         if compare:
             summary["total_solver_sweeps"] = sum(rec.solver_sweeps for rec in trace)

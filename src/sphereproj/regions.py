@@ -36,7 +36,7 @@ from .geometry import SpherePoint, inner
 # cos(radius) stays above cos(pi/4).
 MAX_CAP_RADIUS = math.pi / 4
 
-# Vector differences below this norm give no cut, and no Halfspace normal.
+# Vector differences below this norm give no cut.
 DEGENERATE_TOL = 1e-12
 
 # Witnesses must satisfy every constraint with at least this slack.
@@ -50,10 +50,6 @@ WITNESS_TOL = 1e-10
 SOLVER_TOL = 1e-14
 SOLVER_MAX_SWEEPS = 10_000
 
-# Largest cap multiplier tried while bracketing; a region that needs more
-# only touches the cap, and the final region check decides.
-MAX_CAP_MULTIPLIER = 2.0 ** 60
-
 # The projection result must satisfy the region to this tolerance.
 RESULT_TOL = 1e-8
 
@@ -61,28 +57,22 @@ RESULT_TOL = 1e-8
 class Halfspace:
     """A linear constraint <normal, z> >= offset on the ambient space.
 
-    The normal is normalized to unit length; a (near-)zero normal raises
-    ValueError, as it does for a SpherePoint.  The cap has offset
-    cos(radius); outside input gives cuts with offset 0.
+    The normal is the read-only coordinates of SpherePoint(normal): a
+    normal that SpherePoint rejects raises its ValueError, prefixed with
+    "halfspace normal: ".  The cap has offset cos(radius); outside input
+    gives cuts with offset 0.
     """
 
     __slots__ = ("normal", "offset")
 
     def __init__(self, normal, offset: float = 0.0):
-        v = np.array(normal, dtype=float)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("halfspace normal must be a 1-d vector with d >= 2")
-        if not np.isfinite(v).all():
-            raise ValueError("halfspace normal must be finite")
+        try:
+            self.normal = SpherePoint(normal).coords
+        except ValueError as e:
+            raise ValueError(f"halfspace normal: {e}") from e
         offset = float(offset)
         if not -1.0 <= offset < 1.0:
             raise ValueError(f"halfspace offset must be in [-1, 1), got {offset}")
-        n = float(np.linalg.norm(v))
-        if n <= DEGENERATE_TOL:
-            raise ValueError("halfspace normal must not be (near-)zero")
-        v /= n
-        v.setflags(write=False)
-        self.normal = v
         self.offset = offset
 
     @classmethod
@@ -109,22 +99,21 @@ class Region:
     Each cut <a, z> >= 0 is a row a of the read-only (m, d) array
     `normals`, so that every membership test is one product.  The witness
     is a sphere point known to satisfy every constraint; it certifies
-    nonemptiness.  The constructor, for outside input, takes the cuts as
-    homogeneous Halfspaces and checks the witness against every constraint.
+    nonemptiness.  The constructor `Region(cap, halfspaces, witness)`, for
+    outside input, takes all three: the cuts as homogeneous Halfspaces (a
+    bare cap has none), and a witness it checks against every constraint.
     Regions are immutable values: `intersect` returns a new region.
     """
 
     __slots__ = ("cap", "normals", "witness")
 
-    def __init__(self, cap: Halfspace, halfspaces=(), witness: SpherePoint = None):
+    def __init__(self, cap: Halfspace, halfspaces, witness: SpherePoint):
         if cap.offset <= math.cos(MAX_CAP_RADIUS):
             raise ValueError("region cap must have radius in (0, pi/4)")
         halfspaces = tuple(halfspaces)
         for h in halfspaces:
             if h.offset != 0.0:
                 raise ValueError("linear region constraints must be homogeneous")
-        if witness is None:
-            raise ValueError("a region requires a feasibility witness")
         rows = [h.normal for h in halfspaces]
         normals = np.array(rows, dtype=float).reshape(len(rows), cap.normal.size)
         self._set(cap, normals, witness,
@@ -143,11 +132,6 @@ class Region:
             raise WitnessInfeasible(
                 f"witness violates a region constraint by {-bad:.3e}"
             )
-
-    @classmethod
-    def from_cap(cls, pole: SpherePoint, radius: float) -> "Region":
-        """The bare ambient cap; the pole itself witnesses feasibility."""
-        return cls(Halfspace.cap(pole, radius), (), pole)
 
     @property
     def cap_radius(self) -> float:
@@ -402,17 +386,21 @@ def project(region: Region, x: SpherePoint,
     normalized cut-cone projection of x breaks the cap, the cap binds: its
     multiplier mu >= 0 is the root of <p, z(mu)> = cos(radius) ||z(mu)||
     with z(mu) the cut-cone projection of x + mu p, which is nondecreasing
-    in mu once normalized; it is bracketed by doubling and bisected to
-    adjacent floats.  Points already in the region are returned unchanged
-    with zero solver effort.  `start` names cuts expected to be active,
-    such as the previous projection's `SolveStats.active_cuts`; it seeds
-    the active set, which loses its most negative multiplier's cut per
-    solve until all are positive, and changes only `SolveStats.sweeps`.
-    Indices outside the region's cuts are ignored.  Dykstra's alternating
-    projections (Boyle & Dykstra, 1986) would avoid the dual, but their
-    error shrinks per sweep only by a factor set by the angle between
-    active cuts, so they stall on the nearly parallel cuts both methods
-    generate.
+    in mu once normalized.  The cut-cone projection is positively
+    homogeneous, so x + mu p and (1 - t) x + t p with mu = t / (1 - t)
+    project to the same direction: the root is bisected in t on [0, 1] to
+    adjacent floats, and t = 1, the pole itself, is the limit mu -> oo,
+    where a region that only touches the cap is left to the final region
+    check.  SolveStats.cap_active is t > 0.  Points already in the region
+    are returned unchanged with zero solver effort.  `start` names cuts
+    expected to be active, such as the previous projection's
+    `SolveStats.active_cuts`; it seeds the active set, which loses its
+    most negative multiplier's cut per solve until all are positive, and
+    changes only `SolveStats.sweeps`.  Indices outside the region's cuts
+    are ignored.  Dykstra's alternating projections (Boyle & Dykstra,
+    1986) would avoid the dual, but their error shrinks per sweep only by
+    a factor set by the angle between active cuts, so they stall on the
+    nearly parallel cuts both methods generate.
 
     Raises NoConvergence if SOLVER_MAX_SWEEPS KKT sweeps pass without one that
     certifies optimality, or if the result violates the region beyond
@@ -439,22 +427,19 @@ def project(region: Region, x: SpherePoint,
         norm = math.sqrt(float(z.dot(z)))
         return float(pole.dot(z)) - cos_r * norm, z, lam, norm
 
-    mu = 0.0
+    t = 0.0
     cap_gap, z, lam, n = solve(xc)
     if cap_gap < 0.0:
         lo, hi = 0.0, 1.0
-        cap_gap, z, lam, n = solve(xc + hi * pole)
-        while cap_gap < 0.0 and hi < MAX_CAP_MULTIPLIER:
-            lo, hi = hi, 2.0 * hi
-            cap_gap, z, lam, n = solve(xc + hi * pole)
+        cap_gap, z, lam, n = solve(pole)
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            mid_gap, z_mid, lam_mid, n_mid = solve(xc + mid * pole)
+            mid_gap, z_mid, lam_mid, n_mid = solve((1.0 - mid) * xc + mid * pole)
             if mid_gap >= 0.0:
                 hi, cap_gap, z, lam, n = mid, mid_gap, z_mid, lam_mid, n_mid
             else:
                 lo = mid
-        mu = hi
+        t = hi
 
     # written as `not a > b` so that NaN fails
     if not n > 0.0 or not float(xc.dot(z)) > 1e-9 * n:
@@ -468,5 +453,5 @@ def project(region: Region, x: SpherePoint,
     # numpy scans every cut, Python only the active ones
     active = (lam > 0.0).nonzero()[0].tolist()
     kkt = max(0.0, -min_slack, max([abs(slack.item(i)) for i in active], default=0.0),
-              abs(cap_slack) if mu > 0.0 else -cap_slack)
-    return SpherePoint._wrap(rc), SolveStats(cone.sweeps, tuple(active), mu > 0.0, kkt)
+              abs(cap_slack) if t > 0.0 else -cap_slack)
+    return SpherePoint._wrap(rc), SolveStats(cone.sweeps, tuple(active), t > 0.0, kkt)

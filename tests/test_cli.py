@@ -9,6 +9,7 @@ import pytest
 
 from sphereproj import cli
 from sphereproj.cli import _GRAMMAR, build_problem, main, parse_config
+from sphereproj.errors import NoConvergence
 
 PI5 = math.pi / 5
 
@@ -32,12 +33,15 @@ out = {out}
 """)
 
 
+HALF_TURN = f"mapping = rotation 0 1 {math.pi}"
+
+
 def half_turn_config(tmp_path, out, method="both", max_iter=100):
     return write_config(tmp_path / "half_turn.cfg", f"""
 dim = 4
 cap_pole = 3
 cap_radius = {PI5}
-mapping = rotation 0 1 {math.pi}
+{HALF_TURN}
 alphas = 0.5
 x1 = random
 method = {method}
@@ -182,6 +186,21 @@ out = {tmp_path / "far"}
         assert main(["run", cfg]) == 1
         assert "x1" in capsys.readouterr().err
 
+    def test_identity_member_runs(self, tmp_path, capsys):
+        """A family with an identity member runs and gets a residual column
+        per member."""
+        text = Path(half_turn_config(tmp_path, tmp_path / "id", method="cq",
+                                     max_iter=20)).read_text(encoding="utf-8")
+        for old, new in ((f"cap_radius = {PI5}", "cap_radius = 0.6"), ("seed = 7", "seed = 3"),
+                         (HALF_TURN, f"{HALF_TURN}\nmapping = identity"),
+                         ("alphas = 0.5", "alphas = 0.5 0.5")):
+            text = text.replace(old, new)
+        assert main(["run", write_config(tmp_path / "id.cfg", text)]) == 2
+        assert capsys.readouterr().out == "[cq] iteration-cap after 20 iterations\n"
+        rows = (tmp_path / "id_cq_trace.csv").read_text().splitlines()
+        assert rows[0] == "n,dist_x1_xn,step_len,res_1,res_2,constraint_count,solver_sweeps"
+        assert len(rows) == 1 + 20
+
     def test_explicit_pole_vector_and_overrides(self, tmp_path):
         cfg = write_config(tmp_path / "vec.cfg", f"""
 dim = 4
@@ -247,6 +266,43 @@ class TestBadInputs:
                        "config error: problem: cap radius is too small for cos to resolve, "
                        "got 1e-09")
 
+    @pytest.mark.parametrize("old, new, cause", [
+        ("method = cq", "method = fast",
+         "config error: line 8: method: must be one of cq, shrinking, both"),
+        ("seed = 7", "seed 7", "config error: line 12: expected 'key = value'"),
+        ("dim = 4", "dim = four", "config error: line 2: dim: invalid literal for int()"),
+        ("x1 = random", "x1 = 0 0 1",
+         "config error: x1: expected an axis index or 4 coordinates, got 3"),
+        ("x1 = random", "x1 = 0 0 0 0",
+         "config error: x1: cannot normalize a (near-)zero vector onto the sphere"),
+        (HALF_TURN, "mapping =", "config error: mapping: empty specification"),
+        (HALF_TURN, "mapping = identity 0", "config error: mapping: identity takes no arguments"),
+        (HALF_TURN, "mapping = rotation 0 1",
+         "config error: mapping: rotation needs 'rotation <i> <j> <angle>'"),
+        (HALF_TURN, "mapping = shear 0 1 0.5", "config error: mapping: unknown type 'shear'"),
+        (HALF_TURN, "mapping = rotation 0 4 0.5",
+         "config error: mapping: plane (0,4) invalid for dim 4"),
+        (HALF_TURN, "mapping = rotation 1 1 0.5",
+         "config error: mapping: need 0 <= axis_i < axis_j"),
+        ("dim = 4", "", "config error: dim: must be an integer >= 2"),
+        ("dim = 4", "dim = 1", "config error: dim: must be an integer >= 2"),
+        (HALF_TURN, "", "config error: mapping: at least one mapping block is required"),
+        ("method = cq", "", "config error: method: required field"),
+        ("cap_pole = 3", "", "config error: cap_pole: required field"),
+    ])
+    def test_bad_field(self, tmp_path, capsys, old, new, cause):
+        self.exits_one(capsys, ["run", self.half_turn_with(tmp_path, old, new)], cause)
+
+    def test_library_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        """`main` reports a numerical error from the run as `error: ...`."""
+        def fail(*args):
+            raise NoConvergence("solver gave up")
+
+        monkeypatch.setattr(cli, "run", fail)
+        cfg = half_turn_config(tmp_path, tmp_path / "fail", method="cq")
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: solver gave up\n"
 
     def test_usage_errors_exit_one(self, capsys):
         """argparse's usage errors exit 1 too, not argparse's own 2, which
@@ -267,18 +323,37 @@ class TestBadInputs:
             assert "usage: sphereproj" in capsys.readouterr().out
 
 
+def readme_config():
+    """The config block of the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def test_documented_configs_match_the_grammar(tmp_path):
     """The README's config block and the module docstring's example each
     parse, build a problem, and name exactly the grammar's keys plus
     `mapping`."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    examples = {"README": readme.split("```ini\n", 1)[1].split("```", 1)[0],
+    examples = {"README": readme_config(),
                 "docstring": cli.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]}
     for name, text in examples.items():
         build_problem(parse_config(write_config(tmp_path / f"{name}.cfg", text)))
         lines = (raw.split("#", 1)[0] for raw in text.splitlines())
         keys = {line.split("=", 1)[0].strip() for line in lines if line.strip()}
         assert keys == set(_GRAMMAR) | {"mapping"}, name
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8: an audit fires on rounding in a well-posed walk")
+def test_item_8_tiny_cap_readme_config_runs(tmp_path, capsys):
+    """The README config with cap_radius = 1e-6 and seed = 0 exits 1 today,
+    with `error: iteration 17: d(x1, x_n) decreased` from the CQ walk."""
+    lines = []
+    for line in readme_config().splitlines():
+        key = line.split("=", 1)[0].strip()
+        new = {"cap_radius": "1e-6", "seed": "0", "out": str(tmp_path / "tiny")}.get(key)
+        lines.append(line if new is None else f"{key} = {new}")
+    assert main(["run", write_config(tmp_path / "tiny.cfg", "\n".join(lines))]) in (0, 2), \
+        capsys.readouterr().err
 
 
 class TestCompareCommand:

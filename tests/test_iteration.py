@@ -19,7 +19,9 @@ from sphereproj.iteration import (
     run,
     shrink_step,
 )
+from sphereproj.errors import FeasibilityViolated, MonotonicityViolated
 from sphereproj.mappings import (
+    Identity,
     MappingFamily,
     PlaneRotation,
     residuals,
@@ -63,6 +65,10 @@ class TestProblemValidation:
     def test_cap_radius_range(self):
         with pytest.raises(ValueError):
             Problem(4, POLE, math.pi / 3, two_rotation_family(), POLE)
+
+    def test_x1_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="must match the ambient dimension"):
+            make_problem(basis_point(3, 5))
 
     def test_family_must_preserve_cap(self):
         with pytest.raises(ValueError):
@@ -721,3 +727,52 @@ class TestFejerAudit:
         prob = make_problem(x1)
         _, trace, _ = run(prob, "cq", StopRule(1e-10, 1e-10, 40))
         assert fejer_audit(trace)
+
+
+# ROADMAP item 8's reproducers: on these well-posed inputs an audit fires on
+# rounding, not on a real violation.  Each is a strict xfail, so the change
+# that mends item 8 must turn them into passes.  Problems are built in the
+# test, so that one that stops building fails its own case alone.
+ITEM_8 = "ROADMAP item 8: an audit fires on rounding in a well-posed walk"
+
+ITEM_8_REPRODUCERS = {
+    "near-identity-cq": (
+        lambda: Problem(
+            3, basis_point(2, 3), 0.2807282173844884,
+            MappingFamily([PlaneRotation(0, 1, 1.5142109095622761e-10)], [0.4712856772558896]),
+            SpherePoint([0.2584618403012716, -0.09978571935965722, 0.9608539365168651])),
+        "cq", MonotonicityViolated),
+    "rotation-and-identity-cq": (
+        lambda: Problem(
+            4, SpherePoint([0.0, 0.9854797016142218, 0.0, -0.16979327933208713]),
+            0.2779182093605484,
+            MappingFamily([PlaneRotation(0, 2, 4.8520539095302036e-08), Identity()],
+                          [0.12019456686327828, 0.19081985755986028]),
+            SpherePoint([-0.2445259535985366, 0.9687881176405728,
+                         -0.0012494239708561409, -0.040682675365603986])),
+        "cq", FeasibilityViolated),
+    "widest-cap-shrinking": (
+        lambda: Problem(
+            7, SpherePoint([0.3967665712948906, -0.2596631129742377, 0.0, 0.0,
+                            0.46250096085319325, 0.7491623434698902, 0.0]),
+            math.pi / 4 - 1e-12,
+            MappingFamily([PlaneRotation(2, 3, -2.869557682193364)], [0.6160151588870203]),
+            SpherePoint([0.40073815096034815, -0.25714110477778435, 0.027111355022162477,
+                         0.032898957566990766, 0.436360936917224, 0.7621657670018783,
+                         -0.01274739038275403])),
+        "shrinking", FeasibilityViolated),
+}
+
+
+@pytest.mark.parametrize("build, method", [
+    pytest.param(build, method, id=name,
+                 marks=pytest.mark.xfail(strict=True, raises=error, reason=ITEM_8))
+    for name, (build, method, error) in ITEM_8_REPRODUCERS.items()
+])
+def test_item_8_reproducer_steps_without_an_audit_error(build, method):
+    """Stepped through `iterate`, which goes on past a converged state:
+    the walk raises at iteration 4 (both CQ cases) or 40 (shrinking)."""
+    states = iterate(build(), method)
+    for _ in range(100):
+        state = next(states)
+    assert fejer_audit(state.trace)

@@ -59,6 +59,12 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             PlaneRotation(0, 1, 3.5)
 
+    def test_rotation_axes_must_be_ordered(self):
+        """The README quotes this message, prefixed by the CLI's field."""
+        for i, j in ((1, 1), (2, 1), (-1, 2)):
+            with pytest.raises(ValueError, match=r"^need 0 <= axis_i < axis_j$"):
+                PlaneRotation(i, j, 0.3)
+
     def test_rotation_axes_are_integers(self):
         """A float axis raises when the rotation is built; numpy integers
         and bools become int and rotate as the plain ints would."""

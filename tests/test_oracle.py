@@ -42,7 +42,7 @@ class TestGeodesicGrid:
 
 class TestBruteProject:
     def test_feasible_point_recovered(self):
-        r = Region.from_cap(e3(2), 0.5)
+        r = Region(Halfspace.cap(e3(2), 0.5), (), e3(2))
         x = SpherePoint([math.sin(0.2), 0.0, math.cos(0.2)])
         p = brute_project(r, x, h=0.01)
         assert distance(p, x) <= 2e-4
@@ -54,7 +54,7 @@ class TestBruteProject:
         np.testing.assert_allclose(p.coords, [0, 1, 0], atol=2e-4)
 
     def test_cap_only_matches_closed_form(self):
-        r = Region.from_cap(e3(0), math.pi / 6)
+        r = Region(Halfspace.cap(e3(0), math.pi / 6), (), e3(0))
         p = brute_project(r, e3(1), h=0.01)
         expected = [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]
         np.testing.assert_allclose(p.coords, expected, atol=2e-4)
@@ -73,7 +73,8 @@ class TestBruteProject:
             brute_project(r, e3(0), h=0.01)
 
     def test_dimension_guard(self):
-        r = Region.from_cap(basis_point(0, 4), 0.5)
+        pole = basis_point(0, 4)
+        r = Region(Halfspace.cap(pole, 0.5), (), pole)
         with pytest.raises(ValueError):
             brute_project(r, basis_point(1, 4), h=0.01)
 

@@ -37,8 +37,23 @@ class TestHalfspace:
 
     def test_zero_normal_rejected(self):
         for normal in (np.zeros(4), np.full(4, 1e-13)):
-            with pytest.raises(ValueError, match="normal must not be"):
+            with pytest.raises(ValueError, match="^halfspace normal: cannot normalize"):
                 Halfspace(normal)
+
+    @pytest.mark.parametrize("normal, cause", [
+        (np.eye(4), "a sphere point needs a 1-d coordinate vector with d >= 2"),
+        ([1.0, math.nan, 0.0, 0.0], "sphere point coordinates must be finite"),
+        ([1.0, 0.0, math.inf, 0.0], "sphere point coordinates must be finite"),
+    ], ids=["2-d", "nan", "inf"])
+    def test_bad_normal_rejected_as_a_sphere_point(self, normal, cause):
+        with pytest.raises(ValueError, match=f"^halfspace normal: {cause}$"):
+            Halfspace(normal)
+
+    def test_normal_bits_are_the_sphere_point_coords(self):
+        a = [0.3, -1.7, 2.9, 1e-3]
+        h = Halfspace(a)
+        assert h.normal.tobytes() == SpherePoint(a).coords.tobytes()
+        assert not h.normal.flags.writeable
 
     def test_offset_range(self):
         with pytest.raises(ValueError):
@@ -59,16 +74,16 @@ class TestHalfspace:
 
 class TestRegionAndContains:
     def test_witness_invariant(self):
-        r = Region.from_cap(e(0), 0.6)
+        r = Region(Halfspace.cap(e(0), 0.6), (), e(0))
         assert contains(r, r.witness, 1e-10)
 
     def test_vacuous_linear_conjunction(self):
-        r = Region.from_cap(e(0), 0.6)
+        r = Region(Halfspace.cap(e(0), 0.6), (), e(0))
         z = SpherePoint([math.cos(0.3), math.sin(0.3), 0, 0])
         assert contains(r, z, 0.0)
 
     def test_antipode_of_witness_outside_cap(self):
-        r = Region.from_cap(e(0), math.pi / 6)
+        r = Region(Halfspace.cap(e(0), math.pi / 6), (), e(0))
         z = SpherePoint(-r.witness.coords)
         assert not contains(r, z, 1e-10)
 
@@ -90,10 +105,16 @@ class TestRegionAndContains:
 
     @pytest.mark.parametrize("tol", [-1e-3, math.nan])
     def test_negative_or_nan_tolerance_rejected(self, tol):
-        r = Region.from_cap(e(3), 0.6)
+        r = Region(Halfspace.cap(e(3), 0.6), (), e(3))
         z = SpherePoint([0.1, 0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             contains(r, z, tol)
+
+    def test_hand_built_cap_radius_range(self):
+        """A cap built as a Halfspace rather than by Halfspace.cap must still
+        have radius below pi/4: offset 0.5 is radius pi/3."""
+        with pytest.raises(ValueError, match=r"^region cap must have radius in \(0, pi/4\)$"):
+            Region(Halfspace(e(0).coords, 0.5), (), e(0))
 
     def test_linear_constraints_must_be_homogeneous(self):
         h = Halfspace([1.0, 0, 0, 0], 0.1)
@@ -192,7 +213,7 @@ class TestMakeQn:
 
 class TestProject:
     def test_member_is_fixed(self):
-        r = Region.from_cap(e(0), 0.6)
+        r = Region(Halfspace.cap(e(0), 0.6), (), e(0))
         x = SpherePoint([math.cos(0.3), math.sin(0.3), 0, 0])
         p, stats = project(r, x)
         assert distance(p, x) <= 1e-10
@@ -207,7 +228,7 @@ class TestProject:
 
     def test_cap_only_closed_form(self):
         """Slide along the geodesic toward the pole until distance rho."""
-        r = Region.from_cap(e(0), math.pi / 6)
+        r = Region(Halfspace.cap(e(0), math.pi / 6), (), e(0))
         p, _ = project(r, e(1))
         expected = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6), 0, 0])
         np.testing.assert_allclose(p.coords, expected, atol=1e-12)
@@ -270,7 +291,7 @@ class TestProject:
             assert contains(r, p, 1e-8)
 
     def test_degenerate_query_raises(self):
-        r = Region.from_cap(e(0), 0.3)
+        r = Region(Halfspace.cap(e(0), 0.3), (), e(0))
         with pytest.raises(EmptyOrDegenerate):
             project(r, SpherePoint(-e(0).coords))
 
@@ -465,7 +486,7 @@ class TestStartSetProperty:
 
 class TestIntersect:
     def test_trivial_halfspace_not_appended(self):
-        r = Region.from_cap(e(0), 0.6)
+        r = Region(Halfspace.cap(e(0), 0.6), (), e(0))
         r2 = intersect(r, (None,))
         assert len(r2.normals) == len(r.normals)
 
@@ -550,7 +571,7 @@ class TestIntersect:
         rng = np.random.default_rng(16)
         pole = e(0)
         w = pole
-        regions = [Region.from_cap(pole, 0.7)]
+        regions = [Region(Halfspace.cap(pole, 0.7), (), pole)]
         for _ in range(4):
             a = rng.standard_normal(4)
             if a @ w.coords < 0:
