@@ -49,7 +49,7 @@ from .mappings import (
     MappingFamily,
     PlaneRotation,
     WMapping,
-    common_fixed_basis,
+    fixed_axes,
     residuals,
 )
 from .regions import (
@@ -76,7 +76,7 @@ __all__ = [
     "TraceRecord", "cq_step", "fejer_audit", "initial_state", "iterate", "run",
     "shrink_step",
     "Identity", "MappingFamily", "PlaneRotation", "WMapping",
-    "common_fixed_basis", "residuals",
+    "fixed_axes", "residuals",
     "Halfspace", "Region", "SolveStats", "contains", "intersect", "make_cn",
     "make_qn", "project",
     "__version__",

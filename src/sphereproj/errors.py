@@ -31,12 +31,14 @@ class NoConvergence(SphereProjError):
 class FeasibilityViolated(SphereProjError):
     """A known common fixed point fell outside a generated constraint set.
 
-    The convergence arguments guarantee containment, so this signals an
-    implementation bug rather than a data condition."""
+    The convergence arguments guarantee containment in exact arithmetic,
+    but rounding alone fires it on well-posed inputs when y_n lies within
+    about 2e-8 of x_n (ROADMAP item 8), so it is not proof of a bug."""
 
 
 class MonotonicityViolated(SphereProjError):
-    """The anchored distance d(x1, x_n) decreased between iterations."""
+    """The anchored distance d(x1, x_n) decreased between iterations;
+    rounding alone can fire it too, as FeasibilityViolated (ROADMAP item 8)."""
 
 
 class NoFeasibleGridPoint(SphereProjError):

@@ -181,9 +181,10 @@ def sample_cap(center: np.ndarray, rho: float, n: int, rng: np.random.Generator)
     """Draw n points of the closed cap of radius rho around a unit vector.
 
     Returns an (n, d) array of unit rows.  The polar angle is uniform on
-    [0, rho); the tangent direction is an isotropic Gaussian draw.  Only used
-    for test-data generation, so the exact distribution is unimportant as
-    long as it is supported on the cap and deterministic per generator state.
+    [0, rho); the tangent direction is an isotropic Gaussian draw.  The exact
+    draws matter: every seeded anchor (`random_point_in_cap`: the CLI's, the
+    benchmark's, the acceptance suite's) and `check_preserves_cap`'s samples
+    come from here, so they fix the CLI output bytes and the pinned digests.
     """
     d = center.size
     g = rng.standard_normal((n, d))

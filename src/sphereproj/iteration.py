@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import FeasibilityViolated, MonotonicityViolated, SphereProjError, WitnessInfeasible
 from .geometry import SpherePoint, distance
-from .mappings import MappingFamily, WMapping, common_fixed_basis, residuals
+from .mappings import MappingFamily, WMapping, fixed_axes, residuals
 from .regions import Halfspace, Region, intersect, make_cn, make_qn, project
 
 # Tolerance of the per-step monotonicity check.
@@ -99,17 +99,17 @@ Trace = tuple[TraceRecord, ...]
 class Problem:
     """A cap-constrained common-fixed-point problem.
 
-    known_fixed_set is an orthonormal basis (columns) of the common fixed
-    subspace F, the span of the axes no map moves (`common_fixed_basis`).
-    The maps fix the cap pole exactly when it has no coordinate off F
-    (ValueError otherwise); then the family must pass the sampled cap check
-    (`check_preserves_cap`).  cap_region is the bare cap, witnessed by the
-    pole: the initial region, to which each CQ step appends its cuts.
-    target is P_F x1, the methods' limit, in the cap since the pole is in F.
+    fixed_axes masks the axes no map moves, which span the common fixed set
+    F (`mappings.fixed_axes`).  The maps fix the cap pole exactly when it
+    has no coordinate off F (ValueError otherwise); then the family must
+    pass the sampled cap check (`check_preserves_cap`).  cap_region is the
+    bare cap, witnessed by the pole: the initial region, to which each CQ
+    step appends its cuts.  target is P_F x1, x1's coordinates on F made
+    unit: the methods' limit, in the cap since the pole is in F.
     """
 
     __slots__ = ("dim", "cap_pole", "cap_radius", "family", "x1",
-                 "known_fixed_set", "target", "cap_region", "_w")
+                 "fixed_axes", "target", "cap_region", "_w")
 
     def __init__(self, dim: int, cap_pole: SpherePoint, cap_radius: float,
                  family: MappingFamily, x1: SpherePoint):
@@ -118,20 +118,20 @@ class Problem:
         cap = Halfspace.cap(cap_pole, cap_radius)
         if distance(x1, cap_pole) > cap_radius + 1e-12:
             raise ValueError("x1 must lie in the ambient cap")
-        known_fixed_set = common_fixed_basis(family.maps, dim)
-        off = cap_pole.coords[~known_fixed_set.any(axis=1)]  # on the moved axes
+        fixed = fixed_axes(family, dim)
+        off = cap_pole.coords[~fixed]
         if off.any():
             raise ValueError(f"the maps move the cap pole: it lies "
                              f"{float(np.linalg.norm(off)):.3e} off their common fixed set")
         family.check_preserves_cap(cap_pole, cap_radius)
-        comp = known_fixed_set @ (known_fixed_set.T @ x1.coords)
+        comp = np.where(fixed, x1.coords, 0.0)
 
         self.dim = dim
         self.cap_pole = cap_pole
         self.cap_radius = float(cap_radius)
         self.family = family
         self.x1 = x1
-        self.known_fixed_set = known_fixed_set
+        self.fixed_axes = fixed
         self.target = SpherePoint._wrap(comp / float(np.linalg.norm(comp)))
         self.cap_region = Region(cap, (), cap_pole)
         self._w = WMapping(family)

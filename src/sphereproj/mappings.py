@@ -5,10 +5,10 @@ These are linear isometries, so nonexpansiveness is exact, each one fixes
 exactly the axes outside its plane, and invariance of a cap follows
 whenever the cap pole is fixed.  The common fixed set of a family is
 therefore the span of the axes that no member moves, read from apply on
-each axis, and the family fixes the pole exactly when the pole has no
-coordinate off that set (`Problem` checks this).  apply is the only
-description of a map; a family admits only members of the zoo, so every
-problem has a known common fixed set.
+each axis and held as a mask (`fixed_axes`), and the family fixes the pole
+exactly when the pole has no coordinate off those axes (`Problem` checks it).
+apply is the only description of a map; a family admits only members of
+the zoo, so every problem has a known common fixed set.
 
 A family (T_1..T_r, alpha_1..alpha_r) combines into a single self-mapping by
 the staged recursion
@@ -31,7 +31,7 @@ import numpy as np
 from .geometry import SpherePoint, basis_point, distance, geodesic_combine, sample_cap
 
 # An axis that no map moves by more than this, relative to the largest
-# move (at least 1), counts as fixed when building the common fixed set.
+# move (at least 1), counts as fixed: `fixed_axes` marks it in the mask.
 NULLSPACE_TOL = 1e-10
 
 # The cap check: how many cap points are sampled, from which generator seed,
@@ -94,33 +94,6 @@ class PlaneRotation:
 _ZOO = (PlaneRotation, Identity)
 
 
-def common_fixed_basis(maps: Sequence, dim: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the intersection of fixed subspaces.
-
-    Only defined for the zoo's plane rotations and identities (TypeError
-    otherwise), and each map is read only through apply, on every axis:
-    it moves e_j by |T(e_j) - e_j|.  A member fixes exactly the axes
-    outside its plane, and on its plane both singular values of T - I equal
-    that move, so the common fixed set is spanned by the axes that no map
-    moves by more than NULLSPACE_TOL * max(1, largest move).  The basis is
-    those unit columns, in index order; with no map it is the identity.
-    """
-    for T in maps:
-        if not isinstance(T, _ZOO):
-            raise TypeError(f"{T!r} is not linear; cannot derive a fixed basis")
-    moves = np.zeros(dim)  # the largest move of each axis
-    for j in range(dim):
-        axis = basis_point(j, dim)
-        for T in maps:
-            row = T.apply(axis).coords - axis.coords
-            if row.any():
-                moves[j] = max(moves[j], math.sqrt(float(row.dot(row))))
-    still = np.flatnonzero(moves <= NULLSPACE_TOL * max(1.0, float(moves.max(initial=0.0))))
-    basis = np.zeros((dim, len(still)))
-    basis[still, np.arange(len(still))] = 1.0
-    return basis
-
-
 class MappingFamily:
     """An ordered family of self-mappings with one row of stage weights.
 
@@ -171,6 +144,26 @@ class MappingFamily:
 
     def __repr__(self) -> str:
         return f"MappingFamily(r={self.r}, alphas={self.alphas})"
+
+
+def fixed_axes(family: MappingFamily, dim: int) -> np.ndarray:
+    """Read-only mask of the axes that span the family's common fixed set F.
+
+    Each map is read only through apply, on every axis: it moves e_j by
+    |T(e_j) - e_j|.  A zoo member fixes exactly the axes outside its plane,
+    so F is spanned by the axes, True in the mask, that no member moves by
+    more than NULLSPACE_TOL * max(1, largest move).
+    """
+    moves = np.zeros(dim)  # the largest move of each axis
+    for j in range(dim):
+        axis = basis_point(j, dim)
+        for T in family.maps:
+            row = T.apply(axis).coords - axis.coords
+            if row.any():
+                moves[j] = max(moves[j], math.sqrt(float(row.dot(row))))
+    fixed = moves <= NULLSPACE_TOL * max(1.0, float(moves.max()))
+    fixed.setflags(write=False)
+    return fixed
 
 
 class WMapping:

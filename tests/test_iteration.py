@@ -49,7 +49,7 @@ class TestHighDimension:
         pole = basis_point(3, dim)
         x1 = random_point_in_cap(pole, RHO, 20250801)
         prob = Problem(dim, pole, RHO, two_rotation_family(), x1)
-        assert np.array_equal(prob.known_fixed_set, np.eye(dim)[:, 3:])
+        assert np.flatnonzero(~prob.fixed_axes).tolist() == [0, 1, 2]
         for stepper in (cq_step, shrink_step):
             s = initial_state(prob)
             for _ in range(10):
@@ -76,8 +76,7 @@ class TestProblemValidation:
 
     def test_auto_fixed_set_for_linear_family(self):
         p = make_problem(POLE)
-        assert p.known_fixed_set is not None
-        assert p.known_fixed_set.shape == (4, 1)
+        assert p.fixed_axes.tolist() == [False, False, False, True]
         assert p.cap_region.witness is p.cap_pole
 
     def test_fixed_set_must_meet_cap(self):
@@ -142,7 +141,7 @@ class TestPolePanel:
             assert prob.cap_region.witness is pole
             for T in prob.family.maps:
                 assert float(np.linalg.norm(T.apply(pole).coords - pole.coords)) <= 2e-10
-            oracle = subspace_project(prob.x1, prob.known_fixed_set)
+            oracle = subspace_project(prob.x1, np.eye(prob.dim)[:, prob.fixed_axes])
             assert prob.target.coords.tobytes() == oracle.coords.tobytes()
         assert built >= 20 and pole_rejects >= 20
         with pytest.raises(ValueError, match=r"^the maps move the cap pole: it lies 1\.000e-12 off"):
@@ -604,11 +603,11 @@ class TestStopRule:
 
 def wrong_fixed_set_problem(monkeypatch):
     """A problem whose claimed fixed point the mappings do not fix: a
-    stand-in for `common_fixed_basis` claims span{e3}, which holds the pole
-    e3, but the rotation of (e0, e3) by 1e-3 moves it, too little for the
-    sampled cap check to see."""
-    fake = np.eye(4)[:, [3]]
-    monkeypatch.setattr("sphereproj.iteration.common_fixed_basis", lambda maps, dim: fake)
+    stand-in for `fixed_axes` claims span{e3}, which holds the pole e3, but
+    the rotation of (e0, e3) by 1e-3 moves it, too little for the sampled
+    cap check to see."""
+    fake = np.array([False, False, False, True])
+    monkeypatch.setattr("sphereproj.iteration.fixed_axes", lambda family, dim: fake)
     return Problem(4, POLE, RHO, MappingFamily([PlaneRotation(0, 3, 1e-3)]),
                    random_point_in_cap(POLE, RHO, 11))
 

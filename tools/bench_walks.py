@@ -13,8 +13,7 @@ walk the script reports the wall time of the steps alone (the first of them
 includes ``initial_state``), the mean solver sweeps per step, d(x_n, P_F x1)
 at the end, a SHA-256 over the bytes of every iterate x_n (equal digests
 mean bitwise-equal iterates), and ``first_stalled``: the index n of the
-first state the step kernel marked stalled, or null when none was, or when
-the tree's states carry no such mark.
+first state the step kernel marked stalled, or null when none was.
 
 With two trees, both are imported into one process, each under a package
 name of its own (``sphereproj_a`` and ``sphereproj_b``; the package uses
@@ -116,8 +115,7 @@ class Walk:
             state = next(states)
             self.wall += time.perf_counter() - t0
             self.digest.update(state.x_n.coords.tobytes())
-            # a tree older than the mark has no such field
-            if self.first_stalled is None and getattr(state, "stalled", False):
+            if self.first_stalled is None and state.stalled:
                 self.first_stalled = state.n
         self.state = state
 
