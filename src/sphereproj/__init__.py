@@ -17,7 +17,6 @@ from .errors import (
     NoConvergence,
     PerimeterTooLarge,
     SphereProjError,
-    WitnessInfeasible,
 )
 from .geometry import (
     SpherePoint,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AntipodalPoints", "ConfigError", "EmptyOrDegenerate", "FeasibilityViolated",
     "MonotonicityViolated", "NoConvergence", "PerimeterTooLarge", "SphereProjError",
-    "WitnessInfeasible",
     "SpherePoint", "basis_point", "distance", "geodesic_combine", "inner",
     "pal_inequality_gap", "pal_inequality_gaps", "random_point_in_cap",
     "sample_cap",

@@ -13,10 +13,6 @@ class PerimeterTooLarge(SphereProjError):
     """Triangle perimeter is >= 2*pi, outside the comparison inequality's domain."""
 
 
-class WitnessInfeasible(SphereProjError):
-    """A region was built with a witness that violates one of its constraints."""
-
-
 class EmptyOrDegenerate(SphereProjError):
     """A projection's query point is not finite, or its cone projection
     collapsed to the zero vector (the query is a quarter turn or more away
@@ -29,16 +25,18 @@ class NoConvergence(SphereProjError):
 
 
 class FeasibilityViolated(SphereProjError):
-    """A known common fixed point fell outside a generated constraint set.
-
-    The convergence arguments guarantee containment in exact arithmetic,
-    but rounding alone fires it on well-posed inputs when y_n lies within
-    about 2e-8 of x_n (ROADMAP item 8), so it is not proof of a bug."""
+    """A region's witness violates one of its constraints, by the margin
+    the message gives: a bad witness from outside input or, on the step
+    path, a generated cut that misses the cap pole, a known fixed point.
+    Exact arithmetic rules the latter out, but rounding alone fires it on
+    well-posed inputs when y_n lies within about 2e-8 of x_n (ROADMAP
+    item 8), so it is not proof of a bug."""
 
 
 class MonotonicityViolated(SphereProjError):
-    """The anchored distance d(x1, x_n) decreased between iterations;
-    rounding alone can fire it too, as FeasibilityViolated (ROADMAP item 8)."""
+    """The anchored distance d(x1, x_n) decreased between iterations, by
+    the amount the message gives; rounding alone can fire it too, as
+    FeasibilityViolated (ROADMAP item 8)."""
 
 
 class NoFeasibleGridPoint(SphereProjError):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FeasibilityViolated, MonotonicityViolated, SphereProjError, WitnessInfeasible
+from .errors import MonotonicityViolated, SphereProjError
 from .geometry import SpherePoint, distance
 from .mappings import MappingFamily, WMapping, fixed_axes, residuals
 from .regions import Halfspace, Region, intersect, make_cn, make_qn, project
@@ -201,14 +201,15 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     the witness of `Problem.cap_region`, the cap pole, a known fixed point,
     and `intersect` checks it against the fresh cuts: that is where
     fixed-point containment is checked.  The convergence arguments put the
-    fixed set inside every cut, so a violation means a wrong fixed set and
-    raises FeasibilityViolated.  The projection then must not decrease
-    d(x1, x_n) (MonotonicityViolated otherwise), and the record is written.
-    Both errors carry no iteration index; `iterate` adds it.  `_measure`
-    gives d(x1, x_{n+1}), the images T_i x_{n+1} and the residuals
-    measured from them once, and the new state carries them with the
-    projection's active cuts; the next W-map takes T_1 x_{n+1} from the
-    images.  A state that lacks them is measured first.
+    fixed set inside every cut, so a violation means a wrong fixed set (or
+    rounding, ROADMAP item 8): FeasibilityViolated, with its margin.  The
+    projection then must not decrease d(x1, x_n) (MonotonicityViolated,
+    with the decrease), and the record is written.  Both errors carry no
+    iteration index; `iterate` adds it.  `_measure` gives d(x1, x_{n+1}),
+    the images T_i x_{n+1} and the residuals measured from them once, and
+    the new state carries them with the projection's active cuts; the
+    next W-map takes T_1 x_{n+1} from the images.  A state that lacks them
+    is measured first.
 
     The projection starts from the previous step's active cuts.  CQ cuts
     keep their indices from step to step (fresh cut first, localization
@@ -242,17 +243,14 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         base, cuts = state.region, (cn,)
     else:
         base, cuts = problem.cap_region, (cn, make_qn(problem.x1, x_n))
-    try:
-        region = intersect(base, cuts)
-    except WitnessInfeasible:
-        raise FeasibilityViolated("known fixed point violates a generated cut") from None
+    region = intersect(base, cuts)
     start = state.active_cuts
     if shrinking and cn is not None and float(cn.dot(x_n.coords)) < 0.0:
         start += (len(region.normals) - 1,)
     x_new, stats = project(region, problem.x1, start)
     dist_new, images_new, res_new = _measure(problem, x_new)
     if dist_new < dist_n - FEJER_TOL:
-        raise MonotonicityViolated("d(x1, x_n) decreased")
+        raise MonotonicityViolated(f"d(x1, x_n) decreased by {dist_n - dist_new:.3e}")
     rec = TraceRecord(state.n, dist_n, distance(x_n, x_new), tuple(res_n),
                       len(region.normals), stats.sweeps)
     # the distance test is free and fails on every step that moves

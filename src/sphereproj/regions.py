@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyOrDegenerate, NoConvergence, WitnessInfeasible
+from .errors import EmptyOrDegenerate, FeasibilityViolated, NoConvergence
 from .geometry import SpherePoint, inner
 
 # Cap radii are kept strictly below pi/4; equivalently the cap offset
@@ -57,23 +57,21 @@ RESULT_TOL = 1e-8
 class Halfspace:
     """A linear constraint <normal, z> >= offset on the ambient space.
 
-    The normal is the read-only coordinates of SpherePoint(normal): a
-    normal that SpherePoint rejects raises its ValueError, prefixed with
-    "halfspace normal: ".  The cap has offset cos(radius); outside input
-    gives cuts with offset 0.
+    `Halfspace(normal)` is a cut from outside input, with offset 0, and
+    `Halfspace.cap(pole, radius)` the cap, with offset cos(radius).  The
+    normal is the read-only coordinates of SpherePoint(normal): a normal
+    that SpherePoint rejects raises its ValueError, prefixed with
+    "halfspace normal: ".
     """
 
     __slots__ = ("normal", "offset")
 
-    def __init__(self, normal, offset: float = 0.0):
+    def __init__(self, normal):
         try:
             self.normal = SpherePoint(normal).coords
         except ValueError as e:
             raise ValueError(f"halfspace normal: {e}") from e
-        offset = float(offset)
-        if not -1.0 <= offset < 1.0:
-            raise ValueError(f"halfspace offset must be in [-1, 1), got {offset}")
-        self.offset = offset
+        self.offset = 0.0
 
     @classmethod
     def cap(cls, pole: SpherePoint, radius: float) -> "Halfspace":
@@ -83,7 +81,9 @@ class Halfspace:
             raise ValueError(f"cap radius must be in (0, pi/4), got {radius}")
         if math.cos(radius) == 1.0:
             raise ValueError(f"cap radius is too small for cos to resolve, got {radius}")
-        return cls(pole.coords, math.cos(radius))
+        cap = cls(pole.coords)
+        cap.offset = math.cos(radius)
+        return cap
 
     def slack(self, z: SpherePoint) -> float:
         """<normal, z> - offset; nonnegative iff z satisfies the constraint."""
@@ -100,20 +100,21 @@ class Region:
     `normals`, so that every membership test is one product.  The witness
     is a sphere point known to satisfy every constraint; it certifies
     nonemptiness.  The constructor `Region(cap, halfspaces, witness)`, for
-    outside input, takes all three: the cuts as homogeneous Halfspaces (a
-    bare cap has none), and a witness it checks against every constraint.
-    Regions are immutable values: `intersect` returns a new region.
+    outside input, takes all three: a `Halfspace.cap`, the cuts as
+    `Halfspace(normal)`s (a bare cap has none), and a witness it checks
+    against every constraint (FeasibilityViolated otherwise).  Regions are
+    immutable values: `intersect` returns a new region.
     """
 
     __slots__ = ("cap", "normals", "witness")
 
     def __init__(self, cap: Halfspace, halfspaces, witness: SpherePoint):
         if cap.offset <= math.cos(MAX_CAP_RADIUS):
-            raise ValueError("region cap must have radius in (0, pi/4)")
+            raise ValueError("region cap must be a Halfspace.cap, got a cut")
         halfspaces = tuple(halfspaces)
         for h in halfspaces:
             if h.offset != 0.0:
-                raise ValueError("linear region constraints must be homogeneous")
+                raise ValueError("region cuts must be Halfspace(normal), got a cap")
         rows = [h.normal for h in halfspaces]
         normals = np.array(rows, dtype=float).reshape(len(rows), cap.normal.size)
         self._set(cap, normals, witness,
@@ -129,9 +130,7 @@ class Region:
         self.witness = witness
         # written as `not bad >= -tol` so that a NaN witness is rejected too
         if not bad >= -WITNESS_TOL:
-            raise WitnessInfeasible(
-                f"witness violates a region constraint by {-bad:.3e}"
-            )
+            raise FeasibilityViolated(f"witness violates a region constraint by {-bad:.3e}")
 
     @property
     def cap_radius(self) -> float:
@@ -215,8 +214,8 @@ def intersect(region: Region, cuts) -> Region:
 
     Every step of both methods builds its region this way.  The witness
     already satisfies the cap and the existing cuts, so one product checks
-    it against the fresh cuts alone (slack >= -1e-10, WitnessInfeasible
-    otherwise).  None is no cut and is not appended, and neither is a cut
+    it against the fresh cuts alone (slack >= -1e-10, FeasibilityViolated
+    with the margin otherwise).  None is no cut and is not appended, and neither is a cut
     bitwise equal to the row before it (the region's last row, or the cut
     appended before it in the same call): a repeated cut adds nothing, so
     constraint counts only grow for new cuts.  A stalled shrinking walk

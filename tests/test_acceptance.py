@@ -200,7 +200,7 @@ def test_c03_projection_oracle_agreement():
             margin = float(a @ w.coords)
             if margin < 0.05:
                 a += (0.15 - margin) * w.coords
-            cuts.append(Halfspace(a, 0.0))
+            cuts.append(Halfspace(a))
         region = Region(Halfspace.cap(pole, rho), tuple(cuts), w)
         x = SpherePoint(sample_cap(pole.coords, 1.2, 1, rng)[0])
         fast, _ = project(region, x)

@@ -346,7 +346,8 @@ def test_documented_configs_match_the_grammar(tmp_path):
                    reason="ROADMAP item 8: an audit fires on rounding in a well-posed walk")
 def test_item_8_tiny_cap_readme_config_runs(tmp_path, capsys):
     """The README config with cap_radius = 1e-6 and seed = 0 exits 1 today,
-    with `error: iteration 17: d(x1, x_n) decreased` from the CQ walk."""
+    with `error: iteration 17: d(x1, x_n) decreased by 1.890e-10` from the CQ
+    walk."""
     lines = []
     for line in readme_config().splitlines():
         key = line.split("=", 1)[0].strip()

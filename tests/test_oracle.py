@@ -48,7 +48,7 @@ class TestBruteProject:
         assert distance(p, x) <= 2e-4
 
     def test_single_halfspace_matches_kkt(self):
-        h = Halfspace([1.0, 0, 0], 0.0)
+        h = Halfspace([1.0, 0, 0])
         r = Region(Halfspace.cap(e3(1), 0.7), (h,), e3(1))
         p = brute_project(r, SpherePoint([-0.6, 0.8, 0.0]), h=0.01)
         np.testing.assert_allclose(p.coords, [0, 1, 0], atol=2e-4)
@@ -68,7 +68,7 @@ class TestBruteProject:
                          math.sin(rho) * math.sin(0.37),
                          math.cos(rho)])
         normal = -(e3(2).coords - math.cos(rho) * w.coords)
-        r = Region(Halfspace.cap(e3(2), rho), (Halfspace(normal, 0.0),), w)
+        r = Region(Halfspace.cap(e3(2), rho), (Halfspace(normal),), w)
         with pytest.raises(NoFeasibleGridPoint):
             brute_project(r, e3(0), h=0.01)
 
@@ -93,7 +93,7 @@ class TestBruteProject:
                 margin = float(a @ w.coords)
                 if margin < 0.05:
                     a += (0.15 - margin) * w.coords
-                cuts.append(Halfspace(a, 0.0))
+                cuts.append(Halfspace(a))
             r = Region(Halfspace.cap(pole, rho), tuple(cuts), w)
             x = SpherePoint(sample_cap(pole.coords, 1.2, 1, rng)[0])
             p, _ = project(r, x)
@@ -119,7 +119,7 @@ class TestBruteProject:
                 a -= 0.9 * (a @ w.coords) * w.coords if a @ w.coords < 0 else 0.0
                 if a @ w.coords < 0.05:
                     a += 0.2 * w.coords
-                cuts.append(Halfspace(a, 0.0))
+                cuts.append(Halfspace(a))
             r = Region(Halfspace.cap(pole, rho), tuple(cuts), w)
             x = SpherePoint(sample_cap(pole.coords, 1.2, 1, rng)[0])
             fast, _ = project(r, x)

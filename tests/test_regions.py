@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sphereproj.errors import EmptyOrDegenerate, NoConvergence, WitnessInfeasible
+from sphereproj.errors import EmptyOrDegenerate, FeasibilityViolated, NoConvergence
 from sphereproj.geometry import (
     SpherePoint,
     basis_point,
@@ -32,7 +32,7 @@ def e(i, dim=4):
 
 class TestHalfspace:
     def test_normal_is_normalized(self):
-        h = Halfspace([2.0, 0, 0, 0], 0.0)
+        h = Halfspace([2.0, 0, 0, 0])
         np.testing.assert_allclose(h.normal, [1, 0, 0, 0])
 
     def test_zero_normal_rejected(self):
@@ -54,10 +54,6 @@ class TestHalfspace:
         h = Halfspace(a)
         assert h.normal.tobytes() == SpherePoint(a).coords.tobytes()
         assert not h.normal.flags.writeable
-
-    def test_offset_range(self):
-        with pytest.raises(ValueError):
-            Halfspace([1.0, 0, 0, 0], 1.0)
 
     def test_cap_radius_range(self):
         with pytest.raises(ValueError):
@@ -88,12 +84,13 @@ class TestRegionAndContains:
         assert not contains(r, z, 1e-10)
 
     def test_infeasible_witness_rejected(self):
-        h = Halfspace([-1.0, 0, 0, 0], 0.0)
-        with pytest.raises(WitnessInfeasible):
+        h = Halfspace([-1.0, 0, 0, 0])
+        with pytest.raises(FeasibilityViolated,
+                           match=r"^witness violates a region constraint by 1\.000e\+00$"):
             Region(Halfspace.cap(e(0), 0.6), (h,), e(0))
 
     def test_nan_witness_rejected(self):
-        with pytest.raises(WitnessInfeasible):
+        with pytest.raises(FeasibilityViolated):
             Region(Halfspace.cap(e(0), 0.6), (), SpherePoint._wrap(np.full(4, np.nan)))
 
     @pytest.mark.parametrize("cuts", [(), (Halfspace([1.0, 0, 0, 0]),)])
@@ -111,14 +108,15 @@ class TestRegionAndContains:
             contains(r, z, tol)
 
     def test_hand_built_cap_radius_range(self):
-        """A cap built as a Halfspace rather than by Halfspace.cap must still
-        have radius below pi/4: offset 0.5 is radius pi/3."""
-        with pytest.raises(ValueError, match=r"^region cap must have radius in \(0, pi/4\)$"):
-            Region(Halfspace(e(0).coords, 0.5), (), e(0))
+        """Only Halfspace.cap builds a cap: a cut passed as the cap (offset
+        0, a radius of pi/2) is rejected."""
+        with pytest.raises(ValueError, match=r"^region cap must be a Halfspace\.cap, got a cut$"):
+            Region(Halfspace(e(0).coords), (), e(0))
 
     def test_linear_constraints_must_be_homogeneous(self):
-        h = Halfspace([1.0, 0, 0, 0], 0.1)
-        with pytest.raises(ValueError):
+        """A cap passed as a cut is rejected."""
+        h = Halfspace.cap(e(0), 0.1)
+        with pytest.raises(ValueError, match=r"^region cuts must be Halfspace\(normal\), got a cap$"):
             Region(Halfspace.cap(e(0), 0.6), (h,), e(0))
 
 
@@ -221,7 +219,7 @@ class TestProject:
 
     def test_single_halfspace_closed_form(self):
         """Drop the negative component and renormalize (KKT)."""
-        h = Halfspace([1.0, 0, 0, 0], 0.0)
+        h = Halfspace([1.0, 0, 0, 0])
         r = Region(Halfspace.cap(e(1), 0.7), (h,), e(1))
         p, _ = project(r, SpherePoint([-0.6, 0.8, 0, 0]))
         np.testing.assert_allclose(p.coords, [0, 1, 0, 0], atol=1e-12)
@@ -243,7 +241,7 @@ class TestProject:
                 a = rng.standard_normal(4)
                 if a @ w.coords < 0:
                     a = -a
-                cuts.append(Halfspace(a, 0.0))
+                cuts.append(Halfspace(a))
             r = Region(Halfspace.cap(pole, 0.7), tuple(cuts), w)
             x = SpherePoint(rng.standard_normal(4))
             if x.coords @ pole.coords < 0.1:
@@ -263,7 +261,7 @@ class TestProject:
             a = rng.standard_normal(4)
             if a @ w.coords < 0:
                 a = -a
-            r = Region(Halfspace.cap(pole, 0.7), (Halfspace(a, 0.0),), w)
+            r = Region(Halfspace.cap(pole, 0.7), (Halfspace(a),), w)
             x = SpherePoint(sample_cap(pole.coords, 1.2, 1, rng)[0])
             p, _ = project(r, x)
             members = [w] + [
@@ -284,7 +282,7 @@ class TestProject:
                 a = rng.standard_normal(4)
                 if a @ w.coords < 0:
                     a = -a
-                cuts.append(Halfspace(a, 0.0))
+                cuts.append(Halfspace(a))
             r = Region(Halfspace.cap(pole, 0.7), tuple(cuts), w)
             x = SpherePoint(sample_cap(pole.coords, 1.3, 1, rng)[0])
             p, _ = project(r, x)
@@ -309,7 +307,7 @@ class TestProject:
     def test_sweep_budget_exhaustion_raises(self, monkeypatch):
         """Exhausting the sweep budget surfaces as NoConvergence."""
         monkeypatch.setattr("sphereproj.regions.SOLVER_MAX_SWEEPS", 1)
-        h = Halfspace([1.0, 0, 0, 0], 0.0)
+        h = Halfspace([1.0, 0, 0, 0])
         r = Region(Halfspace.cap(e(1), 0.7), (h,), e(1))
         with pytest.raises(NoConvergence):
             project(r, SpherePoint([-0.6, 0.8, 0, 0]))
@@ -332,8 +330,8 @@ class TestProject:
         Alternating projections stall on this wedge, since each sweep
         shrinks the error only by a factor set by the angle between the
         cuts; an exact solver must not."""
-        cuts = (Halfspace([1.0, 0, 0, 0], 0.0),
-                Halfspace([math.cos(eps), math.sin(eps), 0, 0], 0.0))
+        cuts = (Halfspace([1.0, 0, 0, 0]),
+                Halfspace([math.cos(eps), math.sin(eps), 0, 0]))
         r = Region(Halfspace.cap(e(3), 0.6), cuts, e(3))
         x = SpherePoint([-0.3 * math.cos(eps / 2), -0.3 * math.sin(eps / 2), 0.1, 1.0])
         p, stats = project(r, x)
@@ -491,7 +489,7 @@ class TestIntersect:
         assert len(r2.normals) == len(r.normals)
 
     def test_appended_constraint_holds_for_witness(self):
-        h = Halfspace([0.0, 1.0, 0, 0], 0.0)
+        h = Halfspace([0.0, 1.0, 0, 0])
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
         r2 = intersect(Region(Halfspace.cap(e(0), 0.6), (), w), (h.normal,))
         assert r2.witness is w
@@ -499,17 +497,17 @@ class TestIntersect:
         assert len(r2.normals) == 1
 
     def test_infeasible_new_witness_rejected(self):
-        h = Halfspace([0.0, -1.0, 0, 0], 0.0)
+        h = Halfspace([0.0, -1.0, 0, 0])
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
-        with pytest.raises(WitnessInfeasible):
+        with pytest.raises(FeasibilityViolated):
             intersect(Region(Halfspace.cap(e(0), 0.6), (), w), (h.normal,))
 
     def test_several_cuts_append_in_order(self):
         """One call appends every non-trivial cut in order, exactly as the
         constructor stacks them, and checks the witness against all of them."""
         cap = Halfspace.cap(e(0), 0.6)
-        h1 = Halfspace([0.0, 1.0, 0.0, 0.0], 0.0)
-        h2 = Halfspace([0.0, 0.3, 1.0, 0.0], 0.0)
+        h1 = Halfspace([0.0, 1.0, 0.0, 0.0])
+        h2 = Halfspace([0.0, 0.3, 1.0, 0.0])
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
         r2 = intersect(Region(cap, (), w), (h1.normal, None, h2.normal))
         built = Region(cap, (h1, h2), w)
@@ -520,7 +518,7 @@ class TestIntersect:
         # inside the cap and h1, outside h2 only
         bad = SpherePoint([math.cos(0.2), 0.1, -0.15, 0.0])
         assert h1.slack(bad) > 0.0 and cap.slack(bad) > 0.0 and h2.slack(bad) < 0.0
-        with pytest.raises(WitnessInfeasible):
+        with pytest.raises(FeasibilityViolated):
             intersect(Region(cap, (), bad), (h1.normal, h2.normal))
 
     def test_own_witness_checked_against_fresh_cuts(self):
@@ -532,7 +530,7 @@ class TestIntersect:
         ok = Halfspace([0.0, 0.0, 1.0, 0.0]).normal
         assert intersect(r, (ok,)).normals.tobytes() == \
             Region(r.cap, (Halfspace(r.normals[0]), Halfspace(ok)), w).normals.tobytes()
-        with pytest.raises(WitnessInfeasible):
+        with pytest.raises(FeasibilityViolated):
             intersect(r, (ok, Halfspace([0.0, -1.0, 0.5, 0]).normal))
 
     def test_repeated_last_row_not_appended(self):
@@ -576,7 +574,7 @@ class TestIntersect:
             a = rng.standard_normal(4)
             if a @ w.coords < 0:
                 a = -a
-            regions.append(intersect(regions[-1], (Halfspace(a, 0.0).normal,)))
+            regions.append(intersect(regions[-1], (Halfspace(a).normal,)))
         zs = rng.standard_normal((1000, 4))
         zs /= np.linalg.norm(zs, axis=1)[:, None]
         for row in zs:

@@ -15,10 +15,8 @@ digest covers, in panel order:
   walk, how it stopped (an error as ``iterate`` annotates it);
 * every ``cli-sweep`` call (``sphereproj compare``): the exit code, the
   printed lines and the bytes of the three files it writes
-  (``_cq_trace.csv``, ``_shrinking_trace.csv`` and ``_compare.json``).
-  The names come from ``CLI_OUTPUTS`` in ``perfbench/workloads.py``, which
-  also lists two per-method summaries that ``compare`` does not write;
-  those are hashed as ``<missing>``.
+  (``_cq_trace.csv``, ``_shrinking_trace.csv`` and ``_compare.json``,
+  ``CLI_OUTPUTS`` below).  A missing file fails the run.
 
 Four digests are printed.  ``full`` covers all of the above.
 ``arithmetic`` leaves out solver effort: the ``solver_sweeps`` record field,
@@ -64,6 +62,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WALK_PANELS = ("two-rotation-cq", "two-rotation-shrinking", "single-rotation")
 RECORD_FIELDS = ("n", "dist_x1_xn", "step_len", "residuals", "constraint_count")
 CSV_SUFFIXES = ("_cq_trace.csv", "_shrinking_trace.csv")
+CLI_OUTPUTS = (*CSV_SUFFIXES, "_compare.json")
 PROJECTION_CALLS = 4000
 PROJECTION_SEED = 20250803
 
@@ -110,7 +109,7 @@ def walk_digest(h, sp, wl, walk) -> None:
     h.update(stop.encode())
 
 
-def cli_digest(h, wl, inv, tmp: Path, i: int) -> None:
+def cli_digest(h, inv, tmp: Path, i: int) -> None:
     from sphereproj import cli
     cfg = tmp / f"{i}.cfg"
     cfg.write_text(inv.case.config_text(), encoding="utf-8")
@@ -119,9 +118,8 @@ def cli_digest(h, wl, inv, tmp: Path, i: int) -> None:
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         rc = cli.main(["compare", str(cfg), "--out", str(prefix)])
     h.update(f"{inv.label} exit {rc}\n{sink.getvalue()}".encode())
-    for suffix in wl.CLI_OUTPUTS:
-        path = Path(f"{prefix}{suffix}")
-        data = path.read_bytes() if path.is_file() else b"<missing>"
+    for suffix in CLI_OUTPUTS:
+        data = Path(f"{prefix}{suffix}").read_bytes()
         h.update(suffix.encode() + data, suffix.encode() + _without_sweeps(suffix, data))
 
 
@@ -231,7 +229,7 @@ def main(argv=None) -> int:
             walk_digest(h, sp, wl, walk)
     with tempfile.TemporaryDirectory() as tmp:
         for i, inv in enumerate(wl.PANELS["cli-sweep"]):
-            cli_digest(h, wl, inv, Path(tmp), i)
+            cli_digest(h, inv, Path(tmp), i)
     print(f"full {h.full.hexdigest()}")
     print(f"arithmetic {h.arithmetic.hexdigest()}")
     p = projection_digest(sp)
