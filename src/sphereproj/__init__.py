@@ -1,7 +1,7 @@
 """Projection-based fixed-point iterations on the unit sphere.
 
 The package provides a spherical geometry kernel (arccos metric, geodesic
-averaging, the comparison inequality), halfspace-and-cap constraint regions
+averaging, cap sampling), halfspace-and-cap constraint regions
 with an oracle-verified metric projection, a zoo of nonexpansive mappings
 with staged averaging, and two iteration drivers (the CQ method and the
 shrinking projection method) that converge to the common-fixed-point
@@ -15,7 +15,6 @@ from .errors import (
     FeasibilityViolated,
     MonotonicityViolated,
     NoConvergence,
-    PerimeterTooLarge,
     SphereProjError,
 )
 from .geometry import (
@@ -24,8 +23,6 @@ from .geometry import (
     distance,
     geodesic_combine,
     inner,
-    pal_inequality_gap,
-    pal_inequality_gaps,
     random_point_in_cap,
     sample_cap,
 )
@@ -66,10 +63,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntipodalPoints", "ConfigError", "EmptyOrDegenerate", "FeasibilityViolated",
-    "MonotonicityViolated", "NoConvergence", "PerimeterTooLarge", "SphereProjError",
+    "MonotonicityViolated", "NoConvergence", "SphereProjError",
     "SpherePoint", "basis_point", "distance", "geodesic_combine", "inner",
-    "pal_inequality_gap", "pal_inequality_gaps", "random_point_in_cap",
-    "sample_cap",
+    "random_point_in_cap", "sample_cap",
     "IterationState", "Problem", "StopReason", "StopRule", "Trace",
     "TraceRecord", "cq_step", "fejer_audit", "initial_state", "iterate", "run",
     "shrink_step",

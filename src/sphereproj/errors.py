@@ -9,10 +9,6 @@ class AntipodalPoints(SphereProjError):
     """Geodesic combination requested for an antipodal (or nearly antipodal) pair."""
 
 
-class PerimeterTooLarge(SphereProjError):
-    """Triangle perimeter is >= 2*pi, outside the comparison inequality's domain."""
-
-
 class EmptyOrDegenerate(SphereProjError):
     """A projection's query point is not finite, or its cone projection
     collapsed to the zero vector (the query is a quarter turn or more away
@@ -37,11 +33,6 @@ class MonotonicityViolated(SphereProjError):
     """The anchored distance d(x1, x_n) decreased between iterations, by
     the amount the message gives; rounding alone can fire it too, as
     FeasibilityViolated (ROADMAP item 8)."""
-
-
-class NoFeasibleGridPoint(SphereProjError):
-    """Brute-force projection found no feasible grid point; the region is
-    thinner than the grid resolution."""
 
 
 class DegenerateInput(SphereProjError):

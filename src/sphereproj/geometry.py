@@ -3,8 +3,7 @@
 The unit sphere of d-dimensional space carries the metric
 d(x, y) = arccos<x, y>.  This module provides the metric, the geodesic
 combination (spherical linear interpolation written as a weighted
-combination), the comparison inequality used by the convergence proofs of
-the projection methods, and seeded sampling inside spherical caps.
+combination) and seeded sampling inside spherical caps.
 
 All functions are pure and operate on immutable values; inner products are
 clamped to [-1, 1] before any arccos and results of combinations are
@@ -19,14 +18,12 @@ import operator
 
 import numpy as np
 
-from .errors import AntipodalPoints, PerimeterTooLarge
+from .errors import AntipodalPoints
 
 # Inner products this close to -1 are treated as antipodal.  Iterations keep
 # all points inside a cap of radius < pi/4, so antipodality signals caller
 # error rather than a legitimate configuration.
 ANTIPODAL_TOL = 1e-12
-
-TWO_PI = 2.0 * math.pi
 
 
 class SpherePoint:
@@ -121,60 +118,6 @@ def geodesic_combine(alpha: float, x: SpherePoint, y: SpherePoint) -> SpherePoin
     v = (math.sin(alpha * theta) * x.coords + math.sin((1.0 - alpha) * theta) * y.coords) / s
     v /= math.sqrt(v.dot(v))
     return SpherePoint._wrap(v)
-
-
-def pal_inequality_gap(t: float, x: SpherePoint, y: SpherePoint, z: SpherePoint) -> float:
-    """Left minus right side of the spherical comparison inequality
-
-        cos d(v,z) sin d(x,y) >= cos d(x,z) sin(t d(x,y)) + cos d(y,z) sin((1-t) d(x,y))
-
-    where v is the geodesic combination of x and y with weight t on x.  The
-    inequality holds whenever the triangle perimeter is below 2*pi, so the
-    returned gap is nonnegative (up to rounding) on every valid input.
-    """
-    dxy = distance(x, y)
-    dyz = distance(y, z)
-    dzx = distance(z, x)
-    if dxy + dyz + dzx >= TWO_PI:
-        raise PerimeterTooLarge(
-            f"triangle perimeter {dxy + dyz + dzx:.6f} is not below 2*pi"
-        )
-    v = geodesic_combine(t, x, y)
-    lhs = math.cos(distance(v, z)) * math.sin(dxy)
-    rhs = math.cos(dzx) * math.sin(t * dxy) + math.cos(dyz) * math.sin((1.0 - t) * dxy)
-    return lhs - rhs
-
-
-def pal_inequality_gaps(t, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Vectorized comparison-inequality gaps for row-stacked unit vectors.
-
-    Same formula as pal_inequality_gap, one gap per row; used for large
-    sweeps where per-call overhead would dominate.  Rows with coincident x
-    and y use the continuous extension v = x.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ixy = np.clip(np.einsum("ij,ij->i", x, y), -1.0, 1.0)
-    if np.any(ixy <= -1.0 + ANTIPODAL_TOL):
-        raise AntipodalPoints("no unique geodesic between antipodal points")
-    dxy = np.arccos(ixy)
-    dyz = np.arccos(np.clip(np.einsum("ij,ij->i", y, z), -1.0, 1.0))
-    dzx = np.arccos(np.clip(np.einsum("ij,ij->i", z, x), -1.0, 1.0))
-    if np.any(dxy + dyz + dzx >= TWO_PI):
-        raise PerimeterTooLarge("a triangle perimeter is not below 2*pi")
-
-    s = np.sin(dxy)
-    safe = s > 0.0
-    denom = np.where(safe, s, 1.0)
-    v = (np.sin(t * dxy)[:, None] * x + np.sin((1.0 - t) * dxy)[:, None] * y)
-    v = np.where(safe[:, None], v / denom[:, None], x)
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    dvz = np.arccos(np.clip(np.einsum("ij,ij->i", v, z), -1.0, 1.0))
-    return (np.cos(dvz) * np.sin(dxy)
-            - np.cos(dzx) * np.sin(t * dxy)
-            - np.cos(dyz) * np.sin((1.0 - t) * dxy))
 
 
 def sample_cap(center: np.ndarray, rho: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,8 +18,8 @@ nonnegative least squares on the dual of the cut cone, plus a bisection for
 the cap's multiplier when the cap binds (see `project`).  A solver sweep is
 one KKT pass over every constraint: it reads every cut's slack at the
 current multipliers and either certifies optimality or changes the active
-set.  This identity is validated against an independent brute-force oracle
-in the test suite rather than assumed.
+set.  This identity is validated against an independent brute-force grid
+projection (in `tests/reference.py`) rather than assumed.
 """
 
 from __future__ import annotations

@@ -34,8 +34,6 @@ from sphereproj.geometry import (
     SpherePoint,
     basis_point,
     distance,
-    pal_inequality_gap,
-    pal_inequality_gaps,
     random_point_in_cap,
     sample_cap,
 )
@@ -53,8 +51,10 @@ from sphereproj.mappings import (
     fixed_axes,
     residuals,
 )
-from sphereproj.oracle import brute_project, sin_lemma_check, subspace_project
+from sphereproj.oracle import subspace_project
 from sphereproj.regions import Halfspace, Region, make_cn, make_qn, project
+
+from reference import brute_project, pal_inequality_gap, pal_inequality_gaps, sin_lemma_check
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +342,26 @@ def test_documented_configs_match_the_grammar(tmp_path):
         lines = (raw.split("#", 1)[0] for raw in text.splitlines())
         keys = {line.split("=", 1)[0].strip() for line in lines if line.strip()}
         assert keys == set(_GRAMMAR) | {"mapping"}, name
+
+
+def test_production_paths_leave_the_oracle_unimported():
+    """The README's "Oracles stay out of production paths": a fresh process
+    that imports the package and its CLI and runs a walk never loads
+    `sphereproj.oracle`, and every name in `sphereproj.__all__` resolves."""
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); "
+        "import sphereproj as sp, sphereproj.cli; "
+        "pole = sp.basis_point(3, 4); "
+        "family = sp.MappingFamily([sp.PlaneRotation(0, 1, 0.8), sp.PlaneRotation(0, 2, 0.5)]); "
+        "problem = sp.Problem(4, pole, 0.6, family, sp.random_point_in_cap(pole, 0.6, 1)); "
+        "sp.run(problem, 'cq', sp.StopRule(max_iter=20)); "
+        "print(json.dumps(['sphereproj.oracle' in sys.modules, "
+        "[n for n in sp.__all__ if not hasattr(sp, n)]]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, []]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

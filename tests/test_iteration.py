@@ -844,3 +844,17 @@ def test_fuzz_panel_steps_or_reports_a_rounding_margin():
             except (FeasibilityViolated, MonotonicityViolated) as e:
                 margin = re.search(r" by (\S+)$", str(e))
                 assert margin and float(margin[1]) <= 1e-6, f"seed {seed}, {method}: {e}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: the arccos metric reads a 2.04e-8 residual as 0.0")
+@pytest.mark.parametrize("method", ["cq", "shrinking"])
+def test_item_6_no_false_converged_at_the_arccos_floor(method):
+    """`fuzz_problem(35)`: the map moves x1 by 2.04e-8, more than
+    eps_residual = 1e-8, but <T x1, x1> rounds to 1.0, so the residual reads
+    0.0, no cut is made and both methods stop CONVERGED after one record,
+    0.640 from P_F x1.  Item 6's accurate distance must flip this."""
+    problem = fuzz_problem(35)
+    x, _, reason = run(problem, method)
+    assert reason is not StopReason.CONVERGED or distance(x, problem.target) <= 1e-5, \
+        f"{method} stopped CONVERGED {distance(x, problem.target):.4f} from P_F x1"

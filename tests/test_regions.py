@@ -89,6 +89,17 @@ class TestRegionAndContains:
                            match=r"^witness violates a region constraint by 1\.000e\+00$"):
             Region(Halfspace.cap(e(0), 0.6), (h,), e(0))
 
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="ROADMAP item 9: the linear witness test admits a far "
+                              "witness of a tiny cap")
+    def test_item_9_tiny_cap_rejects_a_far_witness(self):
+        """A witness 1.4e-5 from the pole of cap(e3, 1e-6), 14 radii out,
+        misses the cap's linear slack by 9.8e-11, inside WITNESS_TOL =
+        1e-10, so it builds today; 1.42e-5 is the first distance rejected."""
+        w = SpherePoint([math.sin(1.4e-5), 0.0, 0.0, math.cos(1.4e-5)])
+        with pytest.raises(FeasibilityViolated):
+            Region(Halfspace.cap(e(3), 1e-6), (), w)
+
     def test_nan_witness_rejected(self):
         with pytest.raises(FeasibilityViolated):
             Region(Halfspace.cap(e(0), 0.6), (), SpherePoint._wrap(np.full(4, np.nan)))
