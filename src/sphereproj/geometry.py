@@ -115,7 +115,9 @@ def geodesic_combine(alpha: float, x: SpherePoint, y: SpherePoint) -> SpherePoin
         return x
     theta = math.acos(c)
     s = math.sin(theta)
-    v = (math.sin(alpha * theta) * x.coords + math.sin((1.0 - alpha) * theta) * y.coords) / s
+    v = math.sin(alpha * theta) * x.coords
+    v += math.sin((1.0 - alpha) * theta) * y.coords
+    v /= s
     v /= math.sqrt(v.dot(v))
     return SpherePoint._wrap(v)
 

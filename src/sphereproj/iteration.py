@@ -251,7 +251,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     dist_new, images_new, res_new = _measure(problem, x_new)
     if dist_new < dist_n - FEJER_TOL:
         raise MonotonicityViolated(f"d(x1, x_n) decreased by {dist_n - dist_new:.3e}")
-    rec = TraceRecord(state.n, dist_n, distance(x_n, x_new), tuple(res_n),
+    rec = TraceRecord(state.n, dist_n, distance(x_n, x_new), tuple(res_n.tolist()),
                       len(region.normals), stats.sweeps)
     # the distance test is free and fails on every step that moves
     stalled = (dist_new == dist_n and stats.active_cuts == state.active_cuts

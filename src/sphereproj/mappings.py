@@ -5,8 +5,9 @@ These are linear isometries, so nonexpansiveness is exact, each one fixes
 exactly the axes outside its plane, and invariance of a cap follows
 whenever the cap pole is fixed.  The common fixed set of a family is
 therefore the span of the axes that no member moves, read from apply on
-each axis and held as a mask (`fixed_axes`), and the family fixes the pole
-exactly when the pole has no coordinate off those axes (`Problem` checks it).
+the two axes of each rotation's plane and held as a mask (`fixed_axes`),
+and the family fixes the pole exactly when the pole has no coordinate off
+those axes (`Problem` checks it).
 apply is the only description of a map; a family admits only members of
 the zoo, so every problem has a known common fixed set.
 
@@ -149,17 +150,18 @@ class MappingFamily:
 def fixed_axes(family: MappingFamily, dim: int) -> np.ndarray:
     """Read-only mask of the axes that span the family's common fixed set F.
 
-    Each map is read only through apply, on every axis: it moves e_j by
-    |T(e_j) - e_j|.  A zoo member fixes exactly the axes outside its plane,
-    so F is spanned by the axes, True in the mask, that no member moves by
+    A map moves e_j by |T(e_j) - e_j|, read through apply.  A zoo member
+    fixes exactly the axes outside its plane, so apply runs on axis_i, then
+    axis_j, of each PlaneRotation (a plane past dim raises its ValueError).
+    F is spanned by the axes, True in the mask, that no member moves by
     more than NULLSPACE_TOL * max(1, largest move).
     """
     moves = np.zeros(dim)  # the largest move of each axis
-    for j in range(dim):
-        axis = basis_point(j, dim)
-        for T in family.maps:
-            row = T.apply(axis).coords - axis.coords
-            if row.any():
+    for T in family.maps:
+        if isinstance(T, PlaneRotation):
+            for j in (T.axis_i, T.axis_j):
+                axis = basis_point(j, dim)
+                row = T.apply(axis).coords - axis.coords
                 moves[j] = max(moves[j], math.sqrt(float(row.dot(row))))
     fixed = moves <= NULLSPACE_TOL * max(1.0, float(moves.max()))
     fixed.setflags(write=False)

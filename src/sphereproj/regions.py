@@ -191,19 +191,22 @@ def make_qn(x_1: SpherePoint, x_n: SpherePoint) -> np.ndarray | None:
     (x_n = x_1) the normal vanishes and None is returned: the first
     localization cut is all of the ambient set.
     """
-    return _cut(inner(x_1, x_n) * x_n.coords - x_1.coords)
+    v = inner(x_1, x_n) * x_n.coords
+    v -= x_1.coords
+    return _cut(v)
 
 
 def _cut(v: np.ndarray) -> np.ndarray | None:
     """Read-only unit normal of the cut <v, z> >= 0, or None if v vanishes.
 
-    The normal is normalized a second time, as passing it to the Halfspace
-    constructor would: the walks are steered by the last bits of the cuts.
+    v is a fresh array, normalized in place.  The normal is normalized a
+    second time, as passing it to the Halfspace constructor would: the
+    walks are steered by the last bits of the cuts.
     """
     n = math.sqrt(float(v.dot(v)))
     if n <= DEGENERATE_TOL:
         return None
-    v = v / n
+    v /= n
     v /= math.sqrt(float(v.dot(v)))
     v.setflags(write=False)
     return v
@@ -269,8 +272,9 @@ class _CutCone:
         self.normals = normals
         self.sweeps = 0
         self.active = np.zeros(len(normals), dtype=bool)
-        if start:
-            self.active[[i for i in start if 0 <= i < len(normals)]] = True
+        for i in start:
+            if 0 <= i < len(normals):
+                self.active[i] = True
 
     def _solve(self, b: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """Projection of b onto the subspace where the cuts idx (the active
@@ -283,13 +287,14 @@ class _CutCone:
         product of two or more terms is one BLAS call; the triangular
         factor and the one-term products are Python floats.
         """
-        q = self.normals[idx]
+        q = self.normals.take(idx, axis=0)
         k = len(q)
-        r00 = math.sqrt(float(q[0].dot(q[0])))
-        q[0] /= r00
+        q0 = q[0]
+        r00 = math.sqrt(float(q0.dot(q0)))
+        q0 /= r00
         if k == 1:
             c = q.dot(b)
-            return b - c.dot(q), [-float(c[0]) / r00]
+            return b - c.dot(q), [-c.item(0) / r00]
         diag = [r00]
         rows = [[] for _ in range(k)]   # each row of the factor right of its diagonal
         for j in range(1, k):
@@ -342,10 +347,11 @@ class _CutCone:
                     f"({len(a)} cuts)"
                 )
             self.sweeps += 1
-            violation = -a.dot(z)
-            violation[blocked] = -math.inf
-            t = int(violation.argmax()) if len(a) else -1
-            if t < 0 or violation[t] <= SOLVER_TOL * (scale + float(lam.sum())):
+            # the most violated cut that may enter, the first on a tie
+            slack = a.dot(z)
+            slack[blocked] = math.inf
+            t = int(slack.argmin()) if len(a) else -1
+            if t < 0 or -slack.item(t) <= SOLVER_TOL * (scale + float(lam.sum())):
                 return z, lam
             active[t] = blocked[t] = True
             entering = True
@@ -413,11 +419,12 @@ def project(region: Region, x: SpherePoint,
     normals = region.normals
     xc = x.coords
     # the test of `contains` at tol = 0, inline; a NaN or infinite query
-    # has a non-finite cap slack and is never taken for a member
+    # has a non-finite cap slack and is never taken for a member, and `min`
+    # carries a NaN cut slack through
     cap_slack = float(pole.dot(xc)) - cos_r
     if not math.isfinite(cap_slack):
         raise EmptyOrDegenerate("query point is not finite")
-    if cap_slack >= 0.0 and (normals.dot(xc) >= 0.0).all():
+    if cap_slack >= 0.0 and normals.dot(xc).min(initial=0.0) >= 0.0:
         return x, SolveStats(0)
     cone = _CutCone(normals, start)
 

@@ -17,6 +17,7 @@ from sphereproj.geometry import (
 from sphereproj.regions import (
     Halfspace,
     Region,
+    SolveStats,
     _CutCone,
     contains,
     intersect,
@@ -351,6 +352,60 @@ class TestProject:
         assert contains(r, p, 1e-12)
         assert stats.active_cuts == (0, 1) and not stats.cap_active
 
+    @pytest.mark.parametrize("cuts", [([1.0, 0, 0, 0], [0, 1.0, 0, 0]),
+                                      ([0, 1.0, 0, 0], [1.0, 0, 0, 0])],
+                             ids=["axis-0-first", "axis-1-first"])
+    def test_tie_enters_the_lower_index(self, cuts, monkeypatch):
+        """x breaks both cuts by the same amount, bit for bit: the sweep
+        enters cut 0 first, whichever axis it holds, and then cut 1."""
+        r = Region(Halfspace.cap(e(3), 0.6), [Halfspace(a) for a in cuts], e(3))
+        x = SpherePoint([-0.1, -0.1, 0.05, 1.0])
+        slack = r.normals.dot(x.coords)
+        assert slack[0] == slack[1] < 0.0
+        solves = []
+        real_solve = _CutCone._solve
+
+        def spy(cone, b, idx):
+            solves.append(tuple(idx.tolist()))
+            return real_solve(cone, b, idx)
+
+        monkeypatch.setattr(_CutCone, "_solve", spy)
+        _, stats = project(r, x)
+        assert solves == [(0,), (0, 1)]
+        assert stats.active_cuts == (0, 1) and stats.sweeps == 3
+
+
+class TestMembershipProperty:
+    """`project` gives the query itself with zero solver effort exactly when
+    `contains` at tolerance 0 admits it.  Regions carry 0 to d + 4 cuts
+    facing the pole, which witnesses them.  The queries are a point near
+    the cap, the pole, and the projection of the first: a point on the
+    boundary, where the last bit of a slack decides membership."""
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_returns_the_query_iff_contained(self, seed, data):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 7))
+        pole = rng.standard_normal(d)
+        pole /= np.linalg.norm(pole)
+        radius = float(rng.uniform(0.05, 0.75))
+        normals = []
+        for _ in range(data.draw(st.integers(0, d + 4))):
+            a = rng.standard_normal(d)
+            a -= a.dot(pole) * pole
+            a += rng.uniform(0.0, 0.5) * np.linalg.norm(a) * pole
+            normals.append(a)
+        g = rng.standard_normal(d)
+        g -= g.dot(pole) * pole
+        t = radius * rng.uniform(0.0, 1.5)
+        x = SpherePoint(math.cos(t) * pole + math.sin(t) * g / np.linalg.norm(g))
+        r = Region(Halfspace.cap(SpherePoint(pole), radius),
+                   [Halfspace(a) for a in normals], SpherePoint(pole))
+        for q in (x, r.witness, project(r, x)[0]):
+            p, stats = project(r, q)
+            assert (p is q and stats == SolveStats(0)) == contains(r, q, 0.0)
+
 
 class TestWarmStart:
     """A start set seeds the solver's active set and changes only its sweep
@@ -506,6 +561,13 @@ class TestIntersect:
         assert r2.witness is w
         assert contains(r2, w, 1e-10)
         assert len(r2.normals) == 1
+
+    def test_nan_cut_rejected(self):
+        """A NaN in a fresh cut makes the witness's least slack NaN, which
+        the witness check rejects."""
+        r = Region(Halfspace.cap(e(3), 0.6), (), e(3))
+        with pytest.raises(FeasibilityViolated, match="by nan$"):
+            intersect(r, (np.array([math.nan, 0.0, 0.0, 1.0]),))
 
     def test_infeasible_new_witness_rejected(self):
         h = Halfspace([0.0, -1.0, 0, 0])

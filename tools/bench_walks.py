@@ -5,10 +5,13 @@
     python3 tools/bench_walks.py OLD/src NEW/src --repeats 5 --pairs 10 \\
         --out BENCH_lean_step.json                         # before/after file
 
-The walks are the 3000-step two-rotation shrinking walk and the 10,000-step
-two-rotation CQ walk from the c05 anchor (20250801), and the 10,000-step
-single-rotation CQ walk from the c06 anchor (20250802), stepped through
-the library's run loop ``iterate`` for a fixed number of steps.  For each
+The walks are the 3000-step two-rotation shrinking walk, the 10,000-step
+two-rotation CQ walk and the 500-step two-rotation CQ walk from the c05
+anchor (20250801), and the 10,000-step single-rotation CQ walk from the
+c06 anchor (20250802), stepped through the library's run loop ``iterate``
+for a fixed number of steps.  The 500-step walk is the first job of the
+``two-rotation-cq`` benchmark panel: in the long walks the trace copy of
+every step grows with n and dilutes a change to the step kernel.  For each
 walk the script reports the wall time of the steps alone (the first of them
 includes ``initial_state``), the mean solver sweeps per step, d(x_n, P_F x1)
 at the end, a SHA-256 over the bytes of every iterate x_n (equal digests
@@ -55,6 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WALKS = {
     "two-rotation/shrinking 3000": ("two-rotation", 20250801, "shrinking", 3000),
     "two-rotation/cq 10000": ("two-rotation", 20250801, "cq", 10_000),
+    "two-rotation/cq 500": ("two-rotation", 20250801, "cq", 500),
     "single-rotation/cq 10000": ("single-rotation", 20250802, "cq", 10_000),
 }
 WARMUP_STEPS = 300
