@@ -49,6 +49,7 @@ from .mappings import (
     residuals,
 )
 from .regions import (
+    Cap,
     Halfspace,
     Region,
     SolveStats,
@@ -71,7 +72,7 @@ __all__ = [
     "shrink_step",
     "Identity", "MappingFamily", "PlaneRotation", "WMapping",
     "fixed_axes", "residuals",
-    "Halfspace", "Region", "SolveStats", "contains", "intersect", "make_cn",
+    "Cap", "Halfspace", "Region", "SolveStats", "contains", "intersect", "make_cn",
     "make_qn", "project",
     "__version__",
 ]

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import MonotonicityViolated, SphereProjError
 from .geometry import SpherePoint, distance
 from .mappings import MappingFamily, WMapping, fixed_axes, residuals
-from .regions import Halfspace, Region, intersect, make_cn, make_qn, project
+from .regions import Cap, Region, intersect, make_cn, make_qn, project
 
 # Tolerance of the per-step monotonicity check.
 FEJER_TOL = 1e-10
@@ -115,7 +115,7 @@ class Problem:
                  family: MappingFamily, x1: SpherePoint):
         if cap_pole.dim != dim or x1.dim != dim:
             raise ValueError("cap pole and start point must match the ambient dimension")
-        cap = Halfspace.cap(cap_pole, cap_radius)
+        cap = Cap(cap_pole, cap_radius)
         if distance(x1, cap_pole) > cap_radius + 1e-12:
             raise ValueError("x1 must lie in the ambient cap")
         fixed = fixed_axes(family, dim)

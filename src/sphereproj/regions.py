@@ -32,8 +32,7 @@ import numpy as np
 from .errors import EmptyOrDegenerate, FeasibilityViolated, NoConvergence
 from .geometry import SpherePoint, inner
 
-# Cap radii are kept strictly below pi/4; equivalently the cap offset
-# cos(radius) stays above cos(pi/4).
+# Cap radii are kept strictly below pi/4.
 MAX_CAP_RADIUS = math.pi / 4
 
 # Vector differences below this norm give no cut.
@@ -54,43 +53,51 @@ SOLVER_MAX_SWEEPS = 10_000
 RESULT_TOL = 1e-8
 
 
-class Halfspace:
-    """A linear constraint <normal, z> >= offset on the ambient space.
+class Cap:
+    """The ambient cap {z : <pole, z> >= cos(radius)} of radius in
+    (0, pi/4), with cos(radius) < 1: below about 1.05e-8 it rounds to 1.0.
 
-    `Halfspace(normal)` is a cut from outside input, with offset 0, and
-    `Halfspace.cap(pole, radius)` the cap, with offset cos(radius).  The
-    normal is the read-only coordinates of SpherePoint(normal): a normal
-    that SpherePoint rejects raises its ValueError, prefixed with
+    `pole` is the read-only coordinates of SpherePoint(pole.coords), and
+    `cos_r` is cos(radius).
+    """
+
+    __slots__ = ("pole", "radius", "cos_r")
+
+    def __init__(self, pole: SpherePoint, radius: float):
+        if not 0.0 < radius < MAX_CAP_RADIUS:
+            raise ValueError(f"cap radius must be in (0, pi/4), got {radius}")
+        if math.cos(radius) == 1.0:
+            raise ValueError(f"cap radius is too small for cos to resolve, got {radius}")
+        self.pole = SpherePoint(pole.coords).coords
+        self.radius = float(radius)
+        self.cos_r = math.cos(radius)
+
+    def slack(self, z: SpherePoint) -> float:
+        """<pole, z> - cos(radius); nonnegative iff z lies in the cap."""
+        return float(self.pole.dot(z.coords)) - self.cos_r
+
+    def __repr__(self) -> str:
+        return f"Cap(pole={np.array2string(self.pole, precision=6)}, radius={self.radius:.6g})"
+
+
+class Halfspace:
+    """A cut <normal, z> >= 0 from outside input.
+
+    The normal is the read-only coordinates of SpherePoint(normal): a
+    normal that SpherePoint rejects raises its ValueError, prefixed with
     "halfspace normal: ".
     """
 
-    __slots__ = ("normal", "offset")
+    __slots__ = ("normal",)
 
     def __init__(self, normal):
         try:
             self.normal = SpherePoint(normal).coords
         except ValueError as e:
             raise ValueError(f"halfspace normal: {e}") from e
-        self.offset = 0.0
-
-    @classmethod
-    def cap(cls, pole: SpherePoint, radius: float) -> "Halfspace":
-        """The cap {z : <pole, z> >= cos(radius)} of radius < pi/4, with
-        cos(radius) < 1: below about 1.05e-8 it rounds to 1.0."""
-        if not 0.0 < radius < MAX_CAP_RADIUS:
-            raise ValueError(f"cap radius must be in (0, pi/4), got {radius}")
-        if math.cos(radius) == 1.0:
-            raise ValueError(f"cap radius is too small for cos to resolve, got {radius}")
-        cap = cls(pole.coords)
-        cap.offset = math.cos(radius)
-        return cap
-
-    def slack(self, z: SpherePoint) -> float:
-        """<normal, z> - offset; nonnegative iff z satisfies the constraint."""
-        return float(self.normal.dot(z.coords)) - self.offset
 
     def __repr__(self) -> str:
-        return f"Halfspace(normal={np.array2string(self.normal, precision=6)}, offset={self.offset:.6g})"
+        return f"Halfspace(normal={np.array2string(self.normal, precision=6)})"
 
 
 class Region:
@@ -100,27 +107,27 @@ class Region:
     `normals`, so that every membership test is one product.  The witness
     is a sphere point known to satisfy every constraint; it certifies
     nonemptiness.  The constructor `Region(cap, halfspaces, witness)`, for
-    outside input, takes all three: a `Halfspace.cap`, the cuts as
-    `Halfspace(normal)`s (a bare cap has none), and a witness it checks
-    against every constraint (FeasibilityViolated otherwise).  Regions are
-    immutable values: `intersect` returns a new region.
+    outside input, takes all three: a `Cap`, the cuts as `Halfspace`s (a
+    bare cap has none), and a witness it checks against every constraint
+    (FeasibilityViolated otherwise).  Regions are immutable values:
+    `intersect` returns a new region.
     """
 
     __slots__ = ("cap", "normals", "witness")
 
-    def __init__(self, cap: Halfspace, halfspaces, witness: SpherePoint):
-        if cap.offset <= math.cos(MAX_CAP_RADIUS):
-            raise ValueError("region cap must be a Halfspace.cap, got a cut")
+    def __init__(self, cap: Cap, halfspaces, witness: SpherePoint):
+        if not isinstance(cap, Cap):
+            raise ValueError(f"region cap must be a Cap, got {type(cap).__name__}")
         halfspaces = tuple(halfspaces)
         for h in halfspaces:
-            if h.offset != 0.0:
-                raise ValueError("region cuts must be Halfspace(normal), got a cap")
+            if not isinstance(h, Halfspace):
+                raise ValueError(f"region cuts must be Halfspaces, got {type(h).__name__}")
         rows = [h.normal for h in halfspaces]
-        normals = np.array(rows, dtype=float).reshape(len(rows), cap.normal.size)
+        normals = np.array(rows, dtype=float).reshape(len(rows), cap.pole.size)
         self._set(cap, normals, witness,
                   min(cap.slack(witness), float(normals.dot(witness.coords).min(initial=math.inf))))
 
-    def _set(self, cap: Halfspace, normals: np.ndarray, witness: SpherePoint,
+    def _set(self, cap: Cap, normals: np.ndarray, witness: SpherePoint,
              bad: float) -> None:
         # shared with `intersect`, which passes the normals already stacked;
         # bad is the witness's least slack over the constraints it has not passed
@@ -133,10 +140,6 @@ class Region:
             raise FeasibilityViolated(f"witness violates a region constraint by {-bad:.3e}")
 
     @property
-    def cap_radius(self) -> float:
-        return math.acos(self.cap.offset)
-
-    @property
     def linear(self) -> tuple[Halfspace, ...]:
         """The cuts as Halfspaces holding the rows of `normals` bit for bit."""
         out = tuple(Halfspace(a) for a in self.normals)
@@ -145,7 +148,7 @@ class Region:
         return out
 
     def __repr__(self) -> str:
-        return f"Region(cap_radius={self.cap_radius:.6g}, n_linear={len(self.normals)})"
+        return f"Region(radius={self.cap.radius:.6g}, n_linear={len(self.normals)})"
 
 
 class SolveStats(NamedTuple):
@@ -414,8 +417,8 @@ def project(region: Region, x: SpherePoint,
     which the cap invariant excludes for every query the iteration methods
     make).
     """
-    pole = region.cap.normal
-    cos_r = region.cap.offset
+    pole = region.cap.pole
+    cos_r = region.cap.cos_r
     normals = region.normals
     xc = x.coords
     # the test of `contains` at tol = 0, inline; a NaN or infinite query

@@ -166,7 +166,7 @@ def _cap_grid(c: np.ndarray, rho: float, h: float) -> np.ndarray:
 
 
 def _feasible_mask(pts: np.ndarray, region: Region) -> np.ndarray:
-    mask = pts @ region.cap.normal >= region.cap.offset
+    mask = pts @ region.cap.pole >= region.cap.cos_r
     for a in region.normals:
         mask &= pts @ a >= 0.0
     return mask
@@ -189,8 +189,8 @@ def brute_project(region: Region, x: SpherePoint, h: float = 1e-2) -> SpherePoin
         raise ValueError("brute_project only runs on the 2-sphere")
     if h > 1e-2:
         raise ValueError("coarse resolution must be <= 1e-2")
-    grid = GeodesicGrid(SpherePoint._wrap(region.cap.normal.copy()),
-                        region.cap_radius, h)
+    grid = GeodesicGrid(SpherePoint._wrap(region.cap.pole.copy()),
+                        region.cap.radius, h)
     mask = _feasible_mask(grid.points, region)
     if not mask.any():
         raise NoFeasibleGridPoint(
@@ -224,8 +224,8 @@ def _active_set_candidates(region: Region, x: SpherePoint):
     cuts = region.normals
     if len(cuts) > 12:
         return
-    p = region.cap.normal
-    beta = region.cap.offset
+    p = region.cap.pole
+    beta = region.cap.cos_r
     out = []
     for mask in range(1 << len(cuts)):
         rows = np.array([cuts[i] for i in range(len(cuts)) if mask >> i & 1])

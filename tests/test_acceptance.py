@@ -52,7 +52,7 @@ from sphereproj.mappings import (
     residuals,
 )
 from sphereproj.oracle import subspace_project
-from sphereproj.regions import Halfspace, Region, make_cn, make_qn, project
+from sphereproj.regions import Cap, Halfspace, Region, make_cn, make_qn, project
 
 from reference import brute_project, pal_inequality_gap, pal_inequality_gaps, sin_lemma_check
 
@@ -201,7 +201,7 @@ def test_c03_projection_oracle_agreement():
             if margin < 0.05:
                 a += (0.15 - margin) * w.coords
             cuts.append(Halfspace(a))
-        region = Region(Halfspace.cap(pole, rho), tuple(cuts), w)
+        region = Region(Cap(pole, rho), tuple(cuts), w)
         x = SpherePoint(sample_cap(pole.coords, 1.2, 1, rng)[0])
         fast, _ = project(region, x)
         slow = brute_project(region, x, h=1e-2)

@@ -827,23 +827,52 @@ def fuzz_problem(seed):
     return Problem(dim, pole, radius, MappingFamily(maps, alphas), x1)
 
 
+# The fuzz seed whose first fresh cut is rounding (ROADMAP item 6).
+FUZZ_ROUNDED_CUT_SEED = 66
+
+
 def test_fuzz_panel_steps_or_reports_a_rounding_margin():
     """Robustness of the whole step path on 150 fuzzed problems, 40 steps
     per method: a walk takes its steps (a stalled one included) or raises
     an audit error whose reported margin is rounding-sized, at most 1e-6;
     any other error fails.  Real violations are larger: the wrong fixed
     set above reports 1.08e-5.  With ROADMAP item 8 mended the audits stop
-    raising here, and the test still passes."""
+    raising here, and the test still passes.  Every state reached keeps
+    the paper's bound d(x1, x_n) <= d(x1, P_F x1), since P_F x1 lies in
+    every region; seed 66 breaks it on rounding and has a test of its own."""
     for seed in range(150):
+        if seed == FUZZ_ROUNDED_CUT_SEED:
+            continue
         problem = fuzz_problem(seed)
+        bound = distance(problem.x1, problem.target) + 1e-10
         for method in ("cq", "shrinking"):
             states = iterate(problem, method)
             try:
                 for _ in range(40):
-                    next(states)
+                    state = next(states)
+                    assert state.dist_x1_xn <= bound, \
+                        f"seed {seed}, {method}: d(x1, x_{state.n}) past d(x1, P_F x1)"
             except (FeasibilityViolated, MonotonicityViolated) as e:
                 margin = re.search(r" by (\S+)$", str(e))
                 assert margin and float(margin[1]) <= 1e-6, f"seed {seed}, {method}: {e}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: a fresh cut made of rounding cuts off x1 = P_F x1")
+@pytest.mark.parametrize("method", ["cq", "shrinking"])
+def test_item_6_fuzz_seed_66_keeps_the_bound(method):
+    """`fuzz_problem(66)`: its one map, `PlaneRotation(2, 6, 2.68e-11)`,
+    moves no axis by more than NULLSPACE_TOL, so F is every axis and
+    P_F x1 = x1.  But ||y - x1|| = 1.25e-12, just above DEGENERATE_TOL, so
+    the first fresh cut's direction is rounding, x1 reads a slack of
+    -3.66e-8 against it, and d(x1, x_n) exceeds d(x1, P_F x1) = 0 by
+    3.65e-8 from step 1 on.  Item 6's accurate cuts must flip this."""
+    problem = fuzz_problem(FUZZ_ROUNDED_CUT_SEED)
+    bound = distance(problem.x1, problem.target) + 1e-10
+    states = iterate(problem, method)
+    for _ in range(40):
+        state = next(states)
+        assert state.dist_x1_xn <= bound, f"d(x1, x_{state.n}) past d(x1, P_F x1)"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -8,7 +8,7 @@ import pytest
 from sphereproj.errors import DegenerateInput
 from sphereproj.geometry import SpherePoint, basis_point, distance, sample_cap
 from sphereproj.oracle import subspace_project
-from sphereproj.regions import Halfspace, Region, project
+from sphereproj.regions import Cap, Halfspace, Region, project
 
 from reference import GeodesicGrid, NoFeasibleGridPoint, brute_project, sin_lemma_check
 
@@ -39,19 +39,19 @@ class TestGeodesicGrid:
 
 class TestBruteProject:
     def test_feasible_point_recovered(self):
-        r = Region(Halfspace.cap(e3(2), 0.5), (), e3(2))
+        r = Region(Cap(e3(2), 0.5), (), e3(2))
         x = SpherePoint([math.sin(0.2), 0.0, math.cos(0.2)])
         p = brute_project(r, x, h=0.01)
         assert distance(p, x) <= 2e-4
 
     def test_single_halfspace_matches_kkt(self):
         h = Halfspace([1.0, 0, 0])
-        r = Region(Halfspace.cap(e3(1), 0.7), (h,), e3(1))
+        r = Region(Cap(e3(1), 0.7), (h,), e3(1))
         p = brute_project(r, SpherePoint([-0.6, 0.8, 0.0]), h=0.01)
         np.testing.assert_allclose(p.coords, [0, 1, 0], atol=2e-4)
 
     def test_cap_only_matches_closed_form(self):
-        r = Region(Halfspace.cap(e3(0), math.pi / 6), (), e3(0))
+        r = Region(Cap(e3(0), math.pi / 6), (), e3(0))
         p = brute_project(r, e3(1), h=0.01)
         expected = [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]
         np.testing.assert_allclose(p.coords, expected, atol=2e-4)
@@ -65,13 +65,13 @@ class TestBruteProject:
                          math.sin(rho) * math.sin(0.37),
                          math.cos(rho)])
         normal = -(e3(2).coords - math.cos(rho) * w.coords)
-        r = Region(Halfspace.cap(e3(2), rho), (Halfspace(normal),), w)
+        r = Region(Cap(e3(2), rho), (Halfspace(normal),), w)
         with pytest.raises(NoFeasibleGridPoint):
             brute_project(r, e3(0), h=0.01)
 
     def test_dimension_guard(self):
         pole = basis_point(0, 4)
-        r = Region(Halfspace.cap(pole, 0.5), (), pole)
+        r = Region(Cap(pole, 0.5), (), pole)
         with pytest.raises(ValueError):
             brute_project(r, basis_point(1, 4), h=0.01)
 
@@ -91,11 +91,11 @@ class TestBruteProject:
                 if margin < 0.05:
                     a += (0.15 - margin) * w.coords
                 cuts.append(Halfspace(a))
-            r = Region(Halfspace.cap(pole, rho), tuple(cuts), w)
+            r = Region(Cap(pole, rho), tuple(cuts), w)
             x = SpherePoint(sample_cap(pole.coords, 1.2, 1, rng)[0])
             p, _ = project(r, x)
             grid = GeodesicGrid(pole, rho, 1e-3).points
-            mask = grid @ r.cap.normal >= r.cap.offset
+            mask = grid @ r.cap.pole >= r.cap.cos_r
             for a in r.normals:
                 mask &= grid @ a >= 0.0
             assert mask.any()  # witness guarantees a nonempty neighborhood
@@ -117,7 +117,7 @@ class TestBruteProject:
                 if a @ w.coords < 0.05:
                     a += 0.2 * w.coords
                 cuts.append(Halfspace(a))
-            r = Region(Halfspace.cap(pole, rho), tuple(cuts), w)
+            r = Region(Cap(pole, rho), tuple(cuts), w)
             x = SpherePoint(sample_cap(pole.coords, 1.2, 1, rng)[0])
             fast, _ = project(r, x)
             slow = brute_project(r, x, h=0.01)

@@ -146,6 +146,8 @@ def projection_digest(sp) -> Digests:
     each region: every cut normal is turned to face it.
     """
     h = Digests()
+    # a tree from before `Cap` builds the same cap bits as `Halfspace.cap`
+    cap = sp.Cap if hasattr(sp, "Cap") else sp.Halfspace.cap
     rng = np.random.default_rng(PROJECTION_SEED)
     for _ in range(PROJECTION_CALLS):
         d = int(rng.integers(3, 7))
@@ -168,7 +170,7 @@ def projection_digest(sp) -> Digests:
         x = np.cos(t) * pole + np.sin(t) * g
         start = tuple(int(i) for i in rng.integers(0, len(normals) + 2,
                                                    int(rng.integers(0, 3))))
-        region = sp.Region(sp.Halfspace.cap(sp.SpherePoint(pole), radius),
+        region = sp.Region(cap(sp.SpherePoint(pole), radius),
                            [sp.Halfspace(a) for a in normals], sp.SpherePoint(pole))
         try:
             z, stats = sp.project(region, sp.SpherePoint(x), start)
