@@ -140,8 +140,7 @@ class TestRegionAndContains:
             contains(r, z, tol)
 
     def test_hand_built_cap_radius_range(self):
-        """Only Cap builds a cap: a cut passed as the cap (a radius of
-        pi/2) is rejected."""
+        """Only a Cap is accepted as the region cap."""
         with pytest.raises(ValueError, match=r"^region cap must be a Cap, got Halfspace$"):
             Region(Halfspace(e(0).coords), (), e(0))
 
