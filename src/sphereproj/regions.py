@@ -53,6 +53,13 @@ SOLVER_MAX_SWEEPS = 10_000
 RESULT_TOL = 1e-8
 
 
+def _min(v: np.ndarray) -> float:
+    """The least entry of a nonempty v, as `v.min()` gives it but without
+    numpy's Python-level reduction wrapper: `argmin` returns the first NaN,
+    so a NaN entry still fails every `>=` test."""
+    return v.item(v.argmin())
+
+
 class Cap:
     """The ambient cap {z : <pole, z> >= cos(radius)} of radius in
     (0, pi/4), with cos(radius) < 1: below about 1.05e-8 it rounds to 1.0.
@@ -124,8 +131,8 @@ class Region:
                 raise ValueError(f"region cuts must be Halfspaces, got {type(h).__name__}")
         rows = [h.normal for h in halfspaces]
         normals = np.array(rows, dtype=float).reshape(len(rows), cap.pole.size)
-        self._set(cap, normals, witness,
-                  min(cap.slack(witness), float(normals.dot(witness.coords).min(initial=math.inf))))
+        self._set(cap, normals, witness, min(
+            cap.slack(witness), _min(normals.dot(witness.coords)) if len(rows) else math.inf))
 
     def _set(self, cap: Cap, normals: np.ndarray, witness: SpherePoint,
              bad: float) -> None:
@@ -175,7 +182,7 @@ def contains(region: Region, z: SpherePoint, tol: float) -> bool:
         raise ValueError("tolerance must be nonnegative")
     if not region.cap.slack(z) >= -tol:
         return False
-    return bool((region.normals.dot(z.coords) >= -tol).all())
+    return not len(region.normals) or _min(region.normals.dot(z.coords)) >= -tol
 
 
 def make_cn(x_n: SpherePoint, y_n: SpherePoint) -> np.ndarray | None:
@@ -239,7 +246,7 @@ def intersect(region: Region, cuts) -> Region:
     old = region.normals
     out = Region.__new__(Region)
     out._set(region.cap, np.concatenate((old, rows)) if len(old) else rows, region.witness,
-             float(rows.dot(region.witness.coords).min()))
+             _min(rows.dot(region.witness.coords)))
     return out
 
 
@@ -256,8 +263,10 @@ class _CutCone:
     would turn negative.  A cut whose own multiplier comes out nonpositive
     on entry is violated only at rounding level; as in Lawson and Hanson's
     original routine it is passed over for the rest of the call, which
-    keeps the active set from cycling.  Sweeps count against one budget
-    over every call.  The first call starts from the `start` cuts (indices
+    keeps the active set from cycling.  When every cut is active no cut
+    may enter, so the sweep's outcome is fixed: it is counted and certifies
+    without reading a slack.  Sweeps count against one budget over every
+    call.  The first call starts from the `start` cuts (indices
     outside the region's cuts are ignored) and each later call from the
     previous call's active set.  Before its first sweep a call solves on
     that set, deactivates the cut with the most negative multiplier and
@@ -327,6 +336,8 @@ class _CutCone:
         return b - c.dot(q), s
 
     def project(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The projection of b and the final active cuts' indices: exactly
+        the cuts with a positive multiplier."""
         a, active = self.normals, self.active
         lam = np.zeros(len(a))
         z = b
@@ -350,22 +361,26 @@ class _CutCone:
                     f"({len(a)} cuts)"
                 )
             self.sweeps += 1
+            if len(idx) == len(a):
+                # every cut is active, so none may enter and the sweep certifies
+                return z, idx
             # the most violated cut that may enter, the first on a tie
             slack = a.dot(z)
             slack[blocked] = math.inf
-            t = int(slack.argmin()) if len(a) else -1
-            if t < 0 or -slack.item(t) <= SOLVER_TOL * (scale + float(lam.sum())):
-                return z, lam
+            t = int(slack.argmin())
+            if -slack.item(t) <= SOLVER_TOL * (scale + float(np.add.reduce(lam))):
+                return z, idx
             active[t] = blocked[t] = True
+            idx = active.nonzero()[0]
             entering = True
             while True:
-                idx = active.nonzero()[0]
                 z_new, s = self._solve(b, idx)
                 if min(s) > 0.0:
                     z, lam[idx] = z_new, s
                     break
                 if entering and s[int(idx.searchsorted(t))] <= 0.0:
                     active[t] = False
+                    idx = active.nonzero()[0]
                     break
                 entering = False
                 # step from lam toward s until the first multiplier hits zero
@@ -373,13 +388,14 @@ class _CutCone:
                 cur = lam[idx]
                 neg = s <= 0.0
                 ratios = cur[neg] / (cur[neg] - s[neg])
-                alpha = float(ratios.min())
+                alpha = _min(ratios)
                 lam[idx] = cur + alpha * (s - cur)
                 lam[idx[neg][ratios <= alpha]] = 0.0
                 drop = idx[lam[idx] <= 0.0]
                 active[drop] = blocked[drop] = False
                 lam[drop] = 0.0
-                if not active.any():
+                idx = active.nonzero()[0]
+                if not len(idx):
                     z = b
                     break
 
@@ -422,30 +438,30 @@ def project(region: Region, x: SpherePoint,
     normals = region.normals
     xc = x.coords
     # the test of `contains` at tol = 0, inline; a NaN or infinite query
-    # has a non-finite cap slack and is never taken for a member, and `min`
+    # has a non-finite cap slack and is never taken for a member, and `_min`
     # carries a NaN cut slack through
     cap_slack = float(pole.dot(xc)) - cos_r
     if not math.isfinite(cap_slack):
         raise EmptyOrDegenerate("query point is not finite")
-    if cap_slack >= 0.0 and normals.dot(xc).min(initial=0.0) >= 0.0:
+    if cap_slack >= 0.0 and (not len(normals) or _min(normals.dot(xc)) >= 0.0):
         return x, SolveStats(0)
     cone = _CutCone(normals, start)
 
     def solve(b):
-        z, lam = cone.project(b)
+        z, idx = cone.project(b)
         norm = math.sqrt(float(z.dot(z)))
-        return float(pole.dot(z)) - cos_r * norm, z, lam, norm
+        return float(pole.dot(z)) - cos_r * norm, z, idx, norm
 
     t = 0.0
-    cap_gap, z, lam, n = solve(xc)
+    cap_gap, z, idx, n = solve(xc)
     if cap_gap < 0.0:
         lo, hi = 0.0, 1.0
-        cap_gap, z, lam, n = solve(pole)
+        cap_gap, z, idx, n = solve(pole)
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            mid_gap, z_mid, lam_mid, n_mid = solve((1.0 - mid) * xc + mid * pole)
+            mid_gap, z_mid, idx_mid, n_mid = solve((1.0 - mid) * xc + mid * pole)
             if mid_gap >= 0.0:
-                hi, cap_gap, z, lam, n = mid, mid_gap, z_mid, lam_mid, n_mid
+                hi, cap_gap, z, idx, n = mid, mid_gap, z_mid, idx_mid, n_mid
             else:
                 lo = mid
         t = hi
@@ -455,12 +471,11 @@ def project(region: Region, x: SpherePoint,
         raise EmptyOrDegenerate("cone projection collapsed to the zero vector")
     rc = z / n
     slack = normals.dot(rc)
-    min_slack = float(slack.min(initial=0.0))
+    min_slack = _min(slack) if len(slack) else 0.0
     cap_slack = float(pole.dot(rc)) - cos_r
     if not cap_slack >= -RESULT_TOL or not min_slack >= -RESULT_TOL:
         raise NoConvergence("projection result violates the region beyond tolerance")
-    # numpy scans every cut, Python only the active ones
-    active = (lam > 0.0).nonzero()[0].tolist()
+    active = idx.tolist()
     kkt = max(0.0, -min_slack, max([abs(slack.item(i)) for i in active], default=0.0),
               abs(cap_slack) if t > 0.0 else -cap_slack)
     return SpherePoint._wrap(rc), SolveStats(cone.sweeps, tuple(active), t > 0.0, kkt)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sphereproj.mappings import (
     Identity,
     MappingFamily,
     PlaneRotation,
+    WMapping,
     residuals,
 )
 from sphereproj.oracle import subspace_project
@@ -887,3 +889,82 @@ def test_item_6_no_false_converged_at_the_arccos_floor(method):
     x, _, reason = run(problem, method)
     assert reason is not StopReason.CONVERGED or distance(x, problem.target) <= 1e-5, \
         f"{method} stopped CONVERGED {distance(x, problem.target):.4f} from P_F x1"
+
+
+def test_step_path_runs_no_numpy_reduction_wrapper():
+    """`ndarray.min`, `sum`, `all` and `any` run through a Python wrapper in
+    numpy's `_methods.py`, which costs 1-2 us on a 2-element array; the
+    step path takes its minima by `argmin` and its sums by `np.add.reduce`
+    instead.  20 CQ and 20 shrinking steps of the c05 problem run no frame
+    of that module."""
+    prob = make_problem(random_point_in_cap(POLE, RHO, 20250801))
+    wrapper = re.compile(r"numpy[/\\]_?core[/\\]_methods\.py$")
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and wrapper.search(frame.f_code.co_filename):
+            seen.append(frame.f_code.co_name)
+
+    for stepper in (cq_step, shrink_step):
+        state = initial_state(prob)
+        saved = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for _ in range(20):
+                state = stepper(prob, state)
+        finally:
+            sys.setprofile(saved)
+        assert state.n == 21
+    assert seen == []
+
+
+# The theorem panel (ROADMAP item 12): the fuzz seeds below whose rotations
+# all turn by at least THEOREM_MIN_ANGLE and whose W-map moves x1 by at
+# least THEOREM_MIN_PULL times d(x1, P_F x1), each walked for the budgets.
+THEOREM_SEEDS = range(40)
+THEOREM_MIN_ANGLE = 0.05
+THEOREM_MIN_PULL = 0.1
+THEOREM_BUDGETS = {"cq": StopRule(max_iter=30), "shrinking": StopRule(max_iter=300)}
+
+
+def test_theorem_panel_keeps_the_bound_and_reaches_the_projection():
+    """The paper's theorem on random problems: every state keeps the
+    proof's bound d(x1, x_n) <= d(x1, P_F x1) + 1e-10 (P_F x1 lies in every
+    region), and every shrinking walk that stops STALLED or CONVERGED ends
+    within 1e-5 of P_F x1.  CQ's rate is too slow for its limit within a
+    test's time, so its walks check the bound alone, and a walk stopped by
+    its budget is not asked for the limit.
+
+    The panel is fixed by a rule on each problem before any walk runs.  It
+    excludes two classes: near-identity families, with a rotation by less
+    than 0.05 (item 6's rounding cuts and false CONVERGED; seeds 35 and 66
+    keep their strict xfails), and families whose W-map nearly cancels,
+    moving x1 by less than a tenth of its distance to P_F x1, which
+    converge too slowly for the budget (seed 14 is still 6.7e-2 away at
+    n = 3000).  Until ROADMAP item 8 lands, an audit raise with a margin of
+    at most 1e-6 counts as its rounding, as in the fuzz panel."""
+    limits = 0
+    for seed in THEOREM_SEEDS:
+        problem = fuzz_problem(seed)
+        to_target = distance(problem.x1, problem.target)
+        if (any(isinstance(m, PlaneRotation) and abs(m.angle) < THEOREM_MIN_ANGLE
+                for m in problem.family.maps)
+                or distance(WMapping(problem.family).apply(problem.x1), problem.x1)
+                < THEOREM_MIN_PULL * to_target):
+            continue
+        for method, stop in THEOREM_BUDGETS.items():
+            try:
+                for state in iterate(problem, method):
+                    assert state.dist_x1_xn <= to_target + 1e-10, \
+                        f"seed {seed}, {method}: d(x1, x_{state.n}) past d(x1, P_F x1)"
+                    if (reason := stop.reason(state)) is not None:
+                        break
+            except (FeasibilityViolated, MonotonicityViolated) as e:
+                margin = re.search(r" by (\S+)$", str(e))
+                assert margin and float(margin[1]) <= 1e-6, f"seed {seed}, {method}: {e}"
+                continue
+            if method == "shrinking" and reason is not StopReason.ITERATION_CAP:
+                limits += 1
+                assert distance(state.x_n, problem.target) <= 1e-5, \
+                    f"seed {seed}: shrinking stopped {reason.name} away from P_F x1"
+    assert limits >= 8

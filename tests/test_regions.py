@@ -519,6 +519,83 @@ class TestWarmStart:
         assert warm.sweeps == cold.sweeps - 1
 
 
+class TestEveryCutActive:
+    """When the start leaves every cut active, no cut may enter, so the
+    certifying sweep is counted without reading a slack.  The region is the
+    narrow wedge of `TestProject`, whose optimum has both cuts active: the
+    start (0, 1) that every CQ step after the first passes."""
+
+    EPS = 1e-2
+    X = SpherePoint([-0.3 * math.cos(EPS / 2), -0.3 * math.sin(EPS / 2), 0.1, 1.0])
+
+    def region(self):
+        cuts = (Halfspace([1.0, 0, 0, 0]),
+                Halfspace([math.cos(self.EPS), math.sin(self.EPS), 0, 0]))
+        return Region(Cap(e(3), 0.6), cuts, e(3))
+
+    def test_one_solve_and_one_counted_sweep(self, monkeypatch):
+        r = self.region()
+        p_cold, cold = project(r, self.X)
+        solves = []
+        real_solve = _CutCone._solve
+
+        def spy(cone, b, idx):
+            solves.append(tuple(idx.tolist()))
+            return real_solve(cone, b, idx)
+
+        monkeypatch.setattr(_CutCone, "_solve", spy)
+        p, warm = project(r, self.X, (0, 1))
+        assert solves == [(0, 1)] and warm.sweeps == 1
+        assert cold.active_cuts == (0, 1) and cold.sweeps == 3
+        assert p.coords.tobytes() == p_cold.coords.tobytes()
+        assert warm.active_cuts == cold.active_cuts
+        assert warm.kkt_residual == cold.kkt_residual
+        assert warm.cap_active is cold.cap_active is False
+
+    def test_certifying_sweep_reads_no_slack(self):
+        """The region's cut matrix is multiplied twice, by the query for the
+        membership test and by the result for its check: the sweep adds no
+        product of its own."""
+        r = self.region()
+        products = []
+
+        class Rows(np.ndarray):
+            def dot(self, *args):
+                products.append(self is r.normals)
+                return np.ndarray.dot(self, *args)
+
+        r.normals = r.normals.view(Rows)
+        project(r, self.X, (0, 1))
+        assert products.count(True) == 2
+
+    def test_spent_budget_still_raises(self, monkeypatch):
+        monkeypatch.setattr("sphereproj.regions.SOLVER_MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergence, match="within 0 sweeps"):
+            project(self.region(), self.X, (0, 1))
+
+    def test_bare_cap(self, monkeypatch):
+        """With no cuts every call's one sweep is counted: a member costs
+        nothing, and a point outside is the cap's closed form, one sweep per
+        bisection solve."""
+        r = Region(Cap(e(0), math.pi / 6), (), e(0))
+        inside = SpherePoint([math.cos(0.3), math.sin(0.3), 0, 0])
+        p, stats = project(r, inside)
+        assert p is inside and stats == SolveStats(0)
+        calls = []
+        real_project = _CutCone.project
+
+        def spy(cone, b):
+            calls.append(cone.sweeps)
+            return real_project(cone, b)
+
+        monkeypatch.setattr(_CutCone, "project", spy)
+        p, stats = project(r, e(1))
+        expected = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6), 0, 0])
+        np.testing.assert_allclose(p.coords, expected, atol=1e-12)
+        assert calls == list(range(len(calls))) and stats.sweeps == len(calls) > 2
+        assert stats.active_cuts == () and stats.cap_active
+
+
 class TestStartSetProperty:
     """Any start set gives the cold call's answer bit for bit: the point,
     `active_cuts`, `cap_active` and `kkt_residual`; only the sweeps may
