@@ -34,7 +34,7 @@ import numpy as np
 from .errors import MonotonicityViolated, SphereProjError
 from .geometry import SpherePoint, distance
 from .mappings import MappingFamily, WMapping, fixed_axes, residuals
-from .regions import Cap, Region, intersect, make_cn, make_qn, project
+from .regions import WITNESS_TOL, Cap, Region, intersect, make_cn, make_qn, project
 
 # Tolerance of the per-step monotonicity check.
 FEJER_TOL = 1e-10
@@ -99,8 +99,10 @@ Trace = tuple[TraceRecord, ...]
 class Problem:
     """A cap-constrained common-fixed-point problem.
 
-    fixed_axes masks the axes no map moves, which span the common fixed set
-    F (`mappings.fixed_axes`).  The maps fix the cap pole exactly when it
+    x1 must lie in the cap as a region witness must: `Cap.slack(x1)`, an
+    angle, at least -WITNESS_TOL (ValueError otherwise).  fixed_axes masks
+    the axes no map moves, which span the common fixed set F
+    (`mappings.fixed_axes`).  The maps fix the cap pole exactly when it
     has no coordinate off F (ValueError otherwise); then the family must
     pass the sampled cap check (`check_preserves_cap`).  cap_region is the
     bare cap, witnessed by the pole: the initial region, to which each CQ
@@ -116,7 +118,7 @@ class Problem:
         if cap_pole.dim != dim or x1.dim != dim:
             raise ValueError("cap pole and start point must match the ambient dimension")
         cap = Cap(cap_pole, cap_radius)
-        if distance(x1, cap_pole) > cap_radius + 1e-12:
+        if not cap.slack(x1) >= -WITNESS_TOL:
             raise ValueError("x1 must lie in the ambient cap")
         fixed = fixed_axes(family, dim)
         off = cap_pole.coords[~fixed]

@@ -38,7 +38,8 @@ MAX_CAP_RADIUS = math.pi / 4
 # Vector differences below this norm give no cut.
 DEGENERATE_TOL = 1e-12
 
-# Witnesses must satisfy every constraint with at least this slack.
+# Witnesses must satisfy every constraint with at least this slack, an
+# angle for the cap (`Cap.slack`) as for every cut.
 WITNESS_TOL = 1e-10
 
 # Projection solver contract.  A sweep is one KKT pass over every
@@ -65,10 +66,13 @@ class Cap:
     (0, pi/4), with cos(radius) < 1: below about 1.05e-8 it rounds to 1.0.
 
     `pole` is the read-only coordinates of SpherePoint(pole.coords), and
-    `cos_r` is cos(radius).
+    `cos_r` and `sin_r` are cos(radius) and sin(radius).  `slack` reads
+    (<pole, z> - cos_r) / sin_r, which near the boundary is radius -
+    d(pole, z) to first order: every tolerance on it is an angle, as it is
+    on a unit-normal cut, at every radius.
     """
 
-    __slots__ = ("pole", "radius", "cos_r")
+    __slots__ = ("pole", "radius", "cos_r", "sin_r")
 
     def __init__(self, pole: SpherePoint, radius: float):
         if not 0.0 < radius < MAX_CAP_RADIUS:
@@ -78,10 +82,12 @@ class Cap:
         self.pole = SpherePoint(pole.coords).coords
         self.radius = float(radius)
         self.cos_r = math.cos(radius)
+        self.sin_r = math.sin(radius)
 
     def slack(self, z: SpherePoint) -> float:
-        """<pole, z> - cos(radius); nonnegative iff z lies in the cap."""
-        return float(self.pole.dot(z.coords)) - self.cos_r
+        """(<pole, z> - cos_r) / sin_r, about radius - d(pole, z) near the
+        boundary; nonnegative iff z lies in the cap."""
+        return (float(self.pole.dot(z.coords)) - self.cos_r) / self.sin_r
 
     def __repr__(self) -> str:
         return f"Cap(pole={np.array2string(self.pole, precision=6)}, radius={self.radius:.6g})"
@@ -164,7 +170,8 @@ class SolveStats(NamedTuple):
     sweeps counts KKT passes over every constraint (0 for a point already in
     the region); active_cuts are the indices of the cuts with a positive
     multiplier; cap_active tells whether the cap binds; kkt_residual is the
-    largest primal or complementarity violation of the returned point.  A
+    largest primal or complementarity violation of the returned point, the
+    cap's read by `Cap.slack`, so that every term is an angle.  A
     named tuple: immutable, compared field by field, and cheap to build once
     per projection.
     """
@@ -176,7 +183,10 @@ class SolveStats(NamedTuple):
 
 
 def contains(region: Region, z: SpherePoint, tol: float) -> bool:
-    """True iff z satisfies every constraint of the region with slack >= -tol."""
+    """True iff z satisfies every constraint of the region with slack >= -tol.
+
+    The slacks are `Cap.slack` and <a, z> for each unit normal a, so tol is
+    an angle: about how far z may lie outside the cap or past a cut."""
     # written as `not tol >= 0` so that NaN is rejected too
     if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
@@ -426,6 +436,10 @@ def project(region: Region, x: SpherePoint,
     a factor set by the angle between active cuts, so they stall on the
     nearly parallel cuts both methods generate.
 
+    The returned point is checked against the region as `contains` checks
+    it, with `Cap.slack` for the cap, so RESULT_TOL and the certificate's
+    cap term are angles, as they are for every cut.
+
     Raises NoConvergence if SOLVER_MAX_SWEEPS KKT sweeps pass without one that
     certifies optimality, or if the result violates the region beyond
     RESULT_TOL; raises EmptyOrDegenerate if x is not finite or the cone
@@ -437,9 +451,10 @@ def project(region: Region, x: SpherePoint,
     cos_r = region.cap.cos_r
     normals = region.normals
     xc = x.coords
-    # the test of `contains` at tol = 0, inline; a NaN or infinite query
-    # has a non-finite cap slack and is never taken for a member, and `_min`
-    # carries a NaN cut slack through
+    # the test of `contains` at tol = 0, inline, on `Cap.slack` times sin r,
+    # which has its sign (as has the bisection's gap); a NaN or infinite
+    # query has a non-finite cap slack and is never taken for a member, and
+    # `_min` carries a NaN cut slack through
     cap_slack = float(pole.dot(xc)) - cos_r
     if not math.isfinite(cap_slack):
         raise EmptyOrDegenerate("query point is not finite")
@@ -469,13 +484,13 @@ def project(region: Region, x: SpherePoint,
     # written as `not a > b` so that NaN fails
     if not n > 0.0 or not float(xc.dot(z)) > 1e-9 * n:
         raise EmptyOrDegenerate("cone projection collapsed to the zero vector")
-    rc = z / n
-    slack = normals.dot(rc)
+    out = SpherePoint._wrap(z / n)
+    slack = normals.dot(out.coords)
     min_slack = _min(slack) if len(slack) else 0.0
-    cap_slack = float(pole.dot(rc)) - cos_r
+    cap_slack = region.cap.slack(out)
     if not cap_slack >= -RESULT_TOL or not min_slack >= -RESULT_TOL:
         raise NoConvergence("projection result violates the region beyond tolerance")
     active = idx.tolist()
     kkt = max(0.0, -min_slack, max([abs(slack.item(i)) for i in active], default=0.0),
               abs(cap_slack) if t > 0.0 else -cap_slack)
-    return SpherePoint._wrap(rc), SolveStats(cone.sweeps, tuple(active), t > 0.0, kkt)
+    return out, SolveStats(cone.sweeps, tuple(active), t > 0.0, kkt)

@@ -68,6 +68,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             make_problem(basis_point(0, 4))
 
+    def test_tiny_cap_anchor_is_tested_by_the_cap_slack(self):
+        """On cap(e3, 1e-6) an anchor on the boundary builds, and one 1.5
+        radii out is rejected."""
+        def anchor(d):
+            return SpherePoint([math.sin(d), 0.0, 0.0, math.cos(d)])
+
+        Problem(4, POLE, 1e-6, two_rotation_family(), anchor(1e-6))
+        with pytest.raises(ValueError, match="^x1 must lie in the ambient cap$"):
+            Problem(4, POLE, 1e-6, two_rotation_family(), anchor(1.5e-6))
+
     def test_cap_radius_range(self):
         with pytest.raises(ValueError):
             Problem(4, POLE, math.pi / 3, two_rotation_family(), POLE)

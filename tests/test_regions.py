@@ -74,6 +74,17 @@ class TestCap:
         assert cap.pole.tobytes() != pole.coords.tobytes()
         assert not cap.pole.flags.writeable
         assert cap.cos_r == math.cos(0.6) and cap.radius == 0.6
+        assert cap.sin_r == math.sin(0.6)
+
+    @pytest.mark.parametrize("r", [1e-6, 1e-3, 0.6])
+    def test_slack_reads_the_angle_to_the_boundary(self, r):
+        """Near the boundary the slack is r - d(pole, z) to first order, at
+        every radius: <pole, z> - cos r alone would read about sin r times it."""
+        cap = Cap(e(3), r)
+        for f in (0.9, 0.99, 1.01, 1.1):
+            d = f * r
+            z = SpherePoint([math.sin(d), 0.0, 0.0, math.cos(d)])
+            assert 0.9 <= cap.slack(z) / (r - d) <= 1.1
 
     def test_cap_radius_range(self):
         for radius in (0.0, -0.1, math.pi / 4, 1.0, math.nan):
@@ -110,16 +121,22 @@ class TestRegionAndContains:
                            match=r"^witness violates a region constraint by 1\.000e\+00$"):
             Region(Cap(e(0), 0.6), (h,), e(0))
 
-    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                       reason="ROADMAP item 9: the linear witness test admits a far "
-                              "witness of a tiny cap")
     def test_item_9_tiny_cap_rejects_a_far_witness(self):
         """A witness 1.4e-5 from the pole of cap(e3, 1e-6), 14 radii out,
-        misses the cap's linear slack by 9.8e-11, inside WITNESS_TOL =
-        1e-10, so it builds today; 1.42e-5 is the first distance rejected."""
+        misses <pole, z> - cos r by only 9.8e-11, inside WITNESS_TOL = 1e-10.
+        `Cap.slack` divides that by sin r = 1e-6 and reads -9.7e-5, so the
+        region rejects it."""
         w = SpherePoint([math.sin(1.4e-5), 0.0, 0.0, math.cos(1.4e-5)])
         with pytest.raises(FeasibilityViolated):
             Region(Cap(e(3), 1e-6), (), w)
+
+    def test_tiny_cap_tolerance_is_an_angle(self):
+        """At tol = 1e-10, a point 1.1e-6 from the pole of cap(e3, 1e-6) is
+        1e-7 outside it and is rejected; one 0.9e-6 away is inside."""
+        r = Region(Cap(e(3), 1e-6), (), e(3))
+        for d, inside in ((1.1e-6, False), (0.9e-6, True)):
+            z = SpherePoint([math.sin(d), 0.0, 0.0, math.cos(d)])
+            assert contains(r, z, 1e-10) is inside
 
     def test_nan_witness_rejected(self):
         with pytest.raises(FeasibilityViolated):
