@@ -63,9 +63,9 @@ _GRAMMAR = {
     "alphas": (lambda value: [float(tok) for tok in value.split()], None),
     "x1": (str, "random"),
     "method": (_method, ""),
-    "eps_step": (float, 1e-8),
-    "eps_residual": (float, 1e-8),
-    "max_iter": (int, 10_000),
+    "eps_step": (float, StopRule.eps_step),
+    "eps_residual": (float, StopRule.eps_residual),
+    "max_iter": (int, StopRule.max_iter),
     "seed": (int, 0),
     "out": (str, "run"),
 }

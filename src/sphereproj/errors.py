@@ -10,9 +10,10 @@ class AntipodalPoints(SphereProjError):
 
 
 class EmptyOrDegenerate(SphereProjError):
-    """A projection's query point is not finite, or its cone projection
-    collapsed to the zero vector (the query is a quarter turn or more away
-    from the region); either indicates corrupted state."""
+    """A projection's query point or one of its region's cuts is not
+    finite, or its cone projection collapsed to the zero vector (the query
+    is a quarter turn or more away from the region); each indicates
+    corrupted state."""
 
 
 class NoConvergence(SphereProjError):

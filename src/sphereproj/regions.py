@@ -117,11 +117,12 @@ class Region:
     """A cap intersected with ordered homogeneous cuts, plus a witness.
 
     Each cut <a, z> >= 0 is a row a of the read-only (m, d) array
-    `normals`, so that every membership test is one product.  The witness
+    `normals`, so that the cuts' membership test is one product.  `slack`
+    is the one reader of membership over the whole region.  The witness
     is a sphere point known to satisfy every constraint; it certifies
     nonemptiness.  The constructor `Region(cap, halfspaces, witness)`, for
     outside input, takes all three: a `Cap`, the cuts as `Halfspace`s (a
-    bare cap has none), and a witness it checks against every constraint
+    bare cap has none), and a witness whose `slack` it checks
     (FeasibilityViolated otherwise).  Regions are immutable values:
     `intersect` returns a new region.
     """
@@ -137,20 +138,30 @@ class Region:
                 raise ValueError(f"region cuts must be Halfspaces, got {type(h).__name__}")
         rows = [h.normal for h in halfspaces]
         normals = np.array(rows, dtype=float).reshape(len(rows), cap.pole.size)
-        self._set(cap, normals, witness, min(
-            cap.slack(witness), _min(normals.dot(witness.coords)) if len(rows) else math.inf))
+        self._set(cap, normals, witness)
 
     def _set(self, cap: Cap, normals: np.ndarray, witness: SpherePoint,
-             bad: float) -> None:
-        # shared with `intersect`, which passes the normals already stacked;
-        # bad is the witness's least slack over the constraints it has not passed
+             bad: float | None = None) -> None:
+        # shared with `intersect`, which passes the normals already stacked
+        # and, as bad, the witness's least slack over the fresh rows alone;
+        # by default the witness is checked against the whole region
         normals.setflags(write=False)
         self.cap = cap
         self.normals = normals
         self.witness = witness
+        bad = self.slack(witness) if bad is None else bad
         # written as `not bad >= -tol` so that a NaN witness is rejected too
         if not bad >= -WITNESS_TOL:
             raise FeasibilityViolated(f"witness violates a region constraint by {-bad:.3e}")
+
+    def slack(self, z: SpherePoint) -> float:
+        """The least of `Cap.slack(z)` and every cut's <a, z>: an angle,
+        nonnegative iff z lies in the region, and NaN when any slack is."""
+        s = self.cap.slack(z)
+        c = _min(self.normals.dot(z.coords)) if len(self.normals) else s
+        # a NaN cut slack is returned as it is; `min` returns its first
+        # argument, the cap slack, when that is NaN
+        return c if c != c else min(s, c)
 
     @property
     def linear(self) -> tuple[Halfspace, ...]:
@@ -183,16 +194,15 @@ class SolveStats(NamedTuple):
 
 
 def contains(region: Region, z: SpherePoint, tol: float) -> bool:
-    """True iff z satisfies every constraint of the region with slack >= -tol.
+    """True iff `region.slack(z) >= -tol`.
 
     The slacks are `Cap.slack` and <a, z> for each unit normal a, so tol is
-    an angle: about how far z may lie outside the cap or past a cut."""
+    an angle: about how far z may lie outside the cap or past a cut.  A NaN
+    slack is never contained."""
     # written as `not tol >= 0` so that NaN is rejected too
     if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
-    if not region.cap.slack(z) >= -tol:
-        return False
-    return not len(region.normals) or _min(region.normals.dot(z.coords)) >= -tol
+    return region.slack(z) >= -tol
 
 
 def make_cn(x_n: SpherePoint, y_n: SpherePoint) -> np.ndarray | None:
@@ -307,16 +317,18 @@ class _CutCone:
         stays orthogonal to working precision however close to parallel
         the cuts are; the multipliers come from back substitution.  Every
         product of two or more terms is one BLAS call; the triangular
-        factor and the one-term products are Python floats.
+        factor and the one-term products are Python floats.  A back
+        substitution row of two or more terms stays one BLAS call because a
+        Python sum of its products rounds differently: with OpenBLAS on
+        x86-64 the two disagree in 25-42 % of random 2- to 5-term rows.
+        One active cut takes the same path, reading -c - 0.0, which is -c
+        bit for bit.
         """
         q = self.normals.take(idx, axis=0)
         k = len(q)
         q0 = q[0]
         r00 = math.sqrt(float(q0.dot(q0)))
         q0 /= r00
-        if k == 1:
-            c = q.dot(b)
-            return b - c.dot(q), [-c.item(0) / r00]
         diag = [r00]
         rows = [[] for _ in range(k)]   # each row of the factor right of its diagonal
         for j in range(1, k):
@@ -425,16 +437,16 @@ def project(region: Region, x: SpherePoint,
     project to the same direction: the root is bisected in t on [0, 1] to
     adjacent floats, and t = 1, the pole itself, is the limit mu -> oo,
     where a region that only touches the cap is left to the final region
-    check.  SolveStats.cap_active is t > 0.  Points already in the region
-    are returned unchanged with zero solver effort.  `start` names cuts
-    expected to be active, such as the previous projection's
-    `SolveStats.active_cuts`; it seeds the active set, which loses its
-    most negative multiplier's cut per solve until all are positive, and
-    changes only `SolveStats.sweeps`.  Indices outside the region's cuts
-    are ignored.  Dykstra's alternating projections (Boyle & Dykstra,
-    1986) would avoid the dual, but their error shrinks per sweep only by
-    a factor set by the angle between active cuts, so they stall on the
-    nearly parallel cuts both methods generate.
+    check.  SolveStats.cap_active is t > 0.  Points that `contains` admits
+    at tol = 0 (`region.slack` >= 0) are returned unchanged with zero
+    solver effort.  `start` names cuts expected to be active, such as the
+    previous projection's `SolveStats.active_cuts`; it seeds the active
+    set, which loses its most negative multiplier's cut per solve until all
+    are positive, and changes only `SolveStats.sweeps`.  Indices outside
+    the region's cuts are ignored.  Dykstra's alternating projections
+    (Boyle & Dykstra, 1986) would avoid the dual, but their error shrinks
+    per sweep only by a factor set by the angle between active cuts, so
+    they stall on the nearly parallel cuts both methods generate.
 
     The returned point is checked against the region as `contains` checks
     it, with `Cap.slack` for the cap, so RESULT_TOL and the certificate's
@@ -442,24 +454,20 @@ def project(region: Region, x: SpherePoint,
 
     Raises NoConvergence if SOLVER_MAX_SWEEPS KKT sweeps pass without one that
     certifies optimality, or if the result violates the region beyond
-    RESULT_TOL; raises EmptyOrDegenerate if x is not finite or the cone
-    projection collapses to zero (x at least a quarter turn from the region,
-    which the cap invariant excludes for every query the iteration methods
-    make).
+    RESULT_TOL; raises EmptyOrDegenerate if `region.slack(x)` is not
+    finite (x or a cut is not finite) or the cone projection collapses to
+    zero (x at least a quarter turn from the region, which the cap
+    invariant excludes for every query the iteration methods make).
     """
+    s = region.slack(x)
+    if not math.isfinite(s):
+        raise EmptyOrDegenerate("query point or a region cut is not finite")
+    if s >= 0.0:
+        return x, SolveStats(0)
     pole = region.cap.pole
     cos_r = region.cap.cos_r
     normals = region.normals
     xc = x.coords
-    # the test of `contains` at tol = 0, inline, on `Cap.slack` times sin r,
-    # which has its sign (as has the bisection's gap); a NaN or infinite
-    # query has a non-finite cap slack and is never taken for a member, and
-    # `_min` carries a NaN cut slack through
-    cap_slack = float(pole.dot(xc)) - cos_r
-    if not math.isfinite(cap_slack):
-        raise EmptyOrDegenerate("query point is not finite")
-    if cap_slack >= 0.0 and (not len(normals) or _min(normals.dot(xc)) >= 0.0):
-        return x, SolveStats(0)
     cone = _CutCone(normals, start)
 
     def solve(b):
@@ -471,12 +479,12 @@ def project(region: Region, x: SpherePoint,
     cap_gap, z, idx, n = solve(xc)
     if cap_gap < 0.0:
         lo, hi = 0.0, 1.0
-        cap_gap, z, idx, n = solve(pole)
+        _, z, idx, n = solve(pole)
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
             mid_gap, z_mid, idx_mid, n_mid = solve((1.0 - mid) * xc + mid * pole)
             if mid_gap >= 0.0:
-                hi, cap_gap, z, idx, n = mid, mid_gap, z_mid, idx_mid, n_mid
+                hi, z, idx, n = mid, z_mid, idx_mid, n_mid
             else:
                 lo = mid
         t = hi

@@ -71,10 +71,7 @@ def _walk(problem: Problem, method: str, stop: StopRule):
     t0 = time.perf_counter()
     try:
         for state in iterate(problem, method):
-            region = state.region
-            slacks.append(min(region.cap.slack(problem.cap_pole),
-                              float((region.normals @ problem.cap_pole.coords)
-                                    .min(initial=math.inf))))
+            slacks.append(state.region.slack(problem.cap_pole))
             reason = stop.reason(state)
             if reason is not None:
                 break

@@ -12,6 +12,7 @@ import pytest
 from sphereproj import cli
 from sphereproj.cli import _GRAMMAR, build_problem, main, parse_config
 from sphereproj.errors import NoConvergence
+from sphereproj.iteration import StopRule
 
 PI5 = math.pi / 5
 
@@ -58,6 +59,8 @@ out = {out}
 class TestRunCommand:
     def test_stationary_start_exit_zero_single_row(self, tmp_path, capsys):
         cfg = stationary_config(tmp_path, tmp_path / "st")
+        # the config leaves out eps_step, eps_residual and max_iter
+        assert build_problem(parse_config(cfg))[1] == StopRule()
         assert main(["run", cfg]) == 0
         rows = (tmp_path / "st_cq_trace.csv").read_text().splitlines()
         assert len(rows) == 2  # header + one record

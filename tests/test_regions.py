@@ -109,6 +109,13 @@ class TestRegionAndContains:
         r = Region(Cap(e(0), 0.6), (), e(0))
         z = SpherePoint([math.cos(0.3), math.sin(0.3), 0, 0])
         assert contains(r, z, 0.0)
+        # with no cuts the region's slack is the cap's; the least cut slack
+        # wins where it is lower
+        assert r.slack(z) == r.cap.slack(z)
+        r = Region(r.cap, (Halfspace([0.1, 1.0, 0, 0]), Halfspace([0.2, 0, 1.0, 0])), e(0))
+        cut_slacks = r.normals.dot(z.coords)
+        assert cut_slacks.min() < r.cap.slack(z)
+        assert r.slack(z) == cut_slacks.min()
 
     def test_antipode_of_witness_outside_cap(self):
         r = Region(Cap(e(0), math.pi / 6), (), e(0))
@@ -147,6 +154,7 @@ class TestRegionAndContains:
         # with no cuts only the cap test can reject it
         r = Region(Cap(e(0), 0.6), cuts, e(0))
         z = SpherePoint._wrap(np.array([1.0, math.nan, 0.0, 0.0]))
+        assert math.isnan(r.slack(z))
         assert not contains(r, z, 1e-10)
 
     @pytest.mark.parametrize("tol", [-1e-3, math.nan])
@@ -439,6 +447,7 @@ class TestMembershipProperty:
         for q in (x, r.witness, project(r, x)[0]):
             p, stats = project(r, q)
             assert (p is q and stats == SolveStats(0)) == contains(r, q, 0.0)
+            assert (r.slack(q) >= 0.0) == contains(r, q, 0.0)
 
 
 class TestWarmStart:
@@ -679,6 +688,18 @@ class TestIntersect:
         r = Region(Cap(e(3), 0.6), (), e(3))
         with pytest.raises(FeasibilityViolated, match="by nan$"):
             intersect(r, (np.array([math.nan, 0.0, 0.0, 1.0]),))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("x", [[1.0, 0.2, 0.0, -0.1], [0.5, 0.1, 0.2, 0.0]],
+                             ids=["slack-inf", "slack-nan"])
+    def test_non_finite_cut_raises_on_projection(self, x):
+        """A non-finite row that `intersect` appended (ROADMAP item 4c)
+        gives x a slack of -inf or NaN, which `project` rejects with a
+        typed error before the solver starts."""
+        r = intersect(Region(Cap(e(3), 0.6), (), e(3)),
+                      (np.array([0.0, 0.0, 0.0, math.inf]),))
+        with pytest.raises(EmptyOrDegenerate, match="^query point or a region cut is not finite$"):
+            project(r, SpherePoint(x))
 
     @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
                        reason="ROADMAP item 4c: intersect appends any row the witness "
