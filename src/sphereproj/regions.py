@@ -297,7 +297,16 @@ class _CutCone:
     only the number of sweeps: the returned point is always the solve on
     the final active set, in index order, and that set is the optimum's
     active set whatever the start, barring cuts tight at the optimum with a
-    zero multiplier.
+    zero multiplier.  The sweeps keep Lawson and Hanson's step back:
+    dropping the most negative multiplier's cut there instead cycles, and
+    raised NoConvergence within 100 steps on every shrinking walk of the
+    benchmark's two-rotation and single-rotation panels.
+
+    A solve on a square active set, as many cuts as dimensions, is tight
+    only at 0.  Its multipliers come from one LAPACK solve, and Gram-Schmidt
+    runs only when all of them are positive (see `_solve`).  On the step
+    path they never all are, because the optimum is never 0: the pole p
+    lies in every cut, so <P_K x1, p> >= <x1, p> >= cos r > 0.
     """
 
     def __init__(self, normals: np.ndarray, start: tuple[int, ...] = ()):
@@ -308,7 +317,7 @@ class _CutCone:
             if 0 <= i < len(normals):
                 self.active[i] = True
 
-    def _solve(self, b: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    def _solve(self, b: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray | None, list[float]]:
         """Projection of b onto the subspace where the cuts idx (the active
         ones, in index order) are tight, and their multipliers.
 
@@ -323,9 +332,29 @@ class _CutCone:
         x86-64 the two disagree in 25-42 % of random 2- to 5-term rows.
         One active cut takes the same path, reading -c - 0.0, which is -c
         bit for bit.
+
+        A square set, d cuts in R^d, is tight only at z = 0, and its
+        multipliers solve A_idx^T s = -b: one LAPACK solve reads them.  When
+        one is nonpositive the set can only pick the cut to drop, so z is
+        None and Gram-Schmidt is skipped: both callers use z only when every
+        multiplier is positive.  On the step path that is every square set,
+        since the optimum there is never 0 (see the class docstring).
+        Positive multipliers, or a singular set, fall through to
+        Gram-Schmidt, whose multipliers decide as they did before the rule,
+        so outside input whose cone projection is 0 still raises in
+        `project`.  The point returned is always the Gram-Schmidt solve on
+        the final set, bit for bit.
         """
         q = self.normals.take(idx, axis=0)
         k = len(q)
+        if k == b.size:
+            try:
+                s = np.linalg.solve(q.T, -b).tolist()
+            except np.linalg.LinAlgError:   # a singular set
+                pass
+            else:
+                if min(s) <= 0.0:
+                    return None, s
         q0 = q[0]
         r00 = math.sqrt(float(q0.dot(q0)))
         q0 /= r00

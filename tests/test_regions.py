@@ -17,8 +17,11 @@ from sphereproj.geometry import (
     basis_point,
     distance,
     geodesic_combine,
+    random_point_in_cap,
     sample_cap,
 )
+from sphereproj.iteration import Problem, iterate
+from sphereproj.mappings import MappingFamily, PlaneRotation
 from sphereproj.regions import (
     Cap,
     Halfspace,
@@ -528,6 +531,15 @@ class TestWarmStart:
         assert warm._replace(sweeps=0) == cold._replace(sweeps=0)
 
     @pytest.mark.parametrize("radius", [0.6, 0.1])
+    def test_square_start_with_a_repeated_cut(self, radius):
+        # four cuts in R^4, cut 0 twice: the square set is singular
+        r = Region(Cap(e(3), radius), self.CUTS + (self.CUTS[0],), e(3))
+        p_cold, cold = project(r, self.X)
+        p, warm = project(r, self.X, (0, 1, 2, 3))
+        assert p.coords.tobytes() == p_cold.coords.tobytes()
+        assert warm._replace(sweeps=0) == cold._replace(sweeps=0)
+
+    @pytest.mark.parametrize("radius", [0.6, 0.1])
     def test_negative_index_is_ignored(self, radius):
         # a negative index must not wrap around to cut 0, the optimum's cut
         r = self.region(radius)
@@ -620,6 +632,56 @@ class TestEveryCutActive:
         np.testing.assert_allclose(p.coords, expected, atol=1e-12)
         assert calls == list(range(len(calls))) and stats.sweeps == len(calls) > 2
         assert stats.active_cuts == () and stats.cap_active
+
+
+class TestSquareSet:
+    """d cuts in R^d are all tight only at z = 0.  When a multiplier of
+    such a set is nonpositive, `_solve` returns no point, and Gram-Schmidt
+    runs only when every multiplier is positive."""
+
+    @staticmethod
+    def spy_on_solve(monkeypatch):
+        solves = []
+        real_solve = _CutCone._solve
+
+        def spy(cone, b, idx):
+            z, s = real_solve(cone, b, idx)
+            solves.append((len(idx), z, s))
+            return z, s
+
+        monkeypatch.setattr(_CutCone, "_solve", spy)
+        return solves
+
+    def test_step_path_never_orthonormalizes_a_square_set(self, monkeypatch):
+        """30 shrinking steps on the c05 problem: the pole lies in every cut,
+        so the projection is never 0 and a square set only drops a cut."""
+        pole = e(3)
+        fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)])
+        problem = Problem(4, pole, math.pi / 5, fam,
+                          random_point_in_cap(pole, math.pi / 5, 20250801))
+        solves = self.spy_on_solve(monkeypatch)
+        states = iterate(problem, "shrinking")
+        for _ in range(30):
+            next(states)
+        square = [(z, s) for k, z, s in solves if k == 4]
+        assert square
+        assert all(z is None and min(s) <= 0.0 for z, s in square)
+
+    @pytest.mark.parametrize("x", [[-1.0, -1.0, -1.0, -1.0], [-1.0, -1.0, -1.0, -0.9],
+                                   [-1.0, -0.5, -1.0, -0.9]])
+    def test_positive_square_multipliers_take_gram_schmidt(self, x, monkeypatch):
+        """Outside input whose cone projection is 0: the cuts e0..e3 bound
+        the positive orthant and x lies in its polar, so all four
+        multipliers are positive, Gram-Schmidt gives the point and
+        `project` raises as it did before the square rule."""
+        w = SpherePoint([0.5, 0.5, 0.5, 0.5])
+        r = Region(Cap(w, 0.6), [Halfspace(e(i).coords) for i in range(4)], w)
+        solves = self.spy_on_solve(monkeypatch)
+        with pytest.raises(EmptyOrDegenerate, match="^cone projection collapsed to the zero vector$"):
+            project(r, SpherePoint(x), (0, 1, 2, 3))
+        square = [(z, s) for k, z, s in solves if k == 4]
+        assert square
+        assert all(z is not None and min(s) > 0.0 for z, s in square)
 
 
 class TestStartSetProperty:

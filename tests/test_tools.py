@@ -43,6 +43,10 @@ def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
         assert w["xn_identical"]
         assert len(w["wall_s"]["before"]) == len(w["wall_s"]["after"]) == 2
         assert w["speedup"] > 0.0
+        # one tree on both sides makes the same solves
+        solves, square = w["solves_per_step"], w["square_solves_per_step"]
+        assert solves["before"] == solves["after"] > 0.0
+        assert square["before"] == square["after"] <= solves["before"]
 
 
 def test_projections_arithmetic_ignores_sweeps(monkeypatch):

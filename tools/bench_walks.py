@@ -15,8 +15,13 @@ every step grows with n and dilutes a change to the step kernel.  For each
 walk the script reports the wall time of the steps alone (the first of them
 includes ``initial_state``), the mean solver sweeps per step, d(x_n, P_F x1)
 at the end, a SHA-256 over the bytes of every iterate x_n (equal digests
-mean bitwise-equal iterates), and ``first_stalled``: the index n of the
-first state the step kernel marked stalled, or null when none was.
+mean bitwise-equal iterates), ``first_stalled``: the index n of the
+first state the step kernel marked stalled, or null when none was, and
+``solves_per_step`` and ``square_solves_per_step``: the equality solves
+of the projection solver (``regions._CutCone._solve``) per step, and
+those on a square active set (as many cuts as the dimension).  The solves
+are counted in one more pass of each walk, untimed, with that tree's
+``_solve`` wrapped.
 
 With two trees, both are imported into one process, each under a package
 name of its own (``sphereproj_a`` and ``sphereproj_b``; the package uses
@@ -141,6 +146,28 @@ def walk(tree, name: str) -> dict:
     return w.result()
 
 
+def count_solves(tree, name: str) -> dict:
+    """Solver equality solves per step over one untimed pass of the walk,
+    all of them and those on a square active set."""
+    cone = tree[0].regions._CutCone
+    real_solve = cone._solve
+    counts = [0, 0]
+
+    def counted(self, b, idx):
+        counts[0] += 1
+        counts[1] += len(idx) == b.size
+        return real_solve(self, b, idx)
+
+    cone._solve = counted
+    try:
+        w = Walk(tree, name)
+        w.advance(w.budget)
+    finally:
+        cone._solve = real_solve
+    return {"solves_per_step": counts[0] / w.budget,
+            "square_solves_per_step": counts[1] / w.budget}
+
+
 def walk_pair(trees, name: str, steps: int | None = None) -> list[dict]:
     """Step one walk on both trees side by side: they take turns for
     SLICE_STEPS steps at a time, the first turn alternating."""
@@ -170,6 +197,7 @@ def compare_walks(srcs: list[Path], repeats: int) -> dict:
         for name in WALKS:
             for side, result in enumerate(walk_pair(trees, name)):
                 runs[name][side].append(result)
+    solves = {name: [count_solves(tree, name) for tree in trees] for name in WALKS}
     out = {}
     for name, (before, after) in runs.items():
         walls = {"before": [r["wall_s"] for r in before], "after": [r["wall_s"] for r in after]}
@@ -184,6 +212,8 @@ def compare_walks(srcs: list[Path], repeats: int) -> dict:
             "xn_identical": len({r["xn_sha256"] for r in before + after}) == 1,
             "first_stalled": {"before": before[0]["first_stalled"],
                               "after": after[0]["first_stalled"]},
+            **{key: {side: counts[key] for side, counts in zip(("before", "after"), solves[name])}
+               for key in ("solves_per_step", "square_solves_per_step")},
         }
     return out
 
@@ -251,7 +281,8 @@ def main(argv=None) -> int:
     if len(srcs) == 1:
         _threads_to_one()
         tree = load_tree(srcs[0], "sphereproj_a")
-        print(json.dumps({name: walk(tree, name) for name in WALKS}))
+        print(json.dumps({name: {**walk(tree, name), **count_solves(tree, name)}
+                          for name in WALKS}))
         return 0
     if len(srcs) != 2:
         parser.error("give one or two source trees")
