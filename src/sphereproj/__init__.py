@@ -44,7 +44,6 @@ from .mappings import (
     Identity,
     MappingFamily,
     PlaneRotation,
-    WMapping,
     fixed_axes,
     residuals,
 )
@@ -70,8 +69,7 @@ __all__ = [
     "IterationState", "Problem", "StopReason", "StopRule", "Trace",
     "TraceRecord", "cq_step", "fejer_audit", "initial_state", "iterate", "run",
     "shrink_step",
-    "Identity", "MappingFamily", "PlaneRotation", "WMapping",
-    "fixed_axes", "residuals",
+    "Identity", "MappingFamily", "PlaneRotation", "fixed_axes", "residuals",
     "Cap", "Halfspace", "Region", "SolveStats", "contains", "intersect", "make_cn",
     "make_qn", "project",
     "__version__",

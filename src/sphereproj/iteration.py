@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import MonotonicityViolated, SphereProjError
 from .geometry import SpherePoint, distance
-from .mappings import MappingFamily, WMapping, fixed_axes, residuals
+from .mappings import MappingFamily, fixed_axes, residuals
 from .regions import WITNESS_TOL, Cap, Region, intersect, make_cn, make_qn, project
 
 # Tolerance of the per-step monotonicity check.
@@ -111,7 +111,7 @@ class Problem:
     """
 
     __slots__ = ("dim", "cap_pole", "cap_radius", "family", "x1",
-                 "fixed_axes", "target", "cap_region", "_w")
+                 "fixed_axes", "target", "cap_region")
 
     def __init__(self, dim: int, cap_pole: SpherePoint, cap_radius: float,
                  family: MappingFamily, x1: SpherePoint):
@@ -136,7 +136,6 @@ class Problem:
         self.fixed_axes = fixed
         self.target = SpherePoint._wrap(comp / float(np.linalg.norm(comp)))
         self.cap_region = Region(cap, (), cap_pole)
-        self._w = WMapping(family)
 
     def __repr__(self) -> str:
         return (f"Problem(dim={self.dim}, cap_radius={self.cap_radius:.6g}, "
@@ -150,10 +149,10 @@ class IterationState(NamedTuple):
     mapping residuals at x_n and the images T_i x_n they are measured
     from, which the next W-map's first stage reuses.  `initial_state` and
     the step functions fill them; a state built from its first five fields
-    alone gets them measured at the start of its next step.  `active_cuts`
-    holds the active cuts of the projection that gave x_n, from which the
-    next projection starts; a state built without them starts that
-    projection cold, which costs sweeps but changes no iterate.
+    alone can be read but not stepped (ROADMAP item 4c drops the defaults).
+    `active_cuts` holds the active cuts of the projection that gave x_n,
+    from which the next projection starts; a state built without them
+    starts that projection cold, which costs sweeps but changes no iterate.
 
     `stalled` is set by the step kernel alone, on a state whose step
     repeated its predecessor's: the same iterate bit for bit, the same
@@ -210,8 +209,9 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     iteration index; `iterate` adds it.  `_measure` gives d(x1, x_{n+1}),
     the images T_i x_{n+1} and the residuals measured from them once, and
     the new state carries them with the projection's active cuts; the
-    next W-map takes T_1 x_{n+1} from the images.  A state that lacks them
-    is measured first.
+    next W-map, `MappingFamily.apply`, takes T_1 x_{n+1} from the images.
+    Only such a state steps: a five-field one can be read, not stepped
+    (ROADMAP item 4c drops the defaults).
 
     The projection starts from the previous step's active cuts.  CQ cuts
     keep their indices from step to step (fresh cut first, localization
@@ -237,9 +237,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         return state._replace(n=state.n + 1,
                               trace=state.trace + (state.trace[-1]._replace(n=state.n),))
     x_n, dist_n, res_n, images = state.x_n, state.dist_x1_xn, state.residuals, state.images
-    if dist_n is None or res_n is None or images is None:
-        dist_n, images, res_n = _measure(problem, x_n)
-    y = problem._w.apply(x_n, images=images)
+    y = problem.family.apply(x_n, images=images)
     cn = make_cn(x_n, y)
     if shrinking:
         base, cuts = state.region, (cn,)

@@ -17,8 +17,9 @@ the staged recursion
     u_0 = x,   u_k = alpha_k T_k(u_{k-1}) (+) (1 - alpha_k) x,
 
 where (+) is the geodesic combination and the second argument is always the
-original point x.  The final stage u_r is the W-mapping of the family; its
-fixed points are exactly the common fixed points of the T_i.
+original point x.  The final stage u_r is the W-mapping of the family,
+evaluated by `MappingFamily.apply` as a map's value is by its own apply;
+its fixed points are exactly the common fixed points of the T_i.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class MappingFamily:
     (0, 1), so some margin [a, 1-a] with 0 < a < 1/2 contains them all.
     It is checked once, here, and every step uses it as it stands.  Every
     member must be a certified isometry, a PlaneRotation or the Identity
-    (ValueError otherwise).
+    (ValueError otherwise).  apply is the family's W-mapping.
     """
 
     __slots__ = ("maps", "alphas")
@@ -126,6 +127,19 @@ class MappingFamily:
     @property
     def r(self) -> int:
         return len(self.maps)
+
+    def apply(self, x: SpherePoint, *,
+              images: Sequence[SpherePoint] | None = None) -> SpherePoint:
+        """u_r, the W-mapping of the family at x, under its one weight row.
+        `images`, when given, holds T_i x for each member in order (as
+        `residuals` takes them, and as the step kernel always passes them);
+        the first stage reads T_1 x from it instead of applying T_1 again."""
+        maps = self.maps
+        alphas = self.alphas
+        u = geodesic_combine(alphas[0], maps[0].apply(x) if images is None else images[0], x)
+        for T, a in zip(maps[1:], alphas[1:]):
+            u = geodesic_combine(a, T.apply(u), x)
+        return u
 
     def check_preserves_cap(self, pole: SpherePoint, radius: float) -> None:
         """Check, on sampled cap points, that every member maps the cap into
@@ -166,31 +180,6 @@ def fixed_axes(family: MappingFamily, dim: int) -> np.ndarray:
     fixed = moves <= NULLSPACE_TOL * max(1.0, float(moves.max()))
     fixed.setflags(write=False)
     return fixed
-
-
-class WMapping:
-    """Staged geodesic averaging of a mapping family (the W-mapping), a function of x alone."""
-
-    __slots__ = ("family",)
-
-    def __init__(self, family: MappingFamily):
-        self.family = family
-
-    def apply(self, x: SpherePoint, *,
-              images: Sequence[SpherePoint] | None = None) -> SpherePoint:
-        """u_r, the W value at x, under the family's one weight row.
-        `images`, when given, holds T_i x for each member in order (as
-        `residuals` takes them, and as the step kernel always passes them);
-        the first stage reads T_1 x from it instead of applying T_1 again."""
-        maps = self.family.maps
-        alphas = self.family.alphas
-        u = geodesic_combine(alphas[0], maps[0].apply(x) if images is None else images[0], x)
-        for T, a in zip(maps[1:], alphas[1:]):
-            u = geodesic_combine(a, T.apply(u), x)
-        return u
-
-    def __repr__(self) -> str:
-        return f"WMapping({self.family!r})"
 
 
 def residuals(family: MappingFamily, x: SpherePoint,

@@ -19,7 +19,6 @@ from sphereproj.mappings import (
     Identity,
     MappingFamily,
     PlaneRotation,
-    WMapping,
     fixed_axes,
     residuals,
 )
@@ -234,17 +233,33 @@ class TestMappingFamily:
         with pytest.raises(ValueError):
             fam.check_preserves_cap(e(0), math.pi / 5)  # pole rotated away
 
+    @pytest.mark.parametrize("angle, loop_sees_it", [(1e-6, False), (1e-3, False),
+                                                     (3e-3, True)])
+    def test_sampled_loop_certifies_nothing_the_pole_check_does_not(self, angle, loop_sees_it):
+        """`Problem` refuses a rotation that moves the pole by 1e-6, 1e-3 or
+        3e-3, from the common fixed set; the sampled loop sees only the
+        largest.  The loop half goes with the loop (ROADMAP item 4c)."""
+        fam = MappingFamily([PlaneRotation(0, 3, angle)])
+        with pytest.raises(ValueError, match="the maps move the cap pole"):
+            Problem(4, e(3), math.pi / 5, fam, e(3))
+        if loop_sees_it:
+            with pytest.raises(ValueError, match="outside the cap"):
+                fam.check_preserves_cap(e(3), math.pi / 5)
+        else:
+            fam.check_preserves_cap(e(3), math.pi / 5)
+
 
 class TestWMapping:
+    """The family's W-mapping, `MappingFamily.apply`."""
+
     def test_common_fixed_point_is_fixed(self):
         fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)])
-        w = WMapping(fam)
-        img = w.apply(e(3))
+        img = fam.apply(e(3))
         assert distance(img, e(3)) <= 1e-12
 
     def test_single_stage_midpoint(self):
         fam = MappingFamily([PlaneRotation(0, 1, math.pi / 2)], alphas=[0.5])
-        img = WMapping(fam).apply(e(0))
+        img = fam.apply(e(0))
         s = math.sqrt(2) / 2
         np.testing.assert_allclose(img.coords, [s, s, 0, 0], atol=1e-15)
 
@@ -256,44 +271,42 @@ class TestWMapping:
         t2 = PlaneRotation(0, 2, 0.5)
         rng = np.random.default_rng(23)
         for a1, a2 in ((0.5, 0.5), (0.3, 0.8)):
-            w = WMapping(MappingFamily([t1, t2], alphas=[a1, a2]))
+            fam = MappingFamily([t1, t2], alphas=[a1, a2])
             for _ in range(50):
                 x = SpherePoint(sample_cap(e(3).coords, math.pi / 5, 1, rng)[0])
                 u1 = geodesic_combine(a1, t1.apply(x), x)
                 u2 = geodesic_combine(a2, t2.apply(u1), x)
                 # apply, with or without T_i x given, is u2 bit for bit
-                assert w.apply(x).coords.tobytes() == u2.coords.tobytes()
-                assert w.apply(x, images=(t1.apply(x), t2.apply(x))).coords.tobytes() == \
+                assert fam.apply(x).coords.tobytes() == u2.coords.tobytes()
+                assert fam.apply(x, images=(t1.apply(x), t2.apply(x))).coords.tobytes() == \
                     u2.coords.tobytes()
 
     def test_images_keyword_only(self):
         """A positional second argument (the old iteration index) is refused,
         not taken for the images."""
-        w = WMapping(MappingFamily([PlaneRotation(0, 1, 0.8)]))
+        fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
         with pytest.raises(TypeError):
-            w.apply(e(0), 1)
+            fam.apply(e(0), 1)
 
     def test_fixed_points_are_exactly_common_fixed_points(self):
         """Points fixed by the staged average are the family's common fixed
         points: common ones do not move, every other cap point does."""
         fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)])
-        w = WMapping(fam)
-        assert distance(w.apply(e(3)), e(3)) <= 1e-10
+        assert distance(fam.apply(e(3)), e(3)) <= 1e-10
         rng = np.random.default_rng(24)
         pts = sample_cap(e(3).coords, math.pi / 5, 1000, rng)
         for row in pts:
             x = SpherePoint(row)
             if distance(x, e(3)) < 1e-6:
                 continue
-            assert distance(w.apply(x), x) > 1e-8
+            assert distance(fam.apply(x), x) > 1e-8
 
     def test_cap_preserved_by_w(self):
         fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)])
-        w = WMapping(fam)
         rng = np.random.default_rng(25)
         for row in sample_cap(e(3).coords, math.pi / 5, 300, rng):
             x = SpherePoint(row)
-            assert distance(w.apply(x), e(3)) <= math.pi / 5 + 1e-12
+            assert distance(fam.apply(x), e(3)) <= math.pi / 5 + 1e-12
 
 
 class TestResiduals:

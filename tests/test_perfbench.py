@@ -30,8 +30,10 @@ def test_perfbench_selftest(tmp_path):
 # in trace.absent.
 # The cap's slack is `Cap.slack` and a Halfspace has none, so the counted
 # regions.slack_calls reads 0; no per-layer metric has a bound.
-ABSENT_TRACED = ["sphereproj.iteration.contains", "sphereproj.iteration.geodesic_combine",
-                 "sphereproj.regions.Halfspace.slack"]
+# The W-map is `MappingFamily.apply`, so mappings.wmap reads 0 and its
+# stages count under geometry.combine.
+ABSENT_TRACED = ["sphereproj.iteration.contains", "sphereproj.mappings.WMapping.apply",
+                 "sphereproj.iteration.geodesic_combine", "sphereproj.regions.Halfspace.slack"]
 
 
 def test_traced_names_present():

@@ -47,6 +47,8 @@ def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
         solves, square = w["solves_per_step"], w["square_solves_per_step"]
         assert solves["before"] == solves["after"] > 0.0
         assert square["before"] == square["after"] <= solves["before"]
+        # the step path never binds the cap
+        assert w["cap_binding_steps"] == {"before": 0, "after": 0}
 
 
 def test_projections_arithmetic_ignores_sweeps(monkeypatch):

@@ -19,9 +19,11 @@ mean bitwise-equal iterates), ``first_stalled``: the index n of the
 first state the step kernel marked stalled, or null when none was, and
 ``solves_per_step`` and ``square_solves_per_step``: the equality solves
 of the projection solver (``regions._CutCone._solve``) per step, and
-those on a square active set (as many cuts as the dimension).  The solves
-are counted in one more pass of each walk, untimed, with that tree's
-``_solve`` wrapped.
+those on a square active set (as many cuts as the dimension), and
+``cap_binding_steps``: the steps whose projection reports the cap active
+(``SolveStats.cap_active``), which the step path never makes bind (0 on
+every walk).  These are counted in one more pass of each walk, untimed,
+with that tree's ``_solve`` and ``iteration.project`` wrapped.
 
 With two trees, both are imported into one process, each under a package
 name of its own (``sphereproj_a`` and ``sphereproj_b``; the package uses
@@ -148,24 +150,31 @@ def walk(tree, name: str) -> dict:
 
 def count_solves(tree, name: str) -> dict:
     """Solver equality solves per step over one untimed pass of the walk,
-    all of them and those on a square active set."""
-    cone = tree[0].regions._CutCone
-    real_solve = cone._solve
-    counts = [0, 0]
+    all of them and those on a square active set, and the steps whose
+    projection binds the cap."""
+    cone, it = tree[0].regions._CutCone, tree[0].iteration
+    real_solve, real_project = cone._solve, it.project
+    counts = [0, 0, 0]
 
     def counted(self, b, idx):
         counts[0] += 1
         counts[1] += len(idx) == b.size
         return real_solve(self, b, idx)
 
-    cone._solve = counted
+    def counted_project(region, x, start=()):
+        z, stats = real_project(region, x, start)
+        counts[2] += stats.cap_active
+        return z, stats
+
+    cone._solve, it.project = counted, counted_project
     try:
         w = Walk(tree, name)
         w.advance(w.budget)
     finally:
-        cone._solve = real_solve
+        cone._solve, it.project = real_solve, real_project
     return {"solves_per_step": counts[0] / w.budget,
-            "square_solves_per_step": counts[1] / w.budget}
+            "square_solves_per_step": counts[1] / w.budget,
+            "cap_binding_steps": counts[2]}
 
 
 def walk_pair(trees, name: str, steps: int | None = None) -> list[dict]:
@@ -213,7 +222,7 @@ def compare_walks(srcs: list[Path], repeats: int) -> dict:
             "first_stalled": {"before": before[0]["first_stalled"],
                               "after": after[0]["first_stalled"]},
             **{key: {side: counts[key] for side, counts in zip(("before", "after"), solves[name])}
-               for key in ("solves_per_step", "square_solves_per_step")},
+               for key in ("solves_per_step", "square_solves_per_step", "cap_binding_steps")},
         }
     return out
 
