@@ -1,9 +1,10 @@
 """Iteration drivers: the CQ method and the shrinking projection method.
 
-Both methods iterate from a fixed anchor x1 inside the ambient cap.  Each
-step evaluates the staged average y_n of the current iterate, forms the
-cut "closer to y_n than to x_n" as a unit normal, appends its cuts to a
-region with `intersect`, and projects the anchor onto the result:
+Both methods iterate from a fixed anchor x1 inside the ambient cap.  A
+state carries its iterate x_n with y_n = W x_n, the staged average (the
+family's W-mapping) of that iterate.  Each step forms the cut "closer to
+y_n than to x_n" as a unit normal, appends its cuts to a region with
+`intersect`, and projects the anchor onto the result:
 
 * the CQ method appends two cuts (the fresh cut and a localization cut
   through x_n) to the bare cap, `Problem.cap_region`;
@@ -72,7 +73,7 @@ class StopRule:
         A state with no record yet has no step length, so only the cap
         applies to it."""
         if (state.trace and state.trace[-1].step_len <= self.eps_step
-                and float(state.residuals.max()) <= self.eps_residual):
+                and max(state.residuals) <= self.eps_residual):
             return StopReason.CONVERGED
         if state.stalled:
             return StopReason.STALLED
@@ -143,13 +144,15 @@ class Problem:
 
 
 class IterationState(NamedTuple):
-    """Immutable snapshot after n-1 steps: the current iterate, the last
-    staged average, the region used for the last projection, the trace,
-    and the per-iterate quantities every step reads: d(x1, x_n), the
-    mapping residuals at x_n and the images T_i x_n they are measured
-    from, which the next W-map's first stage reuses.  `initial_state` and
-    the step functions fill them; a state built from its first five fields
-    alone can be read but not stepped (ROADMAP item 4c drops the defaults).
+    """Immutable snapshot after n-1 steps: the current iterate x_n, its
+    staged average y_n = W x_n (the point the next step cuts with), the
+    region used for the last projection, the trace, and the per-iterate
+    quantities the next step and its record read: d(x1, x_n) and the
+    mapping residuals at x_n.  `_measure` makes y_n, d(x1, x_n) and the
+    residuals with one application of each map at x_n, which no state
+    keeps; `initial_state` and the step functions fill them.  A state
+    built from its first five fields alone can be read but not stepped
+    (ROADMAP item 4c drops the defaults).
     `active_cuts` holds the active cuts of the projection that gave x_n,
     from which the next projection starts; a state built without them
     starts that projection cold, which costs sweeps but changes no iterate.
@@ -165,13 +168,12 @@ class IterationState(NamedTuple):
 
     n: int
     x_n: SpherePoint
-    y_n: SpherePoint | None
+    y_n: SpherePoint
     region: Region
     trace: Trace
     dist_x1_xn: float | None = None
-    residuals: np.ndarray | None = None
+    residuals: tuple[float, ...] | None = None
     active_cuts: tuple[int, ...] = ()
-    images: tuple[SpherePoint, ...] | None = None
     stalled: bool = False
 
     def __repr__(self) -> str:
@@ -179,18 +181,20 @@ class IterationState(NamedTuple):
 
 
 def _measure(problem: Problem,
-             x: SpherePoint) -> tuple[float, tuple[SpherePoint, ...], np.ndarray]:
-    """d(x1, x), the images T_i x and the residuals measured from them:
-    the per-iterate quantities a state carries."""
-    images = tuple([T.apply(x) for T in problem.family.maps])
-    return distance(problem.x1, x), images, residuals(problem.family, x, images)
+             x: SpherePoint) -> tuple[SpherePoint, float, tuple[float, ...]]:
+    """W x, d(x1, x) and the residuals at x: the per-iterate quantities a
+    state carries.  The images T_i x are applied once, here; the W-map's
+    first stage and the residuals both read them."""
+    images = [T.apply(x) for T in problem.family.maps]
+    res = tuple(residuals(problem.family, x, images).tolist())
+    return problem.family.apply(x, images=images), distance(problem.x1, x), res
 
 
 def initial_state(problem: Problem) -> IterationState:
     """State at n = 1: the iterate is the anchor, the region is the bare cap."""
     x1 = problem.x1
-    dist, images, res = _measure(problem, x1)
-    return IterationState(1, x1, None, problem.cap_region, (), dist, res, (), images)
+    y, dist, res = _measure(problem, x1)
+    return IterationState(1, x1, y, problem.cap_region, (), dist, res)
 
 
 def _step(problem: Problem, state: IterationState, shrinking: bool) -> IterationState:
@@ -206,12 +210,12 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     rounding, ROADMAP item 8): FeasibilityViolated, with its margin.  The
     projection then must not decrease d(x1, x_n) (MonotonicityViolated,
     with the decrease), and the record is written.  Both errors carry no
-    iteration index; `iterate` adds it.  `_measure` gives d(x1, x_{n+1}),
-    the images T_i x_{n+1} and the residuals measured from them once, and
-    the new state carries them with the projection's active cuts; the
-    next W-map, `MappingFamily.apply`, takes T_1 x_{n+1} from the images.
-    Only such a state steps: a five-field one can be read, not stepped
-    (ROADMAP item 4c drops the defaults).
+    iteration index; `iterate` adds it.  The step cuts with the state's
+    y_n = W x_n and records its d(x1, x_n) and residuals as they stand;
+    `_measure` gives W x_{n+1}, d(x1, x_{n+1}) and the residuals at
+    x_{n+1} once, and the new state carries them with the projection's
+    active cuts.  Only such a state steps: a five-field one can be read,
+    not stepped (ROADMAP item 4c drops the defaults).
 
     The projection starts from the previous step's active cuts.  CQ cuts
     keep their indices from step to step (fresh cut first, localization
@@ -225,19 +229,18 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     A step whose projection gives x_n back bit for bit, with the same
     d(x1, x_n) and active cuts, and for shrinking the same region (the
     regenerated cut is not appended again), marks the new state stalled.
-    A step from a stalled state reads only inputs it repeats: x_n, its
-    images, the region and the start set.  So it would give the same
-    state with n one higher, and it returns that without computing
-    anything, with the last record repeated under the new index (the
-    trace is copied, as on every step).  Nothing it skips could raise:
+    A step from a stalled state reads only inputs it repeats: x_n, y_n,
+    the region and the start set.  So it would give the same state with
+    n one higher, and it returns that without computing anything, with
+    the last record repeated under the new index (the trace is copied, as
+    on every step).  Nothing it skips could raise:
     the witness already passed the same cuts, d(x1, x_n) does not change
     and the projection already met its tolerance.
     """
     if state.stalled:
         return state._replace(n=state.n + 1,
                               trace=state.trace + (state.trace[-1]._replace(n=state.n),))
-    x_n, dist_n, res_n, images = state.x_n, state.dist_x1_xn, state.residuals, state.images
-    y = problem.family.apply(x_n, images=images)
+    x_n, y, dist_n, res_n = state.x_n, state.y_n, state.dist_x1_xn, state.residuals
     cn = make_cn(x_n, y)
     if shrinking:
         base, cuts = state.region, (cn,)
@@ -248,17 +251,17 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     if shrinking and cn is not None and float(cn.dot(x_n.coords)) < 0.0:
         start += (len(region.normals) - 1,)
     x_new, stats = project(region, problem.x1, start)
-    dist_new, images_new, res_new = _measure(problem, x_new)
+    y_new, dist_new, res_new = _measure(problem, x_new)
     if dist_new < dist_n - FEJER_TOL:
         raise MonotonicityViolated(f"d(x1, x_n) decreased by {dist_n - dist_new:.3e}")
-    rec = TraceRecord(state.n, dist_n, distance(x_n, x_new), tuple(res_n.tolist()),
+    rec = TraceRecord(state.n, dist_n, distance(x_n, x_new), res_n,
                       len(region.normals), stats.sweeps)
     # the distance test is free and fails on every step that moves
     stalled = (dist_new == dist_n and stats.active_cuts == state.active_cuts
                and (region is state.region or not shrinking)
                and x_new.coords.tobytes() == x_n.coords.tobytes())
-    return IterationState(state.n + 1, x_new, y, region, state.trace + (rec,), dist_new,
-                          res_new, stats.active_cuts, images_new, stalled)
+    return IterationState(state.n + 1, x_new, y_new, region, state.trace + (rec,), dist_new,
+                          res_new, stats.active_cuts, stalled)
 
 
 def cq_step(problem: Problem, state: IterationState) -> IterationState:

@@ -132,7 +132,7 @@ class MappingFamily:
               images: Sequence[SpherePoint] | None = None) -> SpherePoint:
         """u_r, the W-mapping of the family at x, under its one weight row.
         `images`, when given, holds T_i x for each member in order (as
-        `residuals` takes them, and as the step kernel always passes them);
+        `residuals` takes them, and as `_measure` passes them);
         the first stage reads T_1 x from it instead of applying T_1 again."""
         maps = self.maps
         alphas = self.alphas
@@ -186,8 +186,8 @@ def residuals(family: MappingFamily, x: SpherePoint,
               images: Sequence[SpherePoint] | None = None) -> np.ndarray:
     """Displacements d(T_i x, x) for each family member, in order.
 
-    `images` holds the T_i x when the caller has them already, as the
-    step kernel always does; otherwise they are computed here."""
+    `images` holds the T_i x when the caller has them already, as
+    `_measure` does; otherwise they are computed here."""
     if images is None:
         images = [T.apply(x) for T in family.maps]
     return np.array([distance(img, x) for img in images])

@@ -326,8 +326,8 @@ class TestRun:
 
 
 class TestCachedFields:
-    """The state carries d(x1, x_n) and the residuals at x_n, so that each
-    is computed once per iterate; the records must not notice."""
+    """The state carries W x_n, d(x1, x_n) and the residuals at x_n, so
+    that each is computed once per iterate; the records must not notice."""
 
     @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
     def test_records_match_direct_recomputation(self, stepper):
@@ -364,15 +364,30 @@ class TestCachedFields:
         assert reason is StopReason.ITERATION_CAP
         assert calls["n"] == len(trace) + 1 == 18
 
+    @pytest.mark.parametrize("method", ["cq", "shrinking"])
+    def test_run_evaluates_the_w_map_once_per_iterate(self, method, monkeypatch):
+        calls = {"n": 0}
+        real = MappingFamily.apply
+
+        def counted(self, x, **kwargs):
+            calls["n"] += 1
+            return real(self, x, **kwargs)
+
+        monkeypatch.setattr(MappingFamily, "apply", counted)
+        prob = make_problem(random_point_in_cap(POLE, RHO, 15))
+        _, trace, reason = run(prob, method, StopRule(1e-12, 1e-12, 17))
+        assert reason is StopReason.ITERATION_CAP
+        assert calls["n"] == len(trace) + 1 == 18
+
     @pytest.mark.parametrize("stepper", [cq_step, shrink_step])
-    def test_carried_images_are_the_maps_applied(self, stepper):
-        """The images the state carries are T_i x_n, byte for byte."""
+    def test_state_pairs_its_iterate_with_its_staged_average(self, stepper):
+        """The state's y_n is W x_n, byte for byte, from the first state on."""
         prob = make_problem(random_point_in_cap(POLE, RHO, 17))
-        s = initial_state(prob)
+        states = [initial_state(prob)]
         for _ in range(6):
-            assert [img.coords.tobytes() for img in s.images] == \
-                [T.apply(s.x_n).coords.tobytes() for T in prob.family.maps]
-            s = stepper(prob, s)
+            states.append(stepper(prob, states[-1]))
+        for s in states:
+            assert s.y_n.coords.tobytes() == prob.family.apply(s.x_n).coords.tobytes()
 
 
 class TestStepIgnoresIndex:
@@ -402,7 +417,7 @@ class TestIterationState:
     def test_fields_cannot_be_assigned(self):
         """The snapshot is immutable: a field cannot be rebound."""
         s = initial_state(make_problem(random_point_in_cap(POLE, RHO, 19)))
-        for field in ("n", "x_n", "dist_x1_xn", "residuals", "images"):
+        for field in ("n", "x_n", "y_n", "dist_x1_xn", "residuals"):
             with pytest.raises(AttributeError):
                 setattr(s, field, None)
         assert repr(s) == "IterationState(n=1)"
@@ -511,8 +526,7 @@ def _fields(state):
     return (state.n, state.x_n.coords.tobytes(), state.y_n.coords.tobytes(),
             state.region.normals.tobytes(), state.region.witness.coords.tobytes(),
             len(state.trace), repr(state.trace[-1]), state.dist_x1_xn.hex(),
-            state.residuals.tobytes(), state.active_cuts,
-            [img.coords.tobytes() for img in state.images], state.stalled)
+            [v.hex() for v in state.residuals], state.active_cuts, state.stalled)
 
 
 class TestStalledStep:
@@ -583,7 +597,7 @@ class TestStopRule:
         def state(step_len, res, steps):
             rec = TraceRecord(steps, 0.0, step_len, (1.0,), 0, 0)
             return IterationState(steps + 1, POLE, POLE, region, (rec,) * steps,
-                                  0.0, np.array([res, 0.0]))
+                                  0.0, (res, 0.0))
 
         assert rule.reason(state(1e-9, 1e-9, 1)) is StopReason.CONVERGED
         assert rule.reason(state(1e-9, 1e-9, 3)) is StopReason.CONVERGED
@@ -599,7 +613,7 @@ class TestStopRule:
         def state(step_len, steps, stalled):
             rec = TraceRecord(steps, 0.0, step_len, (0.0,), 0, 0)
             return IterationState(steps + 1, POLE, POLE, region, (rec,) * steps,
-                                  0.0, np.array([0.0, 0.0]), (), None, stalled)
+                                  0.0, (0.0, 0.0), (), stalled)
 
         assert rule.reason(state(1e-9, 2, True)) is StopReason.CONVERGED
         assert rule.reason(state(2.1e-8, 2, True)) is StopReason.STALLED
@@ -611,7 +625,7 @@ class TestStopRule:
         """The initial state has no record, so its step-length clause is
         unmet even at a common fixed point, and only the cap can stop it."""
         start = initial_state(make_problem(POLE))
-        assert start.trace == () and float(start.residuals.max()) == 0.0
+        assert start.trace == () and max(start.residuals) == 0.0
         assert StopRule().reason(start) is None
         assert StopRule(1e-8, 1e-8, 1).reason(start._replace(n=2)) is StopReason.ITERATION_CAP
 

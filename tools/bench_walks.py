@@ -85,6 +85,7 @@ def load_tree(src: Path, name: str):
     sp = importlib.util.module_from_spec(spec)
     sys.modules[name] = sp
     spec.loader.exec_module(sp)
+    # oracle only because perfbench/workloads.py imports it
     for sub in ("cli", "oracle"):
         importlib.import_module(f"{name}.{sub}")
     # workloads.py imports `sphereproj`: hand it this tree while it loads
@@ -135,7 +136,7 @@ class Walk:
         return {
             "wall_s": self.wall,
             "mean_sweeps": sum(rec.solver_sweeps for rec in trace) / len(trace),
-            "d_target": self.sp.distance(self.state.x_n, self.case.target(self.problem.x1)),
+            "d_target": self.sp.distance(self.state.x_n, self.problem.target),
             "xn_sha256": self.digest.hexdigest(),
             "first_stalled": self.first_stalled,
         }
