@@ -13,11 +13,12 @@ y_n than to x_n" as a unit normal, appends its cuts to a region with
 
 Every step records diagnostics and enforces the observable invariants the
 convergence arguments provide, each with one check where it is established:
-the cap pole, a common fixed point, satisfies every generated constraint
-(the region's witness, which the region checks on construction), and the
-anchored distance d(x1, x_n) never decreases (compared when x_{n+1} is
-computed).  `iterate` yields the state after each step; `run` and any other
-caller loop over it.  A step that gives its iterate back bit for bit marks
+P_F x1, the common fixed point nearest the anchor, satisfies every
+generated constraint (the region's witness, which the region checks on
+construction), and the anchored distance d(x1, x_n) never decreases and
+never passes d(x1, P_F x1) (both compared when x_{n+1} is computed).
+`iterate` yields the state after each step; `run` and any other caller
+loop over it.  A step that gives its iterate back bit for bit marks
 its state stalled: every later step repeats it, so the kernel returns the
 repeat without recomputing it and `run` stops there.
 """
@@ -37,7 +38,8 @@ from .geometry import SpherePoint, distance
 from .mappings import MappingFamily, fixed_axes, residuals
 from .regions import WITNESS_TOL, Cap, Region, intersect, make_cn, make_qn, project
 
-# Tolerance of the per-step monotonicity check.
+# Tolerance of the per-step distance checks: d(x1, x_n) may fall, or pass
+# d(x1, P_F x1), by at most this.
 FEJER_TOL = 1e-10
 
 
@@ -102,17 +104,20 @@ class Problem:
 
     x1 must lie in the cap as a region witness must: `Cap.slack(x1)`, an
     angle, at least -WITNESS_TOL (ValueError otherwise).  fixed_axes masks
-    the axes no map moves, which span the common fixed set F
-    (`mappings.fixed_axes`).  The maps fix the cap pole exactly when it
-    has no coordinate off F (ValueError otherwise); then the family must
-    pass the sampled cap check (`check_preserves_cap`).  cap_region is the
-    bare cap, witnessed by the pole: the initial region, to which each CQ
-    step appends its cuts.  target is P_F x1, x1's coordinates on F made
-    unit: the methods' limit, in the cap since the pole is in F.
+    the axes that apply leaves exactly in place under every map, which span
+    the common fixed set F (`mappings.fixed_axes`).  The maps fix the cap
+    pole exactly when it has no coordinate off F (ValueError otherwise);
+    then the family must pass the sampled cap check
+    (`check_preserves_cap`).  target is P_F x1, x1's coordinates on F made
+    unit: the methods' limit, in the cap since the pole is in F, and no
+    farther from the pole than x1.  cap_region is the bare cap, witnessed
+    by the target: the initial region, to which each CQ step appends its
+    cuts.  dist_x1_target is d(x1, P_F x1), the paper's bound on every
+    d(x1, x_n).
     """
 
     __slots__ = ("dim", "cap_pole", "cap_radius", "family", "x1",
-                 "fixed_axes", "target", "cap_region")
+                 "fixed_axes", "target", "dist_x1_target", "cap_region")
 
     def __init__(self, dim: int, cap_pole: SpherePoint, cap_radius: float,
                  family: MappingFamily, x1: SpherePoint):
@@ -136,7 +141,8 @@ class Problem:
         self.x1 = x1
         self.fixed_axes = fixed
         self.target = SpherePoint._wrap(comp / float(np.linalg.norm(comp)))
-        self.cap_region = Region(cap, (), cap_pole)
+        self.dist_x1_target = distance(x1, self.target)
+        self.cap_region = Region(cap, (), self.target)
 
     def __repr__(self) -> str:
         return (f"Problem(dim={self.dim}, cap_radius={self.cap_radius:.6g}, "
@@ -203,19 +209,20 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     One `intersect` call builds the region from the cut normals: CQ appends
     the fresh cut and the localization cut through x_n to the bare cap,
     shrinking appends the fresh cut to the accumulated region.  Both keep
-    the witness of `Problem.cap_region`, the cap pole, a known fixed point,
-    and `intersect` checks it against the fresh cuts: that is where
-    fixed-point containment is checked.  The convergence arguments put the
-    fixed set inside every cut, so a violation means a wrong fixed set (or
-    rounding, ROADMAP item 8): FeasibilityViolated, with its margin.  The
-    projection then must not decrease d(x1, x_n) (MonotonicityViolated,
-    with the decrease), and the record is written.  Both errors carry no
-    iteration index; `iterate` adds it.  The step cuts with the state's
-    y_n = W x_n and records its d(x1, x_n) and residuals as they stand;
-    `_measure` gives W x_{n+1}, d(x1, x_{n+1}) and the residuals at
-    x_{n+1} once, and the new state carries them with the projection's
-    active cuts.  Only such a state steps: a five-field one can be read,
-    not stepped (ROADMAP item 4c drops the defaults).
+    the witness of `Problem.cap_region`, P_F x1, and `intersect` checks it
+    against the fresh cuts: that is where fixed-point containment is
+    checked.  The convergence arguments put the fixed set inside every
+    cut, so a violation means a wrong fixed set (or rounding, ROADMAP item
+    8): FeasibilityViolated, with its margin.  The projection then must
+    not decrease d(x1, x_n) (MonotonicityViolated, with the decrease), nor
+    carry it past d(x1, P_F x1), since P_F x1 lies in the region
+    (MonotonicityViolated, with the excess), and the record is written.
+    These errors carry no iteration index; `iterate` adds it.  The step
+    cuts with the state's y_n = W x_n and records its d(x1, x_n) and
+    residuals as they stand; `_measure` gives W x_{n+1}, d(x1, x_{n+1})
+    and the residuals at x_{n+1} once, and the new state carries them with
+    the projection's active cuts.  Only such a state steps: a five-field
+    one can be read, not stepped (ROADMAP item 4c drops the defaults).
 
     The projection starts from the previous step's active cuts.  CQ cuts
     keep their indices from step to step (fresh cut first, localization
@@ -254,6 +261,8 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
     y_new, dist_new, res_new = _measure(problem, x_new)
     if dist_new < dist_n - FEJER_TOL:
         raise MonotonicityViolated(f"d(x1, x_n) decreased by {dist_n - dist_new:.3e}")
+    if (excess := dist_new - problem.dist_x1_target) > FEJER_TOL:
+        raise MonotonicityViolated(f"d(x1, x_n) passed d(x1, P_F x1) by {excess:.3e}")
     rec = TraceRecord(state.n, dist_n, distance(x_n, x_new), res_n,
                       len(region.normals), stats.sweeps)
     # the distance test is free and fails on every step that moves

@@ -32,10 +32,6 @@ import numpy as np
 
 from .geometry import SpherePoint, basis_point, distance, geodesic_combine, sample_cap
 
-# An axis that no map moves by more than this, relative to the largest
-# move (at least 1), counts as fixed: `fixed_axes` marks it in the mask.
-NULLSPACE_TOL = 1e-10
-
 # The cap check: how many cap points are sampled, from which generator seed,
 # and how far a sampled image may land past the cap.
 CAP_CHECK_SAMPLES = 1000
@@ -164,20 +160,19 @@ class MappingFamily:
 def fixed_axes(family: MappingFamily, dim: int) -> np.ndarray:
     """Read-only mask of the axes that span the family's common fixed set F.
 
-    A map moves e_j by |T(e_j) - e_j|, read through apply.  A zoo member
-    fixes exactly the axes outside its plane, so apply runs on axis_i, then
-    axis_j, of each PlaneRotation (a plane past dim raises its ValueError).
-    F is spanned by the axes, True in the mask, that no member moves by
-    more than NULLSPACE_TOL * max(1, largest move).
+    A zoo member fixes exactly the axes outside its plane, so apply runs on
+    axis_i, then axis_j, of each PlaneRotation (a plane past dim raises its
+    ValueError).  F is spanned by the axes, True in the mask, that apply
+    leaves exactly in place under every member: a rotation by any nonzero
+    angle, however small, moves both axes of its plane, as the W-map, the
+    cuts and the residuals all see it do.
     """
-    moves = np.zeros(dim)  # the largest move of each axis
+    fixed = np.ones(dim, dtype=bool)
     for T in family.maps:
         if isinstance(T, PlaneRotation):
             for j in (T.axis_i, T.axis_j):
                 axis = basis_point(j, dim)
-                row = T.apply(axis).coords - axis.coords
-                moves[j] = max(moves[j], math.sqrt(float(row.dot(row))))
-    fixed = moves <= NULLSPACE_TOL * max(1.0, float(moves.max()))
+                fixed[j] &= np.array_equal(T.apply(axis).coords, axis.coords)
     fixed.setflags(write=False)
     return fixed
 

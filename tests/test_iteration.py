@@ -29,7 +29,7 @@ from sphereproj.mappings import (
     residuals,
 )
 from sphereproj.oracle import subspace_project
-from sphereproj.regions import Region, contains, make_cn
+from sphereproj.regions import WITNESS_TOL, Cap, Region, contains, make_cn
 
 POLE = basis_point(3, 4)
 RHO = math.pi / 5
@@ -77,6 +77,23 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="^x1 must lie in the ambient cap$"):
             Problem(4, POLE, 1e-6, two_rotation_family(), anchor(1.5e-6))
 
+    @pytest.mark.parametrize("off", [0.0, 1e-9])
+    @pytest.mark.parametrize("past", [1e-12, 5e-11, 9.9e-11])
+    def test_anchor_on_the_cap_edge_is_witnessed_by_the_target(self, past, off):
+        """x1 `past` beyond the edge of cap(e3, pi/5), with a coordinate of
+        `off` on e0, off F = span{e2, e3}: its cap slack lies in
+        [-WITNESS_TOL, 0), and the problem builds with P_F x1 as the cap
+        region's witness.  P_F x1 is no farther from the pole than x1 in
+        exact arithmetic, so only rounding could push its slack past the
+        tolerance; here it is x1 or within 1e-18 of it."""
+        fam = MappingFamily([PlaneRotation(0, 1, 0.8)])
+        a = RHO + past
+        x1 = SpherePoint([math.sin(a) * off, 0.0, math.sin(a), math.cos(a)])
+        assert -WITNESS_TOL <= Cap(POLE, RHO).slack(x1) < 0.0
+        p = Problem(4, POLE, RHO, fam, x1)
+        assert p.fixed_axes.tolist() == [False, False, True, True]
+        assert p.cap_region.witness is p.target
+
     def test_cap_radius_range(self):
         with pytest.raises(ValueError):
             Problem(4, POLE, math.pi / 3, two_rotation_family(), POLE)
@@ -92,12 +109,12 @@ class TestProblemValidation:
     def test_auto_fixed_set_for_linear_family(self):
         p = make_problem(POLE)
         assert p.fixed_axes.tolist() == [False, False, False, True]
-        assert p.cap_region.witness is p.cap_pole
+        assert p.cap_region.witness is p.target
+        assert p.target.coords.tobytes() == p.cap_pole.coords.tobytes()
 
     def test_fixed_set_must_meet_cap(self):
-        """A rotation of (e0, e3) by 5e-10 moves e0 and e3 above the fixed
-        set's tolerance, so the fixed set is span{e1, e2}, and the pole e3
-        lies wholly on a moved axis."""
+        """A rotation of (e0, e3) by 5e-10 moves e0 and e3, so the fixed set
+        is span{e1, e2}, and the pole e3 lies wholly on a moved axis."""
         fam = MappingFamily([PlaneRotation(0, 3, 5e-10)])
         with pytest.raises(ValueError, match=r"^the maps move the cap pole: it lies 1\.000e\+00 off"):
             Problem(4, POLE, RHO, fam, POLE)
@@ -115,7 +132,7 @@ class TestProblemValidation:
 
 def random_zoo_problem(seed):
     """A seeded random closed-zoo problem: d = 2..8, one to three plane
-    rotations, half of them by 3e-11 to 3e-9 (near the fixed-set tolerance),
+    rotations, half of them by 3e-11 to 3e-9 (moves a tolerance would miss),
     a pole on one to two axes, three in ten of them with a coordinate of
     1e-14 to 1e-8 added on one more axis, and a radius of 0.2 to 0.75."""
     rng = np.random.default_rng(seed)
@@ -138,12 +155,11 @@ def random_zoo_problem(seed):
 
 class TestPolePanel:
     def test_built_problems_fix_the_pole(self):
-        """On a seeded panel of random problems, each one that builds has the
-        pole as its witness, every member moves the pole by at most
-        NULLSPACE_TOL * max(1, largest move) <= 2e-10, and target is the
-        oracle's P_F x1 bit for bit.  The rest fail at the pole test, at the
-        sampled cap check or at x1; a pole with a tiny coordinate on a moved
-        axis is among those rejected."""
+        """On a seeded panel of random problems, each one that builds has
+        target, the oracle's P_F x1 bit for bit, as its witness, and every
+        member leaves the pole exactly in place.  The rest fail at the pole
+        test, at the sampled cap check or at x1; a pole with a tiny
+        coordinate on a moved axis is among those rejected."""
         built, pole_rejects = 0, 0
         for seed in range(120):
             try:
@@ -153,9 +169,9 @@ class TestPolePanel:
                 continue
             built += 1
             pole = prob.cap_pole
-            assert prob.cap_region.witness is pole
+            assert prob.cap_region.witness is prob.target
             for T in prob.family.maps:
-                assert float(np.linalg.norm(T.apply(pole).coords - pole.coords)) <= 2e-10
+                np.testing.assert_array_equal(T.apply(pole).coords, pole.coords)
             oracle = subspace_project(prob.x1, np.eye(prob.dim)[:, prob.fixed_axes])
             assert prob.target.coords.tobytes() == oracle.coords.tobytes()
         assert built >= 20 and pole_rejects >= 20
@@ -168,7 +184,7 @@ class TestInitialState:
         p = make_problem(random_point_in_cap(POLE, RHO, 3))
         s = initial_state(p)
         assert s.region is p.cap_region
-        assert s.region.witness is p.cap_pole
+        assert s.region.witness is p.target
         assert s.region.normals.shape == (0, 4)
 
 
@@ -418,6 +434,7 @@ class TestIterationState:
         """The snapshot is immutable: a field cannot be rebound."""
         s = initial_state(make_problem(random_point_in_cap(POLE, RHO, 19)))
         for field in ("n", "x_n", "y_n", "dist_x1_xn", "residuals"):
+            assert field in IterationState._fields
             with pytest.raises(AttributeError):
                 setattr(s, field, None)
         assert repr(s) == "IterationState(n=1)"
@@ -721,6 +738,33 @@ class TestErrorSurfacing:
             run(prob, method, StopRule(1e-12, 1e-12, 50))
         assert re.fullmatch(rf"iteration 3: d\(x1, x_n\) decreased by {MARGIN}", str(info.value))
 
+    @pytest.mark.parametrize("method", ["cq", "shrinking"])
+    def test_bound_violation_annotated_once(self, method, monkeypatch):
+        """A projection that hands back x1 reflected through P_F x1 moves
+        away from x1, so the Fejer check passes, but lands twice as far from
+        x1 as P_F x1, which lies in every region: the bound audit raises,
+        with the excess d(x1, P_F x1), and `iterate` adds the index once."""
+        from sphereproj import iteration as it
+
+        calls = {"n": 0}
+        real_project = it.project
+
+        def past_the_target(region, x, *rest):
+            calls["n"] += 1
+            z, stats = real_project(region, x, *rest)
+            if calls["n"] == 3:
+                t = prob.target.coords
+                z = SpherePoint(2.0 * float(x.coords.dot(t)) * t - x.coords)
+            return z, stats
+
+        monkeypatch.setattr(it, "project", past_the_target)
+        prob = make_problem(random_point_in_cap(POLE, RHO, 12))
+        with pytest.raises(MonotonicityViolated) as info:
+            run(prob, method, StopRule(1e-12, 1e-12, 50))
+        m = re.fullmatch(rf"iteration 3: d\(x1, x_n\) passed d\(x1, P_F x1\) by ({MARGIN})",
+                         str(info.value))
+        assert m and float(m[1]) == pytest.approx(prob.dist_x1_target, rel=1e-3)
+
     def test_direct_step_callers_see_the_bare_message(self, monkeypatch):
         """Only `iterate` annotates: a step called directly raises the
         audit errors without an iteration index."""
@@ -852,10 +896,6 @@ def fuzz_problem(seed):
     return Problem(dim, pole, radius, MappingFamily(maps, alphas), x1)
 
 
-# The fuzz seed whose first fresh cut is rounding (ROADMAP item 6).
-FUZZ_ROUNDED_CUT_SEED = 66
-
-
 def test_fuzz_panel_steps_or_reports_a_rounding_margin():
     """Robustness of the whole step path on 150 fuzzed problems, 40 steps
     per method: a walk takes its steps (a stalled one included) or raises
@@ -864,12 +904,10 @@ def test_fuzz_panel_steps_or_reports_a_rounding_margin():
     set above reports 1.08e-5.  With ROADMAP item 8 mended the audits stop
     raising here, and the test still passes.  Every state reached keeps
     the paper's bound d(x1, x_n) <= d(x1, P_F x1), since P_F x1 lies in
-    every region; seed 66 breaks it on rounding, so only its bound is left
-    to a test of its own and its steps are still checked here."""
+    every region, on every seed."""
     for seed in range(150):
         problem = fuzz_problem(seed)
-        bound = (math.inf if seed == FUZZ_ROUNDED_CUT_SEED
-                 else distance(problem.x1, problem.target) + 1e-10)
+        bound = distance(problem.x1, problem.target) + 1e-10
         for method in ("cq", "shrinking"):
             states = iterate(problem, method)
             try:
@@ -882,17 +920,16 @@ def test_fuzz_panel_steps_or_reports_a_rounding_margin():
                 assert margin and float(margin[1]) <= 1e-6, f"seed {seed}, {method}: {e}"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 6: a fresh cut made of rounding cuts off x1 = P_F x1")
 @pytest.mark.parametrize("method", ["cq", "shrinking"])
 def test_item_6_fuzz_seed_66_keeps_the_bound(method):
     """`fuzz_problem(66)`: its one map, `PlaneRotation(2, 6, 2.68e-11)`,
-    moves no axis by more than NULLSPACE_TOL, so F is every axis and
-    P_F x1 = x1.  But ||y - x1|| = 1.25e-12, just above DEGENERATE_TOL, so
-    the first fresh cut's direction is rounding, x1 reads a slack of
-    -3.66e-8 against it, and d(x1, x_n) exceeds d(x1, P_F x1) = 0 by
-    3.65e-8 from step 1 on.  Item 6's accurate cuts must flip this."""
-    problem = fuzz_problem(FUZZ_ROUNDED_CUT_SEED)
+    moves x1 by 1.25e-12, just above DEGENERATE_TOL, so the first fresh
+    cut's direction is rounding and the walk moves 3.65e-8 from x1.  The
+    map moves axes 2 and 6, so F leaves them out and P_F x1 lies 4.64e-2
+    from x1, in every region: the walk keeps the paper's bound.  (With F
+    decided by a tolerance, F was every axis, P_F x1 = x1 and the walk
+    broke the bound by 3.65e-8 from step 1 on.)"""
+    problem = fuzz_problem(66)
     bound = distance(problem.x1, problem.target) + 1e-10
     states = iterate(problem, method)
     for _ in range(40):
@@ -960,8 +997,8 @@ def test_theorem_panel_keeps_the_bound_and_reaches_the_projection():
 
     The panel is fixed by a rule on each problem before any walk runs.  It
     excludes two classes: near-identity families, with a rotation by less
-    than 0.05 (item 6's rounding cuts and false CONVERGED; seeds 35 and 66
-    keep their strict xfails), and families whose W-map nearly cancels,
+    than 0.05 (item 6's rounding cuts and false CONVERGED; seed 35 keeps
+    its strict xfail), and families whose W-map nearly cancels,
     moving x1 by less than a tenth of its distance to P_F x1, which
     converge too slowly for the budget (seed 14 is still 6.7e-2 away at
     n = 3000).  Until ROADMAP item 8 lands, an audit raise with a margin of

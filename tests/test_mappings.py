@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from sphereproj.geometry import (
 )
 from sphereproj.iteration import Problem
 from sphereproj.mappings import (
-    NULLSPACE_TOL,
     Identity,
     MappingFamily,
     PlaneRotation,
@@ -26,6 +26,23 @@ from sphereproj.mappings import (
 
 def e(i, dim=4):
     return basis_point(i, dim)
+
+
+def exact_rank(a):
+    """Rank of a float matrix in exact rational arithmetic: Gaussian
+    elimination on its entries as Fractions, so no tolerance decides it."""
+    rows = [[Fraction(float(v)) for v in row] for row in a]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [v - f * p for v, p in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 class Uncertified:
@@ -119,12 +136,14 @@ class TestFixedSetBasis:
         fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)])
         assert fixed_axes(fam, 4).tolist() == [False, False, False, True]
 
-    def test_agrees_with_svd_null_space(self):
+    def test_agrees_with_an_exact_rank_test(self):
         """Seeded families of 1 to 3 zoo members in d = 4..8, with angles
-        of every size and on both sides of the cut: the projector onto the
-        masked axes is the projector onto the SVD null space of the stacked
-        T - I, each T - I read from apply on the axes, and every masked
-        axis is fixed by every map."""
+        of every size down to the smallest subnormal: the masked axes span
+        the null space of the stacked T - I, each T - I read from apply on
+        the axes, in exact rational arithmetic.  Every masked axis is left
+        exactly in place by every map, so their span lies in the null
+        space, and the stacked matrix has exact rank d minus their count,
+        so the null space is no larger."""
         rng = np.random.default_rng(27)
 
         def angle():
@@ -134,9 +153,9 @@ class TestFixedSetBasis:
             if kind == 1:
                 return 0.0
             sign = float(rng.choice([-1.0, 1.0]))
-            if kind == 2:  # at most a quarter of the cut: still
-                return sign * 10 ** float(rng.uniform(-12.0, -10.6))
-            return sign * 10 ** float(rng.uniform(-9.4, -8.0))  # over twice the cut: moved
+            if kind == 2:  # far below any rounding tolerance: still a move
+                return sign * 10 ** float(rng.uniform(-320.0, -10.0))
+            return sign * 10 ** float(rng.uniform(-10.0, -8.0))
 
         def draw(dim):
             if rng.integers(5) == 0:
@@ -147,32 +166,31 @@ class TestFixedSetBasis:
         for _ in range(200):
             dim = int(rng.integers(4, 9))
             maps = [draw(dim) for _ in range(int(rng.integers(1, 4)))]
-            b = np.eye(dim)[:, fixed_axes(MappingFamily(maps), dim)]
+            mask = fixed_axes(MappingFamily(maps), dim)
             axes = [e(j, dim) for j in range(dim)]
             stacked = np.vstack([np.array([T.apply(a).coords - a.coords for a in axes]).T
                                  for T in maps])
-            _, sv, vt = np.linalg.svd(stacked)
-            null = vt[int((sv > NULLSPACE_TOL).sum()):].T
-            np.testing.assert_allclose(b @ b.T, null @ null.T, rtol=0, atol=1e-12)
+            assert not stacked[:, mask].any()
+            assert exact_rank(stacked) == dim - int(mask.sum())
             for T in maps:
-                for col in b.T:
-                    # a still axis moves by at most the cut
-                    np.testing.assert_allclose(T.apply(SpherePoint(col)).coords, col,
-                                               rtol=0, atol=NULLSPACE_TOL)
+                for j in np.flatnonzero(mask):
+                    np.testing.assert_array_equal(T.apply(axes[j]).coords, axes[j].coords)
             with pytest.raises(ValueError):
                 fixed_axes(MappingFamily(maps + [PlaneRotation(1, dim, 0.3)]), dim)
 
-    def test_sub_threshold_rotation_counts_as_still(self):
-        """An axis is still when no map moves it by more than the cut,
-        NULLSPACE_TOL times the largest move (at least 1)."""
+    def test_tiny_rotation_moves_both_axes_of_its_plane(self):
+        """An axis is fixed only when apply leaves it exactly in place: a
+        rotation by 1e-12, or by the smallest subnormal, moves both axes of
+        its plane, whatever else the family moves, and only a zero angle
+        of either sign moves none."""
         def still(*maps):
             return np.flatnonzero(fixed_axes(MappingFamily(maps), 4)).tolist()
 
-        assert still(PlaneRotation(0, 1, 1e-12), PlaneRotation(0, 2, 0.5)) == [1, 3]
-        # a move of 1.5e-10 is past the bare cut of 1e-10 ...
-        assert still(PlaneRotation(0, 1, 1.5e-10)) == [2, 3]
-        # ... but within it beside a move of 2 sin(1.25) = 1.90
-        assert still(PlaneRotation(0, 1, 1.5e-10), PlaneRotation(2, 3, 2.5)) == [0, 1]
+        assert still(PlaneRotation(0, 1, 1e-12)) == [2, 3]
+        assert still(PlaneRotation(0, 1, 1e-12), PlaneRotation(0, 2, 0.5)) == [3]
+        assert still(PlaneRotation(0, 1, 1e-12), PlaneRotation(2, 3, 2.5)) == []
+        assert still(PlaneRotation(2, 3, -5e-324)) == [0, 1]
+        assert still(PlaneRotation(0, 1, 0.0), PlaneRotation(2, 3, -0.0)) == [0, 1, 2, 3]
 
     def test_marked_linear_class_rejected(self):
         """The zoo is closed: a class of one's own with apply and the old
@@ -181,9 +199,10 @@ class TestFixedSetBasis:
             MappingFamily([PlaneRotation(0, 1, 0.8), MarkedLinear()])
 
     def test_memory_at_high_dimension(self):
-        """The two-rotation family at d = 1024: one move per axis is held and
-        the answer is a mask of the axes, so the peak is tens of KB (44 KB
-        measured); a d x (d - 3) array for F would break the 1 MB bound.  The
+        """The two-rotation family at d = 1024: the answer is a mask of the
+        axes, built beside one basis point and its image at a time, so the
+        peak is tens of KB (28 KB measured); a d x (d - 3) array for F would
+        break the 1 MB bound.  The
         mask is read-only: a Problem hands out the one it checked."""
         fam = MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)])
         tracemalloc.start()
