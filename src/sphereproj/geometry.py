@@ -128,8 +128,10 @@ def sample_cap(center: np.ndarray, rho: float, n: int, rng: np.random.Generator)
     Returns an (n, d) array of unit rows.  The polar angle is uniform on
     [0, rho); the tangent direction is an isotropic Gaussian draw.  The exact
     draws matter: every seeded anchor (`random_point_in_cap`: the CLI's, the
-    benchmark's, the acceptance suite's) and `check_preserves_cap`'s samples
-    come from here, so they fix the CLI output bytes and the pinned digests.
+    benchmark's, the acceptance suite's) comes from here, so they fix the
+    CLI output bytes and the pinned digests.  `check_preserves_cap`'s
+    samples come from here too, but they only decide whether a build
+    passes or raises: they fix no output byte.
     """
     d = center.size
     g = rng.standard_normal((n, d))

@@ -4,7 +4,8 @@ Both methods iterate from a fixed anchor x1 inside the ambient cap.  A
 state carries its iterate x_n with y_n = W x_n, the staged average (the
 family's W-mapping) of that iterate.  Each step forms the cut "closer to
 y_n than to x_n" as a unit normal, appends its cuts to a region with
-`intersect`, and projects the anchor onto the result:
+`regions._append` (`intersect` without the check of outside rows), and
+projects the anchor onto the result:
 
 * the CQ method appends two cuts (the fresh cut and a localization cut
   through x_n) to the bare cap, `Problem.cap_region`;
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import MonotonicityViolated, SphereProjError
 from .geometry import SpherePoint, distance
 from .mappings import MappingFamily, fixed_axes, residuals
-from .regions import WITNESS_TOL, Cap, Region, intersect, make_cn, make_qn, project
+from .regions import WITNESS_TOL, Cap, Region, _append, make_cn, make_qn, project
 
 # Tolerance of the per-step distance checks: d(x1, x_n) may fall, or pass
 # d(x1, P_F x1), by at most this.
@@ -206,10 +207,10 @@ def initial_state(problem: Problem) -> IterationState:
 def _step(problem: Problem, state: IterationState, shrinking: bool) -> IterationState:
     """The step kernel of both methods; `shrinking` selects the cut policy.
 
-    One `intersect` call builds the region from the cut normals: CQ appends
+    One `_append` call builds the region from the cut normals: CQ appends
     the fresh cut and the localization cut through x_n to the bare cap,
     shrinking appends the fresh cut to the accumulated region.  Both keep
-    the witness of `Problem.cap_region`, P_F x1, and `intersect` checks it
+    the witness of `Problem.cap_region`, P_F x1, and `_append` checks it
     against the fresh cuts: that is where fixed-point containment is
     checked.  The convergence arguments put the fixed set inside every
     cut, so a violation means a wrong fixed set (or rounding, ROADMAP item
@@ -253,7 +254,7 @@ def _step(problem: Problem, state: IterationState, shrinking: bool) -> Iteration
         base, cuts = state.region, (cn,)
     else:
         base, cuts = problem.cap_region, (cn, make_qn(problem.x1, x_n))
-    region = intersect(base, cuts)
+    region = _append(base, cuts)
     start = state.active_cuts
     if shrinking and cn is not None and float(cn.dot(x_n.coords)) < 0.0:
         start += (len(region.normals) - 1,)

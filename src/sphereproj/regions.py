@@ -38,6 +38,10 @@ MAX_CAP_RADIUS = math.pi / 4
 # Vector differences below this norm give no cut.
 DEGENERATE_TOL = 1e-12
 
+# An outside cut normal that `intersect` appends must have squared norm
+# this close to 1.
+_UNIT_TOL = 1e-12
+
 # Witnesses must satisfy every constraint with at least this slack, an
 # angle for the cap (`Cap.slack`) as for every cut.
 WITNESS_TOL = 1e-10
@@ -245,15 +249,31 @@ def _cut(v: np.ndarray) -> np.ndarray | None:
 def intersect(region: Region, cuts) -> Region:
     """Append a sequence of cut normals to the region in order, keeping its witness.
 
-    Every step of both methods builds its region this way.  The witness
-    already satisfies the cap and the existing cuts, so one product checks
-    it against the fresh cuts alone (slack >= -1e-10, FeasibilityViolated
-    with the margin otherwise).  None is no cut and is not appended, and neither is a cut
-    bitwise equal to the row before it (the region's last row, or the cut
-    appended before it in the same call): a repeated cut adds nothing, so
-    constraint counts only grow for new cuts.  A stalled shrinking walk
-    regenerates its last cut at every step and so keeps its region.  With
-    nothing appended the region itself is returned.
+    The entry point for outside cuts: each normal that is not None must be
+    a finite unit vector, its squared norm within 1e-12 of 1 (ValueError
+    otherwise, before anything is appended), and the rest is `_append`'s.
+    """
+    cuts = tuple(cuts)
+    for a in cuts:
+        # written as `not ... <=` so that a NaN or infinite row is rejected too
+        if a is not None and not abs((n2 := float(a.dot(a))) - 1.0) <= _UNIT_TOL:
+            raise ValueError(f"cut normal is not a finite unit vector: squared norm {n2!r}")
+    return _append(region, cuts)
+
+
+def _append(region: Region, cuts) -> Region:
+    """`intersect` for cuts known to be unit normals: every step of both
+    methods builds its region this way, from the rows `_cut` makes.
+
+    The witness already satisfies the cap and the existing cuts, so one
+    product checks it against the fresh cuts alone (slack >= -1e-10,
+    FeasibilityViolated with the margin otherwise).  None is no cut and is
+    not appended, and neither is a cut bitwise equal to the row before it
+    (the region's last row, or the cut appended before it in the same
+    call): a repeated cut adds nothing, so constraint counts only grow for
+    new cuts.  A stalled shrinking walk regenerates its last cut at every
+    step and so keeps its region.  With nothing appended the region itself
+    is returned.
     """
     fresh, last = [], region.normals[-1].tobytes() if len(region.normals) else None
     for a in cuts:

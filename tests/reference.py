@@ -6,7 +6,9 @@ brute-force grid projection re-derives feasibility and distances from raw
 dot products so that it shares no code path with the active-set projection
 it validates.  The comparison-inequality gaps and the sine-splitting check
 test the inequalities the convergence proofs of the projection methods
-rest on.  The closed-form subspace projection stays in `sphereproj.oracle`.
+rest on.  The per-sample cap check is the library's sampled check as it
+was written before it stacked each member's images.  The closed-form
+subspace projection stays in `sphereproj.oracle`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ import math
 import numpy as np
 
 from sphereproj.errors import AntipodalPoints, SphereProjError
-from sphereproj.geometry import ANTIPODAL_TOL, SpherePoint, distance, geodesic_combine
+from sphereproj.geometry import (
+    ANTIPODAL_TOL,
+    SpherePoint,
+    distance,
+    geodesic_combine,
+    sample_cap,
+)
+from sphereproj.mappings import CAP_CHECK_SAMPLES, CAP_CHECK_SEED, CAP_CHECK_TOL
 from sphereproj.regions import Region
 
 
@@ -276,3 +285,20 @@ def sin_lemma_check(delta_grid, alpha: float) -> bool:
     lhs = np.sin(deltas)
     rhs = np.sin(alpha * deltas) + np.sin((1.0 - alpha) * deltas)
     return bool(np.all(lhs < rhs))
+
+
+def check_preserves_cap_loop(family, pole: SpherePoint, radius: float) -> None:
+    """`MappingFamily.check_preserves_cap` one sample at a time: the same
+    samples, each wrapped afresh for each member and measured from the pole
+    with its own `distance` call, raising on the first image past the cap
+    with the same message."""
+    rng = np.random.default_rng(CAP_CHECK_SEED)
+    pts = sample_cap(pole.coords, radius, CAP_CHECK_SAMPLES, rng)
+    for T in family.maps:
+        for row in pts:
+            img = T.apply(SpherePoint._wrap(row.copy()))
+            if distance(img, pole) > radius + CAP_CHECK_TOL:
+                raise ValueError(
+                    f"{T!r} maps a cap point {distance(img, pole) - radius:.3e} "
+                    "outside the cap"
+                )

@@ -582,7 +582,7 @@ class TestStalledStep:
         def forbidden(*args, **kwargs):
             raise AssertionError("a stalled step recomputed its state")
 
-        for name in ("project", "intersect", "make_cn", "residuals", "distance"):
+        for name in ("project", "_append", "make_cn", "residuals", "distance"):
             monkeypatch.setattr(it, name, forbidden)
         after = shrink_step(prob, shrink_step(prob, s))
         assert after.n == s.n + 2 and after.x_n is s.x_n

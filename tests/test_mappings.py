@@ -23,6 +23,8 @@ from sphereproj.mappings import (
     residuals,
 )
 
+from reference import check_preserves_cap_loop
+
 
 def e(i, dim=4):
     return basis_point(i, dim)
@@ -266,6 +268,50 @@ class TestMappingFamily:
                 fam.check_preserves_cap(e(3), math.pi / 5)
         else:
             fam.check_preserves_cap(e(3), math.pi / 5)
+
+
+def _cap_check_panel():
+    """(label, family, pole, expected to pass) for the sampled cap check:
+    the c05 and c06 families, which pass, at d = 4, 5, 6; rotations
+    about e3 that tilt the pole by angles on both sides of what the samples
+    catch; and families holding an Identity, once before a member that
+    fails."""
+    s = math.sqrt(2) / 2
+    for d in (4, 5, 6):
+        yield (f"c05-d{d}", MappingFamily([PlaneRotation(0, 1, 0.8), PlaneRotation(0, 2, 0.5)]),
+               e(3, d), True)
+        yield (f"c06-d{d}", MappingFamily([PlaneRotation(0, 1, 0.8)]),
+               SpherePoint([0.0, 0.0, s, s] + [0.0] * (d - 4)), True)
+    for angle in (1e-6, 1e-3, 2e-3, 3e-3, 1e-2, 3e-2):
+        yield f"tilt-{angle:g}", MappingFamily([PlaneRotation(0, 3, angle)]), e(3), angle < 2e-3
+    yield "identity", MappingFamily([Identity(), PlaneRotation(0, 1, 0.8)]), e(3), True
+    yield ("identity-then-tilt", MappingFamily([Identity(), PlaneRotation(0, 3, 1e-2)]), e(3),
+           False)
+
+
+def _cap_check_outcome(check):
+    """None when check() passes, else its ValueError's message."""
+    try:
+        check()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("fam, pole, passes", [pytest.param(*case, id=label)
+                                                for label, *case in _cap_check_panel()])
+def test_cap_check_matches_per_sample_loop(fam, pole, passes):
+    """The stacked check and the per-sample loop of `tests/reference.py`
+    reach the same decision on every panel family, and a failing family
+    raises with the same message: the same member and the same first
+    sample past the cap, by the same excess."""
+    radius = math.pi / 5
+    got = _cap_check_outcome(lambda: fam.check_preserves_cap(pole, radius))
+    want = _cap_check_outcome(lambda: check_preserves_cap_loop(fam, pole, radius))
+    assert got == want
+    assert (got is None) == passes
+    if not passes:
+        assert got.endswith("outside the cap")
 
 
 class TestWMapping:

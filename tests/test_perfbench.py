@@ -32,8 +32,11 @@ def test_perfbench_selftest(tmp_path):
 # regions.slack_calls reads 0; no per-layer metric has a bound.
 # The W-map is `MappingFamily.apply`, so mappings.wmap reads 0 and its
 # stages count under geometry.combine.
-ABSENT_TRACED = ["sphereproj.iteration.contains", "sphereproj.mappings.WMapping.apply",
-                 "sphereproj.iteration.geodesic_combine", "sphereproj.regions.Halfspace.slack"]
+# The step path appends its cuts with `regions._append`, so the walks'
+# regions.region reads 0; `intersect` checks outside cuts only.
+ABSENT_TRACED = ["sphereproj.iteration.intersect", "sphereproj.iteration.contains",
+                 "sphereproj.mappings.WMapping.apply", "sphereproj.iteration.geodesic_combine",
+                 "sphereproj.regions.Halfspace.slack"]
 
 
 def test_traced_names_present():

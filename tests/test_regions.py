@@ -10,7 +10,6 @@ from sphereproj.errors import (
     EmptyOrDegenerate,
     FeasibilityViolated,
     NoConvergence,
-    SphereProjError,
 )
 from sphereproj.geometry import (
     SpherePoint,
@@ -27,6 +26,7 @@ from sphereproj.regions import (
     Halfspace,
     Region,
     SolveStats,
+    _append,
     _CutCone,
     contains,
     intersect,
@@ -746,36 +746,41 @@ class TestIntersect:
 
     def test_nan_cut_rejected(self):
         """A NaN in a fresh cut makes the witness's least slack NaN, which
-        the witness check rejects."""
+        the witness check of the step path's `_append` rejects; `intersect`
+        rejects the row before that, as not a unit vector."""
         r = Region(Cap(e(3), 0.6), (), e(3))
+        row = np.array([math.nan, 0.0, 0.0, 1.0])
         with pytest.raises(FeasibilityViolated, match="by nan$"):
-            intersect(r, (np.array([math.nan, 0.0, 0.0, 1.0]),))
+            _append(r, (row,))
+        with pytest.raises(ValueError, match="squared norm nan$"):
+            intersect(r, (row,))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("x", [[1.0, 0.2, 0.0, -0.1], [0.5, 0.1, 0.2, 0.0]],
                              ids=["slack-inf", "slack-nan"])
     def test_non_finite_cut_raises_on_projection(self, x):
-        """A non-finite row that `intersect` appended (ROADMAP item 4c)
-        gives x a slack of -inf or NaN, which `project` rejects with a
-        typed error before the solver starts."""
-        r = intersect(Region(Cap(e(3), 0.6), (), e(3)),
-                      (np.array([0.0, 0.0, 0.0, math.inf]),))
+        """A non-finite row, which only the step path's `_append` takes
+        unchecked, gives x a slack of -inf or NaN, which `project` rejects
+        with a typed error before the solver starts."""
+        r = _append(Region(Cap(e(3), 0.6), (), e(3)),
+                    (np.array([0.0, 0.0, 0.0, math.inf]),))
         with pytest.raises(EmptyOrDegenerate, match="^query point or a region cut is not finite$"):
             project(r, SpherePoint(x))
 
-    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                       reason="ROADMAP item 4c: intersect appends any row the witness "
-                              "satisfies, with no finiteness or unit-norm check")
     @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, math.inf], [3.0, 0.0, 0.0, 1.0]],
                              ids=["inf", "non-unit"])
     def test_item_4c_bad_row_rejected(self, row):
-        """The witness e3 passes both rows (inf * 1 is inf), so both are
-        appended today; `contains` and `project` then read the first as
-        z3 > 0.  The check belongs to 4c's entry point for outside cuts,
-        not to the step path."""
+        """The witness e3 passes both rows (inf * 1 is inf), so the witness
+        check alone would append them, and `contains` and `project` would
+        read the first as z3 > 0.  `intersect`, the entry point for outside
+        cuts, refuses every row that is not a finite unit vector (ROADMAP
+        item 19), and appends nothing."""
         r = Region(Cap(e(3), 0.6), (), e(3))
-        with pytest.raises((ValueError, SphereProjError)):
-            intersect(r, (np.array(row),))
+        ok = np.array([0.0, 0.0, 0.6, 0.8])
+        with pytest.raises(ValueError, match="^cut normal is not a finite unit vector"):
+            intersect(r, (ok, np.array(row)))
+        assert len(r.normals) == 0
+        assert intersect(r, (ok,)).normals.tobytes() == ok.tobytes()
 
     def test_infeasible_new_witness_rejected(self):
         h = Halfspace([0.0, -1.0, 0, 0])

@@ -10,26 +10,31 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_bench_walks_without_walks():
-    # benchmark pairs alone: no walk runs, so there is no walk to summarise
+    # benchmark pairs alone: no walk or build runs, so there is none to summarise
     src = str(ROOT / "src")
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_walks.py"), src, src,
                            "--repeats", "0", "--pairs", "0"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["walks"] == {} and report["perfbench"] == {}
+    assert report["walks"] == report["builds"] == report["perfbench"] == {}
 
 
 def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
-    # each copy is its own package, and both step the same iterates
+    # each copy is its own package, and both step the same iterates and
+    # build the same problems
     spec = importlib.util.spec_from_file_location("bench_walks", ROOT / "tools" / "bench_walks.py")
     bw = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bw)
     monkeypatch.setattr(bw, "WALKS", {"cq": ("two-rotation", 20250801, "cq", 120),
                                       "shrinking": ("single-rotation", 20250802, "shrinking", 120)})
     monkeypatch.setattr(bw, "WARMUP_STEPS", 10)
+    monkeypatch.setattr(bw, "BUILD_DIMS", (4, 64))
+    monkeypatch.setattr(bw, "BUILDS", 2)
     try:
-        walks = bw.compare_walks([ROOT / "src", ROOT / "src"], 2)
+        trees = bw.load_trees([ROOT / "src", ROOT / "src"])
+        walks = bw.compare_walks(trees, 2)
+        builds = bw.compare_builds(trees, 2)
         a, b = sys.modules["sphereproj_a"], sys.modules["sphereproj_b"]
         assert a.cq_step is not b.cq_step
         assert sys.modules["sphereproj_b_workloads"].sp is b
@@ -49,6 +54,14 @@ def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
         assert square["before"] == square["after"] <= solves["before"]
         # the step path never binds the cap
         assert w["cap_binding_steps"] == {"before": 0, "after": 0}
+    assert list(builds) == ["d=4", "d=64", "peak_mb"]
+    for dim in ("d=4", "d=64"):
+        walls = builds[dim]["wall_s_median"]
+        assert walls["before"] > 0.0 and walls["after"] > 0.0
+        assert builds[dim]["speedup"] == walls["before"] / walls["after"]
+    # one tree on both sides allocates the same at its peak
+    peak = builds["peak_mb"]
+    assert peak["dim"] == 64 and peak["before"] == peak["after"] > 0.0
 
 
 def test_projections_arithmetic_ignores_sweeps(monkeypatch):

@@ -38,12 +38,20 @@ moves by up to 15 % from one run to the next on an idle 2-core machine.)
 above 1 when the second is faster; the per-repeat walls are kept as well.
 One tree given twice reads 1.00 within a few percent: one repeat's ratio
 still moves by a few percent (0.96 to 1.08 seen for one tree against
-itself), which the sum over the repeats averages out.  With ``--repeats 0`` no walk runs and ``walks`` stays
-empty.  ``--pairs N`` also runs
+itself), which the sum over the repeats averages out.  ``builds`` times
+``Problem`` builds of the two-rotation family at each of ``BUILD_DIMS``
+(d = 4 and d = 1024), ``BUILDS`` per dimension, tree and repeat, the two
+trees taking turns build by build as the walks do; it keeps the median
+wall of each, and the tracemalloc peak of one build at the largest
+dimension.  With ``--repeats 0`` no walk or build runs, and ``walks`` and
+``builds`` stay empty.  ``--pairs N`` also runs
 ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` from the
 checkout around each tree for each of the four workloads, in child
 processes alternating in the same way, and keeps its end-to-end metrics.
-``--out`` writes everything to one JSON file.
+These runs come before the walks and builds load any tree, because a
+child keeps its parent's peak RSS across fork and exec, and
+``peak_rss_mb`` would read this process's.  ``--out`` writes everything
+to one JSON file.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +79,8 @@ WALKS = {
 }
 WARMUP_STEPS = 300
 SLICE_STEPS = 50
+BUILD_DIMS = (4, 1024)
+BUILDS = 10
 WORKLOADS = ("two-rotation-cq", "two-rotation-shrinking", "single-rotation", "cli-sweep")
 PERFBENCH_METRICS = ("steps_per_s", "step_ms.p50", "step_ms.p95", "config_ms.p50",
                      "config_ms.p95", "setup_s", "d_target.gmean", "residual.gmean",
@@ -194,12 +205,14 @@ def _threads_to_one():
     os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 
-def compare_walks(srcs: list[Path], repeats: int) -> dict:
-    """Both trees in this process, alternating walk by walk."""
-    if not repeats:
-        return {}
+def load_trees(srcs: list[Path]) -> list:
+    """Both trees in this process, as `sphereproj_a` and `sphereproj_b`."""
     _threads_to_one()
-    trees = [load_tree(src, f"sphereproj_{tag}") for src, tag in zip(srcs, "ab")]
+    return [load_tree(src, f"sphereproj_{tag}") for src, tag in zip(srcs, "ab")]
+
+
+def compare_walks(trees: list, repeats: int) -> dict:
+    """Both trees alternating walk by walk."""
     for name in WALKS:
         walk_pair(trees, name, WARMUP_STEPS)
     runs = {name: ([], []) for name in WALKS}
@@ -225,6 +238,52 @@ def compare_walks(srcs: list[Path], repeats: int) -> dict:
             **{key: {side: counts[key] for side, counts in zip(("before", "after"), solves[name])}
                for key in ("solves_per_step", "square_solves_per_step", "cap_binding_steps")},
         }
+    return out
+
+
+def _build_args(tree, dim: int) -> tuple:
+    """Problem's arguments for the two-rotation family at dim, from the c05
+    anchor: everything a build takes, drawn before it is timed."""
+    sp, wl = tree
+    pole, maps, _ = wl.family("two-rotation", dim)
+    x1 = sp.random_point_in_cap(pole, wl.RADIUS, 20250801)
+    return dim, pole, wl.RADIUS, sp.MappingFamily(maps), x1
+
+
+def _build_wall(tree, args: tuple) -> float:
+    t0 = time.perf_counter()
+    tree[0].Problem(*args)
+    return time.perf_counter() - t0
+
+
+def _build_peak_mb(tree, args: tuple) -> float:
+    """The tracemalloc peak of one build, in MB."""
+    tracemalloc.start()
+    try:
+        tree[0].Problem(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def compare_builds(trees: list, repeats: int) -> dict:
+    """Problem builds at each of BUILD_DIMS on both trees, taking turns
+    build by build, the first turn alternating; one warm-up build each."""
+    out = {}
+    for dim in BUILD_DIMS:
+        args = [_build_args(tree, dim) for tree in trees]
+        for tree, a in zip(trees, args):
+            _build_wall(tree, a)
+        walls = ([], [])
+        for k in range(repeats * BUILDS):
+            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                walls[side].append(_build_wall(trees[side], args[side]))
+        before, after = (statistics.median(w) for w in walls)
+        out[f"d={dim}"] = {"wall_s_median": {"before": before, "after": after},
+                           "speedup": before / after}
+    dim = BUILD_DIMS[-1]
+    out["peak_mb"] = {"dim": dim, **{side: _build_peak_mb(tree, _build_args(tree, dim))
+                                     for side, tree in zip(("before", "after"), trees)}}
     return out
 
 
@@ -262,9 +321,11 @@ def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
                              f"--seconds {seconds:g}"]),
         "machine": {"nproc": len(os.sched_getaffinity(0)),
                     "python": platform.python_version(), "platform": platform.platform()},
-        "walks": compare_walks(srcs, repeats),
+        "walks": {},
+        "builds": {},
         "perfbench": {},
     }
+    # before any tree loads: a child's peak RSS starts at this process's
     for workload in WORKLOADS if pairs else ():
         runs = _alternate(pairs, lambda side: perfbench(srcs[side], workload, seconds))
         report["perfbench"][workload] = {
@@ -273,6 +334,10 @@ def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
                 "before": statistics.median(b["steps_per_s"] for b, _ in runs),
                 "after": statistics.median(a["steps_per_s"] for _, a in runs)},
         }
+    if repeats:
+        trees = load_trees(srcs)
+        report["walks"] = compare_walks(trees, repeats)
+        report["builds"] = compare_builds(trees, repeats)
     return report
 
 
