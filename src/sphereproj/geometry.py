@@ -25,6 +25,9 @@ from .errors import AntipodalPoints
 # error rather than a legitimate configuration.
 ANTIPODAL_TOL = 1e-12
 
+# Builds a point without running __init__ (see SpherePoint._wrap).
+_new = object.__new__
+
 
 class SpherePoint:
     """A unit vector in d-dimensional space (d >= 2).
@@ -48,13 +51,32 @@ class SpherePoint:
         v.setflags(write=False)
         self.coords = v
 
-    @classmethod
-    def _wrap(cls, unit_coords: np.ndarray) -> "SpherePoint":
-        """Wrap an already-unit vector without re-validating (internal)."""
-        p = object.__new__(cls)
+    @staticmethod
+    def _wrap(unit_coords: np.ndarray) -> "SpherePoint":
+        """Wrap an already-unit vector without re-validating (internal).
+
+        The array itself becomes the point's coords, marked read-only with
+        one `setflags` call; nothing is copied or checked.  A static method
+        building through the module's `_new`, so a call looks up no class
+        and binds none."""
+        p = _new(SpherePoint)
         unit_coords.setflags(write=False)
         p.coords = unit_coords
         return p
+
+    @staticmethod
+    def _rows(stack: np.ndarray) -> list["SpherePoint"]:
+        """One point per row of a stack of already-unit rows (internal).
+
+        The stack is marked read-only once, so every row, a view into it,
+        is read-only too: no row is copied, checked or flagged on its own."""
+        stack.setflags(write=False)
+        points = []
+        for row in stack:
+            p = _new(SpherePoint)
+            p.coords = row
+            points.append(p)
+        return points
 
     @property
     def dim(self) -> int:

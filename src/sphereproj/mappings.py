@@ -73,15 +73,19 @@ class PlaneRotation:
         self._sin = math.sin(angle)
 
     def apply(self, x: SpherePoint) -> SpherePoint:
-        if x.dim <= self.axis_j:
-            raise ValueError(
-                f"rotation plane ({self.axis_i},{self.axis_j}) needs dim > {self.axis_j}"
-            )
+        """The rotated point, on a copy of x's coords.  A point too short
+        for the plane raises ValueError from the read of its coordinates:
+        the IndexError of the index past its end, turned into the plane's
+        message."""
+        i, j = self.axis_i, self.axis_j
         v = x.coords.copy()
-        vi = v.item(self.axis_i)
-        vj = v.item(self.axis_j)
-        v[self.axis_i] = self._cos * vi - self._sin * vj
-        v[self.axis_j] = self._sin * vi + self._cos * vj
+        try:
+            vi = v.item(i)
+            vj = v.item(j)
+        except IndexError:
+            raise ValueError(f"rotation plane ({i},{j}) needs dim > {j}") from None
+        v[i] = self._cos * vi - self._sin * vj
+        v[j] = self._sin * vi + self._cos * vj
         return SpherePoint._wrap(v)
 
     def __repr__(self) -> str:
@@ -143,19 +147,20 @@ class MappingFamily:
         `Problem` checks first from the common fixed set: the samples alone
         let pole moves of 1e-3 through.
 
-        The CAP_CHECK_SAMPLES points, drawn from CAP_CHECK_SEED, are wrapped
-        once and shared by every member.  Each member's images come from its
-        own apply, the one description of a map, stacked into one array and
-        measured from the pole with one product and one arccos.  The members
-        are tried in order, and the first sample whose image lies more than
-        CAP_CHECK_TOL past the cap raises ValueError with that image's
-        excess: the decision and the message of one `distance` call per
-        sample.  The check only passes or raises; no output depends on its
+        The CAP_CHECK_SAMPLES points, drawn from CAP_CHECK_SEED, are the
+        rows of one stack, made read-only once and wrapped row by row as
+        views (`SpherePoint._rows`), and every member shares them.  Each
+        member's images come from its own apply, the one description of a
+        map, stacked into one array and measured from the pole with one
+        product and one arccos.  The members are tried in order, and the
+        first sample whose image lies more than CAP_CHECK_TOL past the cap
+        raises ValueError with that image's excess: the decision and the
+        message of one `distance` call per sample.  The check only passes or raises; no output depends on its
         samples.  It stays until the benchmark's memory stops growing with
         the work a run does (ROADMAP items 4a and 4c)."""
         rng = np.random.default_rng(CAP_CHECK_SEED)
         pts = sample_cap(pole.coords, radius, CAP_CHECK_SAMPLES, rng)
-        xs = [SpherePoint._wrap(row) for row in pts]
+        xs = SpherePoint._rows(pts)
         image = np.dtype((float, pole.dim))
         for T in self.maps:
             imgs = np.fromiter((T.apply(x).coords for x in xs), image, len(xs))

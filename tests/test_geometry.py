@@ -50,6 +50,25 @@ class TestSpherePoint:
         p = e(0)
         with pytest.raises(ValueError):
             p.coords[0] = 2.0
+        # _wrap marks the array it is given read-only, in place
+        v = np.array([0.6, 0.8])
+        q = SpherePoint._wrap(v)
+        assert q.coords is v and not v.flags.writeable
+        with pytest.raises(ValueError):
+            q.coords[0] = 2.0
+
+    def test_rows_are_read_only_views_of_the_stack(self):
+        stack = sample_cap(e(3).coords, 0.5, 5, np.random.default_rng(0))
+        points = SpherePoint._rows(stack)
+        assert not stack.flags.writeable
+        assert len(points) == len(stack)
+        for p, row in zip(points, stack):
+            assert type(p) is SpherePoint
+            assert np.shares_memory(p.coords, stack)
+            assert p.coords.tobytes() == row.tobytes()
+            assert not p.coords.flags.writeable
+            with pytest.raises(ValueError):
+                p.coords[0] = 2.0
 
     def test_basis_point_is_a_sphere_point(self):
         """Bools and numpy integers are axes, a float is not, and d >= 2

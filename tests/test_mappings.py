@@ -77,6 +77,25 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             PlaneRotation(0, 1, 3.5)
 
+    def test_plane_past_the_point_raises_the_plane_message(self):
+        """The read of an index past the point's end raises, as a
+        ValueError naming the plane, whichever of its axes is missing."""
+        for T, x in ((PlaneRotation(1, 3, 0.5), e(0, 3)), (PlaneRotation(2, 4, 0.5), e(0, 2))):
+            msg = f"^rotation plane \\({T.axis_i},{T.axis_j}\\) needs dim > {T.axis_j}$"
+            with pytest.raises(ValueError, match=msg) as info:
+                T.apply(x)
+            assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    def test_image_is_read_only_and_input_unchanged(self):
+        x = SpherePoint([0.1, 0.2, 0.3, 0.4])
+        before = x.coords.tobytes()
+        img = PlaneRotation(1, 3, 0.5).apply(x)
+        assert not img.coords.flags.writeable
+        with pytest.raises(ValueError):
+            img.coords[1] = 0.0
+        assert not np.shares_memory(img.coords, x.coords)
+        assert x.coords.tobytes() == before
+
     def test_rotation_axes_must_be_ordered(self):
         """The README quotes this message, prefixed by the CLI's field."""
         for i, j in ((1, 1), (2, 1), (-1, 2)):

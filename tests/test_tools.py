@@ -17,7 +17,7 @@ def test_bench_walks_without_walks():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["walks"] == report["builds"] == report["perfbench"] == {}
+    assert report["walks"] == report["builds"] == report["cli"] == report["perfbench"] == {}
 
 
 def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
@@ -35,6 +35,10 @@ def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
         trees = bw.load_trees([ROOT / "src", ROOT / "src"])
         walks = bw.compare_walks(trees, 2)
         builds = bw.compare_builds(trees, 2)
+        # every 8th call of the cli-sweep panel: both families, d = 4, 5, 6
+        panels = trees[0][1].PANELS
+        monkeypatch.setitem(panels, "cli-sweep", panels["cli-sweep"][::8])
+        cli = bw.compare_cli(trees, 2)
         a, b = sys.modules["sphereproj_a"], sys.modules["sphereproj_b"]
         assert a.cq_step is not b.cq_step
         assert sys.modules["sphereproj_b_workloads"].sp is b
@@ -62,6 +66,11 @@ def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
     # one tree on both sides allocates the same at its peak
     peak = builds["peak_mb"]
     assert peak["dim"] == 64 and peak["before"] == peak["after"] > 0.0
+    # one tree on both sides writes the same bytes on every call
+    assert cli["calls"] == 6 and cli["bytes_identical"] is True
+    walls = cli["wall_s_median"]
+    assert walls["before"] > 0.0 and walls["after"] > 0.0
+    assert cli["speedup"] == walls["before"] / walls["after"]
 
 
 def test_projections_arithmetic_ignores_sweeps(monkeypatch):

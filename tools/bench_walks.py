@@ -43,14 +43,22 @@ itself), which the sum over the repeats averages out.  ``builds`` times
 (d = 4 and d = 1024), ``BUILDS`` per dimension, tree and repeat, the two
 trees taking turns build by build as the walks do; it keeps the median
 wall of each, and the tracemalloc peak of one build at the largest
-dimension.  With ``--repeats 0`` no walk or build runs, and ``walks`` and
-``builds`` stay empty.  ``--pairs N`` also runs
+dimension.  ``cli`` times the 48 ``compare`` calls of the ``cli-sweep``
+panel through each tree's ``cli.main`` (perfbench's ``call_cli``, which
+sends the printed output to a sink), each call ``--repeats`` times per
+tree, the two trees taking turns call by call, the first turn
+alternating, after one warm-up call each.  It keeps the median wall per
+call, and ``bytes_identical``: whether the two trees wrote the same bytes
+to all three output files of every call.  With ``--repeats 0`` no walk,
+build or call runs, and ``walks``, ``builds`` and ``cli`` stay empty.
+``--pairs N`` also runs
 ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` from the
 checkout around each tree for each of the four workloads, in child
 processes alternating in the same way, and keeps its end-to-end metrics.
 These runs come before the walks and builds load any tree, because a
 child keeps its parent's peak RSS across fork and exec, and
-``peak_rss_mb`` would read this process's.  ``--out`` writes everything
+``peak_rss_mb`` would read this process's; the walks, builds and
+calls run after them.  ``--out`` writes everything
 to one JSON file.
 """
 
@@ -66,6 +74,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -287,6 +296,43 @@ def compare_builds(trees: list, repeats: int) -> dict:
     return out
 
 
+def compare_cli(trees: list, repeats: int) -> dict:
+    """The cli-sweep panel's compare calls on both trees, taking turns call
+    by call, the first turn alternating; one warm-up call each."""
+    calls = trees[0][1].PANELS["cli-sweep"]
+    suffixes = ("_cq_trace.csv", "_shrinking_trace.csv", "_compare.json")
+    walls, identical = ([], []), True
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+
+        def call(side: int, k: int) -> bytes:
+            cfg, prefix = tmp / f"{k}.cfg", tmp / f"{'ab'[side]}{k}"
+            call_cli = trees[side][1].call_cli
+            t0 = time.perf_counter()
+            rc = call_cli(cfg, prefix)
+            walls[side].append(time.perf_counter() - t0)
+            if rc not in (0, 2):
+                raise RuntimeError(f"compare {cfg} exited {rc}")
+            return b"".join(Path(f"{prefix}{suffix}").read_bytes() for suffix in suffixes)
+
+        for k, inv in enumerate(calls):
+            (tmp / f"{k}.cfg").write_text(inv.case.config_text(), encoding="utf-8")
+        for side in (0, 1):
+            call(side, 0)
+            walls[side].clear()
+        for turn in range(repeats * len(calls)):
+            repeat, k = divmod(turn, len(calls))
+            out = [None, None]
+            # the panel has an even length: flip by repeat too, so that no
+            # call always runs on the same tree first
+            for side in ((0, 1) if (k + repeat) % 2 == 0 else (1, 0)):
+                out[side] = call(side, k)
+            identical &= out[0] == out[1]
+    before, after = (statistics.median(w) for w in walls)
+    return {"calls": len(calls), "wall_s_median": {"before": before, "after": after},
+            "speedup": before / after, "bytes_identical": identical}
+
+
 def _child(args: list[str]) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
@@ -323,6 +369,7 @@ def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
                     "python": platform.python_version(), "platform": platform.platform()},
         "walks": {},
         "builds": {},
+        "cli": {},
         "perfbench": {},
     }
     # before any tree loads: a child's peak RSS starts at this process's
@@ -338,6 +385,7 @@ def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
         trees = load_trees(srcs)
         report["walks"] = compare_walks(trees, repeats)
         report["builds"] = compare_builds(trees, repeats)
+        report["cli"] = compare_cli(trees, repeats)
     return report
 
 
