@@ -38,8 +38,8 @@ MAX_CAP_RADIUS = math.pi / 4
 # Vector differences below this norm give no cut.
 DEGENERATE_TOL = 1e-12
 
-# An outside cut normal that `intersect` appends must have squared norm
-# this close to 1.
+# An outside cut normal, given to `Region` or `intersect`, must have
+# squared norm this close to 1.
 _UNIT_TOL = 1e-12
 
 # Witnesses must satisfy every constraint with at least this slack, an
@@ -97,24 +97,29 @@ class Cap:
         return f"Cap(pole={np.array2string(self.pole, precision=6)}, radius={self.radius:.6g})"
 
 
-class Halfspace:
-    """A cut <normal, z> >= 0 from outside input.
+def Halfspace(normal) -> np.ndarray:
+    """The unit row of a cut <normal, z> >= 0 from outside input: the
+    read-only coordinates of SpherePoint(normal), whose ValueError it
+    raises prefixed with "halfspace normal: "."""
+    try:
+        return SpherePoint(normal).coords
+    except ValueError as e:
+        raise ValueError(f"halfspace normal: {e}") from e
 
-    The normal is the read-only coordinates of SpherePoint(normal): a
-    normal that SpherePoint rejects raises its ValueError, prefixed with
-    "halfspace normal: ".
-    """
 
-    __slots__ = ("normal",)
-
-    def __init__(self, normal):
-        try:
-            self.normal = SpherePoint(normal).coords
-        except ValueError as e:
-            raise ValueError(f"halfspace normal: {e}") from e
-
-    def __repr__(self) -> str:
-        return f"Halfspace(normal={np.array2string(self.normal, precision=6)})"
+def _check_rows(cuts, dim: int) -> tuple:
+    """The cuts as a tuple, each a 1-d array of length dim with squared
+    norm within 1e-12 of 1: one ValueError for the first that is not,
+    before anything is built or appended."""
+    cuts = tuple(cuts)
+    for a in cuts:
+        shape = getattr(a, "shape", None)
+        # written as `not ... <=` so that a NaN or infinite row is rejected too
+        if shape != (dim,) or not abs((n2 := float(a.dot(a))) - 1.0) <= _UNIT_TOL:
+            raise ValueError(f"cut normal is not a finite unit vector of dimension {dim}: " + (
+                f"squared norm {n2!r}" if shape == (dim,) else
+                f"shape {shape}" if shape is not None else f"got {type(a).__name__}"))
+    return cuts
 
 
 class Region:
@@ -124,25 +129,24 @@ class Region:
     `normals`, so that the cuts' membership test is one product.  `slack`
     is the one reader of membership over the whole region.  The witness
     is a sphere point known to satisfy every constraint; it certifies
-    nonemptiness.  The constructor `Region(cap, halfspaces, witness)`, for
-    outside input, takes all three: a `Cap`, the cuts as `Halfspace`s (a
-    bare cap has none), and a witness whose `slack` it checks
-    (FeasibilityViolated otherwise).  Regions are immutable values:
-    `intersect` returns a new region.
+    nonemptiness.  The constructor `Region(cap, normals, witness)`, for
+    outside input, takes all three: a `Cap`, the cuts as a sequence of
+    unit rows or an (m, d) array (a bare cap has none), checked as
+    `intersect` checks them, and a witness of the cap's dimension whose
+    `slack` it checks (FeasibilityViolated otherwise).  Regions are
+    immutable values: `intersect` returns a new region.
     """
 
     __slots__ = ("cap", "normals", "witness")
 
-    def __init__(self, cap: Cap, halfspaces, witness: SpherePoint):
+    def __init__(self, cap: Cap, normals, witness: SpherePoint):
         if not isinstance(cap, Cap):
             raise ValueError(f"region cap must be a Cap, got {type(cap).__name__}")
-        halfspaces = tuple(halfspaces)
-        for h in halfspaces:
-            if not isinstance(h, Halfspace):
-                raise ValueError(f"region cuts must be Halfspaces, got {type(h).__name__}")
-        rows = [h.normal for h in halfspaces]
-        normals = np.array(rows, dtype=float).reshape(len(rows), cap.pole.size)
-        self._set(cap, normals, witness)
+        dim = cap.pole.size
+        rows = _check_rows(normals, dim)
+        if witness.dim != dim:
+            raise ValueError(f"region witness has dimension {witness.dim}, its cap {dim}")
+        self._set(cap, np.array(rows, dtype=float).reshape(len(rows), dim), witness)
 
     def _set(self, cap: Cap, normals: np.ndarray, witness: SpherePoint,
              bad: float | None = None) -> None:
@@ -168,12 +172,9 @@ class Region:
         return c if c != c else min(s, c)
 
     @property
-    def linear(self) -> tuple[Halfspace, ...]:
-        """The cuts as Halfspaces holding the rows of `normals` bit for bit."""
-        out = tuple(Halfspace(a) for a in self.normals)
-        for h, a in zip(out, self.normals):
-            h.normal = a   # renormalizing can move the last bit of a row
-        return out
+    def linear(self) -> tuple[np.ndarray, ...]:
+        """The rows of `normals`, bit for bit."""
+        return tuple(self.normals)
 
     def __repr__(self) -> str:
         return f"Region(radius={self.cap.radius:.6g}, n_linear={len(self.normals)})"
@@ -234,8 +235,8 @@ def _cut(v: np.ndarray) -> np.ndarray | None:
     """Read-only unit normal of the cut <v, z> >= 0, or None if v vanishes.
 
     v is a fresh array, normalized in place.  The normal is normalized a
-    second time, as passing it to the Halfspace constructor would: the
-    walks are steered by the last bits of the cuts.
+    second time, as `Halfspace` would normalize it: the walks are steered
+    by the last bits of the cuts.
     """
     n = math.sqrt(float(v.dot(v)))
     if n <= DEGENERATE_TOL:
@@ -249,16 +250,12 @@ def _cut(v: np.ndarray) -> np.ndarray | None:
 def intersect(region: Region, cuts) -> Region:
     """Append a sequence of cut normals to the region in order, keeping its witness.
 
-    The entry point for outside cuts: each normal that is not None must be
-    a finite unit vector, its squared norm within 1e-12 of 1 (ValueError
-    otherwise, before anything is appended), and the rest is `_append`'s.
+    The entry point for outside cuts: None is no cut, and every other
+    normal passes the constructor's row check (ValueError otherwise, before
+    anything is appended); the rest is `_append`'s.
     """
-    cuts = tuple(cuts)
-    for a in cuts:
-        # written as `not ... <=` so that a NaN or infinite row is rejected too
-        if a is not None and not abs((n2 := float(a.dot(a))) - 1.0) <= _UNIT_TOL:
-            raise ValueError(f"cut normal is not a finite unit vector: squared norm {n2!r}")
-    return _append(region, cuts)
+    return _append(region, _check_rows((a for a in cuts if a is not None),
+                                       region.cap.pole.size))
 
 
 def _append(region: Region, cuts) -> Region:

@@ -28,8 +28,9 @@ def test_perfbench_selftest(tmp_path):
 
 # Traced names that the library does not define; the benchmark counts them
 # in trace.absent.
-# The cap's slack is `Cap.slack` and a Halfspace has none, so the counted
-# regions.slack_calls reads 0; no per-layer metric has a bound.
+# The cap's slack is `Cap.slack`, and `Halfspace` is a function that returns
+# a cut's unit row, with no `slack`, so the counted regions.slack_calls
+# reads 0; no per-layer metric has a bound.
 # The W-map is `MappingFamily.apply`, so mappings.wmap reads 0 and its
 # stages count under geometry.combine.
 # The step path appends its cuts with `regions._append`, so the walks'

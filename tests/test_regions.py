@@ -41,9 +41,12 @@ def e(i, dim=4):
 
 
 class TestHalfspace:
+    """`Halfspace(v)` is the unit row of the cut <v, z> >= 0."""
+
     def test_normal_is_normalized(self):
-        h = Halfspace([2.0, 0, 0, 0])
-        np.testing.assert_allclose(h.normal, [1, 0, 0, 0])
+        row = Halfspace([2.0, 0, 0, 0])
+        assert isinstance(row, np.ndarray) and row.shape == (4,)
+        np.testing.assert_allclose(row, [1, 0, 0, 0])
 
     def test_zero_normal_rejected(self):
         for normal in (np.zeros(4), np.full(4, 1e-13)):
@@ -61,9 +64,9 @@ class TestHalfspace:
 
     def test_normal_bits_are_the_sphere_point_coords(self):
         a = [0.3, -1.7, 2.9, 1e-3]
-        h = Halfspace(a)
-        assert h.normal.tobytes() == SpherePoint(a).coords.tobytes()
-        assert not h.normal.flags.writeable
+        row = Halfspace(a)
+        assert row.tobytes() == SpherePoint(a).coords.tobytes()
+        assert not row.flags.writeable
 
 
 class TestCap:
@@ -169,13 +172,31 @@ class TestRegionAndContains:
 
     def test_hand_built_cap_radius_range(self):
         """Only a Cap is accepted as the region cap."""
-        with pytest.raises(ValueError, match=r"^region cap must be a Cap, got Halfspace$"):
+        with pytest.raises(ValueError, match=r"^region cap must be a Cap, got ndarray$"):
             Region(Halfspace(e(0).coords), (), e(0))
 
     def test_linear_constraints_must_be_homogeneous(self):
-        """A cap passed as a cut is rejected."""
-        with pytest.raises(ValueError, match=r"^region cuts must be Halfspaces, got Cap$"):
+        """A cap passed as a cut is rejected by the row check that
+        `intersect` shares."""
+        with pytest.raises(ValueError, match=r"^cut normal is not a finite unit vector "
+                                             r"of dimension 4: got Cap$"):
             Region(Cap(e(0), 0.6), (Cap(e(0), 0.1),), e(0))
+
+    def test_witness_of_another_dimension_rejected(self):
+        """The constructor names both dimensions; `Cap.slack` would fail
+        inside numpy."""
+        with pytest.raises(ValueError, match=r"^region witness has dimension 3, its cap 4$"):
+            Region(Cap(e(3), 0.6), (), e(2, dim=3))
+
+    def test_rows_or_array_give_the_same_region(self):
+        """A sequence of rows and their (m, d) stack build the same bits,
+        and `linear` hands the rows back, bit for bit."""
+        rows = (Halfspace([0.1, 1.0, 0, 0]), Halfspace([0.2, 0, 1.0, 0]))
+        r = Region(Cap(e(0), 0.6), rows, e(0))
+        stacked = np.array(rows)
+        assert Region(r.cap, stacked, e(0)).normals.tobytes() == r.normals.tobytes()
+        assert r.normals.shape == (2, 4) and not r.normals.flags.writeable
+        assert [a.tobytes() for a in r.linear] == [a.tobytes() for a in rows]
 
 
 class TestMakeCn:
@@ -739,7 +760,7 @@ class TestIntersect:
     def test_appended_constraint_holds_for_witness(self):
         h = Halfspace([0.0, 1.0, 0, 0])
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
-        r2 = intersect(Region(Cap(e(0), 0.6), (), w), (h.normal,))
+        r2 = intersect(Region(Cap(e(0), 0.6), (), w), (h,))
         assert r2.witness is w
         assert contains(r2, w, 1e-10)
         assert len(r2.normals) == 1
@@ -782,11 +803,30 @@ class TestIntersect:
         assert len(r.normals) == 0
         assert intersect(r, (ok,)).normals.tobytes() == ok.tobytes()
 
+    @pytest.mark.parametrize("row, detail", [
+        (np.array([0.0, 0.6, 0.8]), r"shape \(3,\)"),
+        (np.array([[0.0, 0.0, 0.6, 0.8]]), r"shape \(1, 4\)"),
+        (np.array(1.0), r"shape \(\)"),
+        ([0.0, 0.0, 0.6, 0.8], "got list"),
+    ], ids=["length-3", "1x4", "0-d", "list"])
+    def test_wrong_shaped_row_rejected(self, row, detail):
+        """`intersect` and `Region` share one row check: a row that is not
+        a 1-d array of the cap's dimension raises its ValueError, not
+        numpy's, and nothing is appended or built."""
+        r = Region(Cap(e(3), 0.6), (), e(3))
+        ok = np.array([0.0, 0.0, 0.6, 0.8])
+        message = f"^cut normal is not a finite unit vector of dimension 4: {detail}$"
+        with pytest.raises(ValueError, match=message):
+            intersect(r, (ok, row))
+        assert len(r.normals) == 0
+        with pytest.raises(ValueError, match=message):
+            Region(r.cap, (ok, row), e(3))
+
     def test_infeasible_new_witness_rejected(self):
         h = Halfspace([0.0, -1.0, 0, 0])
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0, 0])
         with pytest.raises(FeasibilityViolated):
-            intersect(Region(Cap(e(0), 0.6), (), w), (h.normal,))
+            intersect(Region(Cap(e(0), 0.6), (), w), (h,))
 
     def test_several_cuts_append_in_order(self):
         """One call appends every non-trivial cut in order, exactly as the
@@ -795,7 +835,7 @@ class TestIntersect:
         h1 = Halfspace([0.0, 1.0, 0.0, 0.0])
         h2 = Halfspace([0.0, 0.3, 1.0, 0.0])
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
-        r2 = intersect(Region(cap, (), w), (h1.normal, None, h2.normal))
+        r2 = intersect(Region(cap, (), w), (h1, None, h2))
         built = Region(cap, (h1, h2), w)
         assert r2.normals.tobytes() == built.normals.tobytes()
         assert r2.normals.shape == built.normals.shape
@@ -803,33 +843,33 @@ class TestIntersect:
 
         # inside the cap and h1, outside h2 only
         bad = SpherePoint([math.cos(0.2), 0.1, -0.15, 0.0])
-        assert h1.normal.dot(bad.coords) > 0.0 and cap.slack(bad) > 0.0
-        assert h2.normal.dot(bad.coords) < 0.0
+        assert h1.dot(bad.coords) > 0.0 and cap.slack(bad) > 0.0
+        assert h2.dot(bad.coords) < 0.0
         with pytest.raises(FeasibilityViolated):
-            intersect(Region(cap, (), bad), (h1.normal, h2.normal))
+            intersect(Region(cap, (), bad), (h1, h2))
 
     def test_own_witness_checked_against_fresh_cuts(self):
         """Keeping the region's witness skips only the checks it has
         passed: a fresh cut that excludes it still raises."""
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
         base = Region(Cap(e(0), 0.6), (), w)
-        r = intersect(base, (Halfspace([0.0, 1.0, 0, 0]).normal,))
-        ok = Halfspace([0.0, 0.0, 1.0, 0.0]).normal
+        r = intersect(base, (Halfspace([0.0, 1.0, 0, 0]),))
+        ok = Halfspace([0.0, 0.0, 1.0, 0.0])
         assert intersect(r, (ok,)).normals.tobytes() == \
             Region(r.cap, (Halfspace(r.normals[0]), Halfspace(ok)), w).normals.tobytes()
         with pytest.raises(FeasibilityViolated):
-            intersect(r, (ok, Halfspace([0.0, -1.0, 0.5, 0]).normal))
+            intersect(r, (ok, Halfspace([0.0, -1.0, 0.5, 0])))
 
     def test_repeated_last_row_not_appended(self):
         """A cut bitwise equal to the row before it adds nothing: the region
         itself comes back, and a repeat inside one call is appended once."""
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
-        a = Halfspace([0.0, 1.0, 0.0, 0.0]).normal
-        b = Halfspace([0.0, 0.3, 1.0, 0.0]).normal
+        a = Halfspace([0.0, 1.0, 0.0, 0.0])
+        b = Halfspace([0.0, 0.3, 1.0, 0.0])
         r = intersect(Region(Cap(e(0), 0.6), (), w), (a, b))
         assert intersect(r, (r.normals[-1],)) is r
         assert intersect(r, (None, b.copy(), None)) is r
-        c = Halfspace([0.0, 0.2, 0.0, 1.0]).normal
+        c = Halfspace([0.0, 0.2, 0.0, 1.0])
         for cuts in ((c, c), (b, c, c), (c, None, c)):
             r2 = intersect(r, cuts)
             assert r2.normals.tobytes() == np.concatenate((r.normals, [c])).tobytes()
@@ -839,8 +879,8 @@ class TestIntersect:
     def test_older_or_one_ulp_off_repeat_appended(self):
         """Only the row just before counts, and only bit for bit."""
         w = SpherePoint([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
-        a = Halfspace([0.0, 1.0, 0.0, 0.0]).normal
-        b = Halfspace([0.0, 0.3, 1.0, 0.0]).normal
+        a = Halfspace([0.0, 1.0, 0.0, 0.0])
+        b = Halfspace([0.0, 0.3, 1.0, 0.0])
         r = intersect(Region(Cap(e(0), 0.6), (), w), (a, b))
         older = intersect(r, (r.normals[0],))
         assert len(older.normals) == 3
@@ -861,7 +901,7 @@ class TestIntersect:
             a = rng.standard_normal(4)
             if a @ w.coords < 0:
                 a = -a
-            regions.append(intersect(regions[-1], (Halfspace(a).normal,)))
+            regions.append(intersect(regions[-1], (Halfspace(a),)))
         zs = rng.standard_normal((1000, 4))
         zs /= np.linalg.norm(zs, axis=1)[:, None]
         for row in zs:

@@ -73,6 +73,20 @@ def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
     assert cli["speedup"] == walls["before"] / walls["after"]
 
 
+
+def test_perfbench_run_keeps_its_job_counts(monkeypatch):
+    # a run's completed jobs sit next to its metrics, so that a peak_rss_mb
+    # change can be read against the work the run did
+    spec = importlib.util.spec_from_file_location("bench_walks", ROOT / "tools" / "bench_walks.py")
+    bw = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bw)
+    metrics = {k: {"value": float(i)} for i, k in enumerate(bw.PERFBENCH_METRICS)}
+    line = json.dumps({"correct": True, "attempted": 3384, "failed": 0, "metrics": metrics})
+    monkeypatch.setattr(bw, "_child", lambda args: line)
+    run = bw.perfbench(ROOT / "src", "cli-sweep", 20.0)
+    assert run == {"correct": True, "attempted": 3384, "failed": 0,
+                   **{k: m["value"] for k, m in metrics.items()}}
+
 def test_projections_arithmetic_ignores_sweeps(monkeypatch):
     # one more sweep per call moves `projections` and not its sweeps-free line
     import sphereproj as sp

@@ -54,7 +54,8 @@ build or call runs, and ``walks``, ``builds`` and ``cli`` stay empty.
 ``--pairs N`` also runs
 ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` from the
 checkout around each tree for each of the four workloads, in child
-processes alternating in the same way, and keeps its end-to-end metrics.
+processes alternating in the same way, and keeps its end-to-end metrics
+with the jobs each run attempted, got correct and failed.
 These runs come before the walks and builds load any tree, because a
 child keeps its parent's peak RSS across fork and exec, and
 ``peak_rss_mb`` would read this process's; the walks, builds and
@@ -346,7 +347,8 @@ def perfbench(src: Path, workload: str, seconds: float) -> dict:
                    "--seed", "1", "--seconds", f"{seconds:g}", "--trace", "0"])
     result = json.loads(line)
     metrics = {k: result["metrics"][k]["value"] for k in PERFBENCH_METRICS}
-    return {"correct": result["correct"], "failed": result["failed"], **metrics}
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], **metrics}
 
 
 def _alternate(count: int, run) -> list[list]:
