@@ -132,9 +132,9 @@ class Region:
     nonemptiness.  The constructor `Region(cap, normals, witness)`, for
     outside input, takes all three: a `Cap`, the cuts as a sequence of
     unit rows or an (m, d) array (a bare cap has none), checked as
-    `intersect` checks them, and a witness of the cap's dimension whose
-    `slack` it checks (FeasibilityViolated otherwise).  Regions are
-    immutable values: `intersect` returns a new region.
+    `intersect` checks them, and a `SpherePoint` of the cap's dimension as
+    witness, whose `slack` it checks (FeasibilityViolated otherwise).
+    Regions are immutable values: `intersect` returns a new region.
     """
 
     __slots__ = ("cap", "normals", "witness")
@@ -144,6 +144,8 @@ class Region:
             raise ValueError(f"region cap must be a Cap, got {type(cap).__name__}")
         dim = cap.pole.size
         rows = _check_rows(normals, dim)
+        if not isinstance(witness, SpherePoint):
+            raise ValueError(f"region witness must be a SpherePoint, got {type(witness).__name__}")
         if witness.dim != dim:
             raise ValueError(f"region witness has dimension {witness.dim}, its cap {dim}")
         self._set(cap, np.array(rows, dtype=float).reshape(len(rows), dim), witness)
@@ -234,9 +236,10 @@ def make_qn(x_1: SpherePoint, x_n: SpherePoint) -> np.ndarray | None:
 def _cut(v: np.ndarray) -> np.ndarray | None:
     """Read-only unit normal of the cut <v, z> >= 0, or None if v vanishes.
 
-    v is a fresh array, normalized in place.  The normal is normalized a
-    second time, as `Halfspace` would normalize it: the walks are steered
-    by the last bits of the cuts.
+    v is a fresh array, normalized in place, and then a second time.  The
+    second pass is not what `Halfspace` does (the two differ in the last
+    bits on many inputs); it is kept because the walks are steered by the
+    last bits of the cuts, and these are the bits that `tools/DIGESTS` pins.
     """
     n = math.sqrt(float(v.dot(v)))
     if n <= DEGENERATE_TOL:

@@ -175,6 +175,13 @@ class TestRegionAndContains:
         with pytest.raises(ValueError, match=r"^region cap must be a Cap, got ndarray$"):
             Region(Halfspace(e(0).coords), (), e(0))
 
+    def test_witness_must_be_a_sphere_point(self):
+        """A bare coordinate array as witness is refused by name, before the
+        dimension check would fail on its missing `dim`."""
+        with pytest.raises(ValueError,
+                           match=r"^region witness must be a SpherePoint, got ndarray$"):
+            Region(Cap(e(3), 0.6), (), np.array([0, 0, 0, 1.0]))
+
     def test_linear_constraints_must_be_homogeneous(self):
         """A cap passed as a cut is rejected by the row check that
         `intersect` shares."""

@@ -74,6 +74,38 @@ def test_bench_walks_one_tree_twice_in_one_process(monkeypatch):
 
 
 
+def test_alternate_takes_turns_going_first():
+    # every before/after pair in a BENCH_*.json is ordered by this rule:
+    # side (k + first) % 2 runs first, and pair k holds [run(k, 0), run(k, 1)]
+    spec = importlib.util.spec_from_file_location("bench_walks", ROOT / "tools" / "bench_walks.py")
+    bw = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bw)
+    for first, order in ((0, [0, 1, 1, 0, 0, 1, 1, 0]), (1, [1, 0, 0, 1, 1, 0, 0, 1])):
+        calls = []
+
+        def run(k, side):
+            calls.append((k, side))
+            return f"{k}{'ab'[side]}"
+
+        pairs = bw._alternate(4, run, first=first)
+        assert calls == [(k, side) for k, side in zip((0, 0, 1, 1, 2, 2, 3, 3), order)]
+        assert pairs == [["0a", "0b"], ["1a", "1b"], ["2a", "2b"], ["3a", "3b"]]
+
+
+def test_trace_digest_loads_without_numpy():
+    # numpy loads with the tree, after main pins OpenBLAS to one thread:
+    # a pin set once OpenBLAS has started its thread pool does nothing
+    path = str(ROOT / "tools" / "trace_digest.py")
+    code = ("import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('td', {path!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_perfbench_run_keeps_its_job_counts(monkeypatch):
     # a run's completed jobs sit next to its metrics, so that a peak_rss_mb
     # change can be read against the work the run did

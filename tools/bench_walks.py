@@ -126,6 +126,19 @@ def load_tree(src: Path, name: str):
     return sp, wl
 
 
+def _alternate(count: int, run, first: int = 0) -> list[list]:
+    """The pairs [run(k, 0), run(k, 1)] for k < count, side (k + first) % 2
+    run first: the two trees take turns going first, so that a drift of the
+    machine's speed falls on both alike."""
+    pairs = []
+    for k in range(count):
+        pair = [None, None]
+        for side in ((0, 1) if (k + first) % 2 == 0 else (1, 0)):
+            pair[side] = run(k, side)
+        pairs.append(pair)
+    return pairs
+
+
 class Walk:
     """One walk on one tree, stepped a slice at a time; its wall covers the
     steps alone."""
@@ -204,9 +217,8 @@ def walk_pair(trees, name: str, steps: int | None = None) -> list[dict]:
     SLICE_STEPS steps at a time, the first turn alternating."""
     walks = [Walk(tree, name) for tree in trees]
     steps = walks[0].budget if steps is None else steps
-    for k, done in enumerate(range(0, steps, SLICE_STEPS)):
-        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-            walks[side].advance(min(SLICE_STEPS, steps - done))
+    _alternate(len(range(0, steps, SLICE_STEPS)),
+               lambda k, side: walks[side].advance(min(SLICE_STEPS, steps - k * SLICE_STEPS)))
     return [w.result() for w in walks]
 
 
@@ -284,11 +296,8 @@ def compare_builds(trees: list, repeats: int) -> dict:
         args = [_build_args(tree, dim) for tree in trees]
         for tree, a in zip(trees, args):
             _build_wall(tree, a)
-        walls = ([], [])
-        for k in range(repeats * BUILDS):
-            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-                walls[side].append(_build_wall(trees[side], args[side]))
-        before, after = (statistics.median(w) for w in walls)
+        walls = _alternate(repeats * BUILDS, lambda k, side: _build_wall(trees[side], args[side]))
+        before, after = (statistics.median(w) for w in zip(*walls))
         out[f"d={dim}"] = {"wall_s_median": {"before": before, "after": after},
                            "speedup": before / after}
     dim = BUILD_DIMS[-1]
@@ -306,7 +315,7 @@ def compare_cli(trees: list, repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
 
-        def call(side: int, k: int) -> bytes:
+        def call(k: int, side: int) -> bytes:
             cfg, prefix = tmp / f"{k}.cfg", tmp / f"{'ab'[side]}{k}"
             call_cli = trees[side][1].call_cli
             t0 = time.perf_counter()
@@ -319,16 +328,13 @@ def compare_cli(trees: list, repeats: int) -> dict:
         for k, inv in enumerate(calls):
             (tmp / f"{k}.cfg").write_text(inv.case.config_text(), encoding="utf-8")
         for side in (0, 1):
-            call(side, 0)
+            call(0, side)
             walls[side].clear()
-        for turn in range(repeats * len(calls)):
-            repeat, k = divmod(turn, len(calls))
-            out = [None, None]
+        for repeat in range(repeats):
             # the panel has an even length: flip by repeat too, so that no
             # call always runs on the same tree first
-            for side in ((0, 1) if (k + repeat) % 2 == 0 else (1, 0)):
-                out[side] = call(side, k)
-            identical &= out[0] == out[1]
+            for a, b in _alternate(len(calls), call, first=repeat):
+                identical &= a == b
     before, after = (statistics.median(w) for w in walls)
     return {"calls": len(calls), "wall_s_median": {"before": before, "after": after},
             "speedup": before / after, "bytes_identical": identical}
@@ -351,17 +357,6 @@ def perfbench(src: Path, workload: str, seconds: float) -> dict:
             "failed": result["failed"], **metrics}
 
 
-def _alternate(count: int, run) -> list[list]:
-    """count pairs of run(0), run(1), the order swapped on every other pair."""
-    pairs = []
-    for k in range(count):
-        pair = [None, None]
-        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-            pair[side] = run(side)
-        pairs.append(pair)
-    return pairs
-
-
 def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
     report = {
         "command": " ".join(["tools/bench_walks.py", "BEFORE/src", "AFTER/src",
@@ -376,7 +371,7 @@ def compare(srcs: list[Path], repeats: int, pairs: int, seconds: float) -> dict:
     }
     # before any tree loads: a child's peak RSS starts at this process's
     for workload in WORKLOADS if pairs else ():
-        runs = _alternate(pairs, lambda side: perfbench(srcs[side], workload, seconds))
+        runs = _alternate(pairs, lambda k, side: perfbench(srcs[side], workload, seconds))
         report["perfbench"][workload] = {
             "pairs": [{"before": b, "after": a} for b, a in runs],
             "steps_per_s_median": {

@@ -5,12 +5,14 @@
     python3 tools/trace_digest.py /path/to/other/src
     python3 tools/trace_digest.py OLD/src NEW/src   # compare two trees
 
-Imports ``sphereproj`` from the given source directory and the job panels
-from ``perfbench/workloads.py`` next to this directory (read only).  The
-digest covers, in panel order:
+Pins OpenBLAS to one thread, then loads ``sphereproj`` from the given
+source directory, with the job panels of ``perfbench/workloads.py`` bound to
+it, through ``bench_walks.load_tree`` (read only).  numpy loads with the
+tree, after the pin.  The digest covers, in panel order:
 
 * every walk of the three walk workloads, stepped through the library's run
-  loop ``iterate`` until its budget, the benchmark's stop rule or an error:
+  loop ``iterate`` until its budget, convergence under the library's own
+  ``StopRule`` at the benchmark's epsilons, or an error:
   per step, the iterate's bytes and every field of its ``TraceRecord``; per
   walk, how it stopped (an error as ``iterate`` annotates it);
 * every ``cli-sweep`` call (``sphereproj compare``): the exit code, the
@@ -47,18 +49,16 @@ status is 1 when any digest differs.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
-import os
+import math
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
 WALK_PANELS = ("two-rotation-cq", "two-rotation-shrinking", "single-rotation")
 RECORD_FIELDS = ("n", "dist_x1_xn", "step_len", "residuals", "constraint_count")
 CSV_SUFFIXES = ("_cq_trace.csv", "_shrinking_trace.csv")
@@ -89,8 +89,8 @@ def _field(value) -> bytes:
 
 
 def walk_digest(h, sp, wl, walk) -> None:
-    problem = walk.case.problem()
-    states = sp.iterate(problem, walk.method)
+    states = sp.iterate(walk.case.problem(), walk.method)
+    rule = sp.StopRule(wl.EPS, wl.EPS)
     h.update(walk.label.encode())
     stop = "budget"
     for _ in range(walk.budget):
@@ -103,20 +103,19 @@ def walk_digest(h, sp, wl, walk) -> None:
         h.update(state.x_n.coords.tobytes())
         fields = b"|".join(_field(getattr(rec, f)) for f in RECORD_FIELDS)
         h.update(fields + b"|" + _field(rec.solver_sweeps), fields)
-        if wl._stop_met(problem, state):
+        if rule.reason(state) is sp.StopReason.CONVERGED:
             stop = "converged"
             break
     h.update(stop.encode())
 
 
-def cli_digest(h, inv, tmp: Path, i: int) -> None:
-    from sphereproj import cli
+def cli_digest(h, sp, inv, tmp: Path, i: int) -> None:
     cfg = tmp / f"{i}.cfg"
     cfg.write_text(inv.case.config_text(), encoding="utf-8")
     prefix = tmp / f"out{i}"
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        rc = cli.main(["compare", str(cfg), "--out", str(prefix)])
+        rc = sp.cli.main(["compare", str(cfg), "--out", str(prefix)])
     h.update(f"{inv.label} exit {rc}\n{sink.getvalue()}".encode())
     for suffix in CLI_OUTPUTS:
         data = Path(f"{prefix}{suffix}").read_bytes()
@@ -134,7 +133,7 @@ def _without_sweeps(suffix: str, data: bytes) -> bytes:
 
 
 def _unit(v):
-    return v / np.sqrt(v.dot(v))
+    return v / math.sqrt(v.dot(v))
 
 
 def projection_digest(sp) -> Digests:
@@ -145,9 +144,9 @@ def projection_digest(sp) -> Digests:
     result, so two source trees see the same inputs.  The pole witnesses
     each region: every cut normal is turned to face it.
     """
+    import numpy as np   # here, so that main pins BLAS to one thread before it loads
+
     h = Digests()
-    # a tree from before `Cap` builds the same cap bits as `Halfspace.cap`
-    cap = sp.Cap if hasattr(sp, "Cap") else sp.Halfspace.cap
     rng = np.random.default_rng(PROJECTION_SEED)
     for _ in range(PROJECTION_CALLS):
         d = int(rng.integers(3, 7))
@@ -170,8 +169,8 @@ def projection_digest(sp) -> Digests:
         x = np.cos(t) * pole + np.sin(t) * g
         start = tuple(int(i) for i in rng.integers(0, len(normals) + 2,
                                                    int(rng.integers(0, 3))))
-        region = sp.Region(cap(sp.SpherePoint(pole), radius),
-                           [sp.Halfspace(a) for a in normals], sp.SpherePoint(pole))
+        region = sp.Region(sp.Cap(sp.SpherePoint(pole), radius),
+                           [sp.SpherePoint(a).coords for a in normals], sp.SpherePoint(pole))
         try:
             z, stats = sp.project(region, sp.SpherePoint(x), start)
         except sp.SphereProjError as e:
@@ -206,24 +205,20 @@ def compare(srcs: list[Path]) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) not in (1, 2):
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: trace_digest.py <src-dir> [<other-src-dir>]", file=sys.stderr)
-        return 2
-    srcs = [Path(a).resolve() for a in argv]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="+", type=Path, help="one or two sphereproj source trees")
+    args = parser.parse_args(argv)
+    srcs = [s.resolve() for s in args.src]
     for src in srcs:
         if not (src / "sphereproj" / "__init__.py").is_file():
-            print(f"error: no sphereproj sources at {src}", file=sys.stderr)
-            return 2
+            parser.error(f"no sphereproj sources at {src}")
+    if len(srcs) > 2:
+        parser.error("give one or two source trees")
     if len(srcs) == 2:
         return compare(srcs)
-    src = srcs[0]
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    import sphereproj as sp
-    import workloads as wl
+    from bench_walks import _threads_to_one, load_tree   # this script's directory
+    _threads_to_one()
+    sp, wl = load_tree(srcs[0], "sphereproj")
 
     h = Digests()
     for name in WALK_PANELS:
@@ -231,7 +226,7 @@ def main(argv=None) -> int:
             walk_digest(h, sp, wl, walk)
     with tempfile.TemporaryDirectory() as tmp:
         for i, inv in enumerate(wl.PANELS["cli-sweep"]):
-            cli_digest(h, inv, Path(tmp), i)
+            cli_digest(h, sp, inv, Path(tmp), i)
     print(f"full {h.full.hexdigest()}")
     print(f"arithmetic {h.arithmetic.hexdigest()}")
     p = projection_digest(sp)
